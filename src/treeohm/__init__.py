@@ -16,14 +16,12 @@ from .model import (
     ValidationError,
     WeightDistribution,
     derive_seed,
-    dist_moments,
     dist_sample,
     dist_sample_block,
     edge_resistance,
     level_scales,
     parse_distribution,
     parse_offspring,
-    validate_model,
 )
 from .evaluate import (
     ResistanceSample,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -58,13 +59,14 @@ class ExperimentConfig:
     """Experiment description; every field has a CLI flag of the same name.
 
     Literal-valued fields (model, dist, n, reps, t_grid) keep their literal
-    strings so a config survives an emit/parse round trip unchanged.
+    strings so a config survives an emit/parse round trip unchanged.  None
+    means unset: a subcommand applies its default only then.
     """
 
     model: str = "reg:2"
     dist: str = "unif:0.5,1.5"
     lam: float | None = None
-    n: str = "10"
+    n: str | None = None
     reps: str = "100"
     seed: int = 1
     t_grid: str | None = None
@@ -130,7 +132,7 @@ def resolve_model(cfg: ExperimentConfig) -> TreeModel:
 
 
 def resolve_ns(cfg: ExperimentConfig) -> list[int]:
-    text = str(cfg.n)
+    text = "10" if cfg.n is None else str(cfg.n)  # depth 10 when unset
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -184,7 +186,10 @@ def resolve_t_grid(cfg: ExperimentConfig) -> np.ndarray | None:
     try:
         if ":" in text:
             start, stop, step = (float(s) for s in text.split(":"))
-            count = int(round((stop - start) / step)) + 1
+            steps = (stop - start) / step if step != 0.0 else math.nan
+            if not 0.0 <= steps < math.inf:
+                raise ValidationError(f"t_grid: step {step!r} cannot lead {start!r} to {stop!r}")
+            count = int(round(steps)) + 1
             return np.linspace(start, stop, count)
         return np.array([float(s) for s in text.split(",")])
     except ValueError as exc:
@@ -257,6 +262,14 @@ def _outdir(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _count(cfg: ExperimentConfig, name: str, default: int) -> int:
+    """A count option: its default when unset, and at least 1 when set."""
+    value = getattr(cfg, name)
+    if value is not None and value < 1:
+        raise ValidationError(f"{name}: must be >= 1, got {value}")
+    return default if value is None else value
+
+
 def _single_n(cfg: ExperimentConfig) -> int:
     ns = resolve_ns(cfg)
     if len(ns) != 1:
@@ -301,9 +314,17 @@ def read_sweep_csv(path: str) -> dict[str, np.ndarray]:
     if not lines:
         raise ValidationError(f"sweep_csv: {path} is empty")
     header = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    try:
+        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    except ValueError as exc:
+        raise ValidationError(f"sweep_csv: {path} has a malformed row: {exc}") from exc
     if data.size == 0:
         raise ValidationError(f"sweep_csv: {path} has no data rows")
+    if data.shape[1] != len(header):
+        raise ValidationError(f"sweep_csv: {path} rows do not match the header {header}")
+    missing = [name for name in ("n", "mean_R", "se_R") if name not in header]
+    if missing:
+        raise ValidationError(f"sweep_csv: {path} lacks the columns {missing}")
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
@@ -317,7 +338,7 @@ def cmd_fit(cfg: ExperimentConfig, workers: int) -> list[str]:
         moments = parse_distribution(cfg.dist).moments()
         mu, sigma2 = moments.mean, moments.variance
     report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
-    if np.all(table["var_C"] > 0.0):
+    if "var_C" in table and np.all(table["var_C"] > 0.0):
         report.var_slope, report.var_intercept = fit_variance_slope(
             table["n"], table["var_C"]
         )
@@ -350,7 +371,7 @@ def cmd_fit(cfg: ExperimentConfig, workers: int) -> list[str]:
 def cmd_flows(cfg: ExperimentConfig, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
-    count = cfg.instances or 1
+    count = _count(cfg, "instances", 1)
     a = cfg.a if cfg.a is not None else model.weights.a
     b = cfg.b if cfg.b is not None else model.weights.b
     outdir = _outdir(cfg)
@@ -395,7 +416,7 @@ def cmd_oracle_check(cfg: ExperimentConfig, workers: int) -> list[str]:
     if model.shape != "regular":
         raise ValidationError("model: oracle-check needs a regular shape")
     ns = resolve_ns(cfg)
-    count = cfg.instances or 100
+    count = _count(cfg, "instances", 100)
     rows = oracle_gap_table(
         model.weights, ns, count, cfg.seed, beta=int(model.beta),
         lam=0.0 if cfg.lam is None else float(cfg.lam),
@@ -406,8 +427,8 @@ def cmd_oracle_check(cfg: ExperimentConfig, workers: int) -> list[str]:
 
 def cmd_rde(cfg: ExperimentConfig, workers: int) -> list[str]:
     dist = parse_distribution(cfg.dist)
-    m = cfg.pool_size or 10000
-    max_level = cfg.levels or 8
+    m = _count(cfg, "pool_size", 10000)
+    max_level = _count(cfg, "levels", 8)
     pools = rde_levels(dist, m, max_level, RngStream(cfg.seed, 0))
     rows = [
         (pool.level, len(pool.values), float(np.mean(pool.values)),
@@ -424,7 +445,7 @@ def cmd_gw(cfg: ExperimentConfig, workers: int) -> list[str]:
     if model.shape != "gw":
         raise ValidationError("model: gw subcommand needs a gw: model")
     n = _single_n(cfg)
-    trees = cfg.trees or 1000
+    trees = _count(cfg, "trees", 1000)
     report = gw_experiment(model.offspring, model.weights, n, trees, cfg.seed)
     rows = [
         (j, int(report.b1[j]), report.resistance[j], report.shorted[j],
@@ -448,8 +469,8 @@ def cmd_constants(cfg: ExperimentConfig, workers: int) -> list[str]:
     a = cfg.a if cfg.a is not None else dist.a
     b = cfg.b if cfg.b is not None else dist.b
     var_recip = dist.moments().recip_variance
-    # an untouched depth literal means "no depth given": emit the 1..20 table
-    ns = resolve_ns(cfg) if cfg.n != "10" else list(range(1, 21))
+    # no depth given: emit the 1..20 table
+    ns = list(range(1, 21)) if cfg.n is None else resolve_ns(cfg)
     chain = variance_bound_constants(a, b, var_recip, ns[0])
     payload = {
         "a": a,
@@ -471,11 +492,12 @@ def cmd_tails(cfg: ExperimentConfig, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
+    t_grid = resolve_t_grid(cfg)
     batch = run_replicates(model, n, m, cfg.seed, workers)
     a = cfg.a if cfg.a is not None else model.weights.a
     b = cfg.b if cfg.b is not None else model.weights.b
     constant = tail_bound_constant(a, b)
-    report = tail_profile(batch, resolve_t_grid(cfg), constant)
+    report = tail_profile(batch, t_grid, constant)
     rows = [
         (report.t[i], int(report.count[i]), report.freq[i],
          report.wilson_lo[i], report.wilson_hi[i], report.bound[i])

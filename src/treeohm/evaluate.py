@@ -1,18 +1,20 @@
 """Exact effective resistance of sampled trees via series-parallel reduction.
 
 Three evaluation routes produce bit-identical resistances for the same
-stream: a memory-light recursive evaluator (resistance_streaming), a
-vectorized level fold over the same draw sequence (resistance_fast), and an
-explicit-tree fold (sample_tree_explicit + resistance_of_tree).  All of them
-draw one uniform per edge in depth-first pre-order with children visited
-left to right, and combine children in conductance space, summed left to
-right, with a single reciprocal per node.
+stream: a memory-light recursive evaluator (resistance_streaming), and one
+vectorized level fold (_fold) reached from full regular trees
+(resistance_fast) and from explicit trees of any shape (sample_tree_explicit
++ resistance_of_tree).  All of them draw one uniform per edge in depth-first
+pre-order with children visited left to right, and combine children in
+conductance space, summed left to right, with a single reciprocal per node.
+The fold runs in level-major order (_level_major): pre-order ids stably
+sorted by level, so each level is one contiguous left-to-right block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +47,16 @@ class ResistanceSample:
     conductance: float
 
 
+def _level_major(level: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-major order, the pre-order ids stably sorted by level (order[t]
+    is the node in slot t), and the offsets: level l fills slots
+    offsets[l-1]:offsets[l]."""
+    order = np.argsort(level, kind="stable")
+    counts = np.bincount(level, minlength=n_levels + 1)[1:]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return order, offsets
+
+
 @dataclass(frozen=True)
 class SampledTree:
     """An explicit edge-rooted tree; node i carries its incoming edge.
@@ -53,6 +65,10 @@ class SampledTree:
     node's id is always greater than its parent's.  Node 0 sits below the
     unique level-1 root edge; the injection vertex above it is implicit.
     Leaves are exactly the nodes at level n_levels.
+
+    Construction derives the level-major layout `order` and `offsets` (see
+    _level_major) and `slot`: per level-major slot, the parent's position
+    within its own level (-1 for the root).
     """
 
     parent: np.ndarray
@@ -65,7 +81,14 @@ class SampledTree:
     beta: int | None = None
 
     def __post_init__(self) -> None:
-        for arr in (self.parent, self.level, self.weight, self.resistance):
+        order, offsets = _level_major(self.level, self.n_levels)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.shape[0])
+        kid = order[1:]
+        slot = np.concatenate(([-1], pos[self.parent[kid]] - offsets[self.level[kid] - 2]))
+        for name, arr in (("order", order), ("offsets", offsets), ("slot", slot)):
+            object.__setattr__(self, name, arr)
+        for arr in (self.parent, self.level, self.weight, self.resistance, order, offsets, slot):
             arr.setflags(write=False)
 
     @property
@@ -75,16 +98,9 @@ class SampledTree:
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.level == self.n_levels)
 
-    def children_lists(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        parent = self.parent
-        for i in range(1, self.n_nodes):
-            kids[parent[i]].append(i)
-        return kids
-
     def level_counts(self) -> np.ndarray:
         """Number of nodes per level, index 0 = level 1 (the root edge)."""
-        return np.bincount(self.level, minlength=self.n_levels + 1)[1:]
+        return np.diff(self.offsets)
 
 
 def reweighted(tree: SampledTree, node: int, x: float) -> SampledTree:
@@ -98,70 +114,80 @@ def reweighted(tree: SampledTree, node: int, x: float) -> SampledTree:
     weight[node] = x
     scales = level_scales(tree.lam, tree.n_levels)
     resistance[node] = scales[tree.level[node] - 1] * x
-    return SampledTree(
-        tree.parent.copy(), tree.level.copy(), weight, resistance,
-        tree.n_levels, tree.lam, tree.shape, tree.beta,
-    )
+    return replace(tree, weight=weight, resistance=resistance)
 
 
 # ---------------------------------------------------------------------------
-# regular-tree layout (cached): pre-order levels, parents, and the gather
-# index that reorders a pre-order draw block into level-major storage
+# regular-tree layout (cached) and the level fold
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _dfs_layout(beta: int, n_levels: int):
-    sizes = [1] * (n_levels + 1)  # sizes[l] = nodes in a subtree hanging at level l
-    for l in range(n_levels - 1, 0, -1):
-        sizes[l] = 1 + beta * sizes[l + 1]
-    n = sizes[1]
+    """Pre-order levels and parents of the full beta-ary tree with n_levels
+    edge levels, plus its level offsets and level-major order."""
+    n = (beta**n_levels - 1) // (beta - 1)
     if n > MEMORY_GUARD:
         raise GuardError(
             f"regular tree with {n} nodes exceeds the {MEMORY_GUARD}-node guard"
         )
-    level = np.empty(n, dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
-    parent = np.empty(n, dtype=np.int64)
-    stack = [(1, 0, -1)]
-    i = 0
-    while stack:
-        l, p, par = stack.pop()
-        level[i] = l
-        pos[i] = p
-        parent[i] = par
-        if l < n_levels:
-            base = p * beta
-            for j in range(beta - 1, -1, -1):
-                stack.append((l + 1, base + j, i))
-        i += 1
-    offsets = np.concatenate(([0], np.cumsum(beta ** np.arange(n_levels, dtype=np.int64))))
-    # src[t] = pre-order index feeding level-major slot t
-    src = np.empty(n, dtype=np.int64)
-    src[offsets[level - 1] + pos] = np.arange(n, dtype=np.int64)
-    return level, parent, offsets, src
+    # a tree one level deeper is a new root above beta copies of the tree,
+    # laid out one after another in pre-order
+    level = np.ones(1, dtype=np.int64)
+    parent = np.full(1, -1, dtype=np.int64)
+    for _ in range(n_levels - 1):
+        size = level.shape[0]
+        copies = parent + 1 + size * np.arange(beta)[:, None]
+        copies[:, 0] = 0
+        level = np.concatenate(([1], np.tile(level + 1, beta)))
+        parent = np.concatenate(([-1], copies.ravel()))
+    order, offsets = _level_major(level, n_levels)
+    return level, parent, offsets, order
 
 
-def _fold_level_major(w: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
-                      n_levels: int, beta: int) -> float:
-    """Series-parallel fold of level-major weights; ops mirror the scalar
-    recursion exactly (left-to-right conductance sums, one reciprocal)."""
-    r = w[offsets[n_levels - 1]:offsets[n_levels]] * scales[n_levels - 1]
-    sub = r
+def _fold(w_lm: np.ndarray, offsets: np.ndarray, scales: np.ndarray, kids):
+    """Series-parallel fold of level-major weights, bottom level first.
+
+    Level l's resistances are w_lm[offsets[l-1]:offsets[l]] * scales[l-1];
+    a node's children conductances 1/sub are summed left to right and its
+    subtree resistance is r + 1/csum, as in the scalar recursion.  `kids` is
+    the int arity of a full regular tree (children summed by reshape) or the
+    parent slots of any tree (summed by np.bincount, in input order from 0).
+    Returns the per-level lists subs and csums, top level first; csums has
+    n_levels - 1 entries, one per level with children.
+    """
+    n_levels = len(offsets) - 1
+    sub = w_lm[offsets[-2]:] * scales[-1]
+    subs = [sub]
+    csums = []
     for l in range(n_levels - 1, 0, -1):
         cond = 1.0 / sub
-        cond = cond.reshape(-1, beta)
-        csum = cond[:, 0]
-        for j in range(1, beta):
-            csum = csum + cond[:, j]
-        r = w[offsets[l - 1]:offsets[l]] * scales[l - 1]
-        sub = r + 1.0 / csum
-    return float(sub[0])
+        if isinstance(kids, int):
+            cond = cond.reshape(-1, kids)
+            csum = cond[:, 0]
+            for j in range(1, kids):
+                csum = csum + cond[:, j]
+        else:
+            csum = np.bincount(kids[offsets[l]:offsets[l + 1]], weights=cond,
+                               minlength=offsets[l] - offsets[l - 1])
+        sub = w_lm[offsets[l - 1]:offsets[l]] * scales[l - 1] + 1.0 / csum
+        subs.append(sub)
+        csums.append(csum)
+    subs.reverse()
+    csums.reverse()
+    return subs, csums
 
 
 # ---------------------------------------------------------------------------
 # evaluators
 # ---------------------------------------------------------------------------
+
+
+def _check_depth(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"depth n={n} must be >= 1")
+    if n > LEVEL_CAP:
+        raise GuardError(f"depth n={n} exceeds the level cap {LEVEL_CAP}")
 
 
 def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> ResistanceSample:
@@ -172,10 +198,7 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
     """
     if model.shape != "regular":
         raise ValidationError("streaming evaluation requires the regular shape")
-    if n < 1:
-        raise ValidationError(f"depth n={n} must be >= 1")
-    if n > LEVEL_CAP:
-        raise GuardError(f"depth n={n} exceeds the level cap {LEVEL_CAP}")
+    _check_depth(n)
     scales = level_scales(model.lam, n)
     beta = int(model.beta)
     dist = model.weights
@@ -200,15 +223,13 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     to the recursion on the same stream, at the cost of O(beta^n) memory."""
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
-    if n < 1:
-        raise ValidationError(f"depth n={n} must be >= 1")
-    if n > LEVEL_CAP:
-        raise GuardError(f"depth n={n} exceeds the level cap {LEVEL_CAP}")
-    _, _, offsets, src = _dfs_layout(int(model.beta), n)
+    _check_depth(n)
+    beta = int(model.beta)
+    _, _, offsets, order = _dfs_layout(beta, n)
     scales = level_scales(model.lam, n)
     w_pre = dist_sample_block(model.weights, rng, int(offsets[-1]))
-    w_lm = w_pre[src]
-    r_total = _fold_level_major(w_lm, offsets, scales, n, int(model.beta))
+    subs, _ = _fold(w_pre[order], offsets, scales, beta)
+    r_total = float(subs[0][0])
     return ResistanceSample(n, rng.stream_index, r_total, 1.0 / r_total)
 
 
@@ -219,10 +240,7 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     additionally draws one offspring count per internal node, right after
     that node's weight.
     """
-    if n < 1:
-        raise ValidationError(f"depth n={n} must be >= 1")
-    if n > LEVEL_CAP:
-        raise GuardError(f"depth n={n} exceeds the level cap {LEVEL_CAP}")
+    _check_depth(n)
     if model.shape == "regular":
         level, parent, offsets, _ = _dfs_layout(int(model.beta), n)
         scales = level_scales(model.lam, n)
@@ -235,6 +253,12 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     # sits above the depth-0 node, leaves are the depth-n nodes)
     n_levels = n + 1
     scales = level_scales(model.lam, n_levels)
+    # refuse before drawing when even the smallest possible tree is too big
+    kmin = min(k for k, p in model.offspring if p > 0.0)
+    smallest = sum(kmin**l for l in range(n_levels))
+    if smallest > MEMORY_GUARD:
+        raise GuardError(f"branching tree has at least {smallest} nodes, over the "
+                         f"{MEMORY_GUARD}-node guard")
     parents: list[int] = []
     levels: list[int] = []
     weights: list[float] = []
@@ -262,42 +286,16 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
                        n_levels, model.lam, "gw", None)
 
 
-def _upward_pass(tree: SampledTree) -> tuple[np.ndarray, np.ndarray]:
-    """Subtree resistances and per-node child conductance sums.
-
-    sub[i] is the resistance of edge i plus everything below it, seen from
-    node i's parent; csum[i] is the left-to-right sum of children subtree
-    conductances (0.0 at leaves).  Shared by the resistance fold and the
-    flow solver so their totals agree bit for bit.
-    """
-    n = tree.n_nodes
-    parent = tree.parent
-    r = tree.resistance
-    kids = tree.children_lists()
-    sub = np.empty(n, dtype=np.float64)
-    csum = np.zeros(n, dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        ks = kids[i]
-        if not ks:
-            sub[i] = r[i]
-        else:
-            c = 0.0
-            for k in ks:
-                c += 1.0 / sub[k]
-            csum[i] = c
-            sub[i] = r[i] + 1.0 / c
-    return sub, csum
-
-
 def resistance_of_tree(tree: SampledTree, replicate: int = -1) -> ResistanceSample:
-    """Post-order series-parallel fold over an explicit tree.
+    """Series-parallel fold over an explicit tree, bottom level first.
 
     Exact for any tree whose leaves all sit at the bottom level and are held
     at one potential: branches below a node meet again only at the sink, so
     they combine in parallel.
     """
-    sub, _ = _upward_pass(tree)
-    r_total = float(sub[0])
+    # scales of 1.0 fold the tree's own edge resistances unchanged
+    subs, _ = _fold(tree.resistance[tree.order], tree.offsets, np.ones(tree.n_levels), tree.slot)
+    r_total = float(subs[0][0])
     return ResistanceSample(tree.n_levels, replicate, r_total, 1.0 / r_total)
 
 
@@ -345,11 +343,12 @@ def shorted_resistance_of_tree(tree: SampledTree) -> float:
     parallel, levels in series.  Lower-bounds resistance_of_tree for every
     weight assignment; equals gw_shorted_resistance when all weights are 1."""
     scales = level_scales(tree.lam, tree.n_levels)
-    total = []
-    for l in range(1, tree.n_levels + 1):
-        w = tree.weight[tree.level == l]
-        total.append(scales[l - 1] / float(np.sum(1.0 / w)))
-    return math.fsum(total)
+    w = tree.weight[tree.order]
+    off = tree.offsets
+    return math.fsum(
+        scales[l] / float(np.sum(1.0 / w[off[l]:off[l + 1]]))
+        for l in range(tree.n_levels)
+    )
 
 
 def gw_w_estimate(z_n: int, lam: float, n: int) -> float:

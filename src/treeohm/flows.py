@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import SampledTree, _upward_pass
+from .evaluate import SampledTree, _fold
 from .model import ValidationError
 
 
@@ -39,35 +39,35 @@ class FlowSolution:
 
 
 def solve_flow(tree: SampledTree) -> FlowSolution:
-    """Two-pass solve: the upward pass supplies subtree resistances, the
-    downward pass splits each node's current among children proportionally
-    to their subtree conductances; voltages follow from current times the
-    downstream resistance, so leaves land at exactly 0."""
-    sub, csum = _upward_pass(tree)
-    n = tree.n_nodes
-    kids = tree.children_lists()
-    theta = np.empty(n, dtype=np.float64)
-    voltage = np.empty(n, dtype=np.float64)
-    theta[0] = 1.0
-    for i in range(n):
-        ks = kids[i]
-        if ks:
-            below = 1.0 / csum[i]
-            voltage[i] = theta[i] * below
-            for k in ks:
-                theta[k] = theta[i] * ((1.0 / sub[k]) / csum[i])
-        else:
-            voltage[i] = 0.0
-    r_total = float(sub[0])
-    energy = float(np.sum(tree.resistance * theta * theta))
-    return FlowSolution(tree, theta, voltage, r_total, r_total, energy)
+    """Two-pass solve on the level-major layout: the fold supplies subtree
+    resistances and child conductance sums, then each level's current is
+    one gather that splits its parent's current in proportion to the
+    children's subtree conductances.  Voltages follow from current times
+    the downstream resistance, so leaves land at exactly 0."""
+    offsets, slot = tree.offsets, tree.slot
+    subs, csums = _fold(tree.resistance[tree.order], offsets, np.ones(tree.n_levels), slot)
+    thetas = [np.ones(1)]
+    for l in range(1, tree.n_levels):
+        pslot = slot[offsets[l]:offsets[l + 1]]
+        thetas.append(thetas[-1][pslot] * ((1.0 / subs[l]) / csums[l - 1][pslot]))
+    volts = [t * (1.0 / c) for t, c in zip(thetas, csums)] + [np.zeros_like(thetas[-1])]
+    theta, voltage = np.empty(tree.n_nodes), np.empty(tree.n_nodes)
+    theta[tree.order] = np.concatenate(thetas)
+    voltage[tree.order] = np.concatenate(volts)
+    r_total = float(subs[0][0])
+    return FlowSolution(tree, theta, voltage, r_total, r_total, _energy(tree, theta))
+
+
+def _energy(tree: SampledTree, theta: np.ndarray) -> float:
+    """Energy sum r_e * theta_e^2 of a flow, summed over edges in pre-order."""
+    return float(np.sum(tree.resistance * theta * theta))
 
 
 def thomson_energy(flow: FlowSolution, tree: SampledTree) -> float:
     """Energy sum r_e * theta_e^2 of a unit flow on the given tree."""
     if flow.theta.shape[0] != tree.n_nodes:
         raise ValidationError("flow and tree sizes disagree")
-    return float(np.sum(tree.resistance * flow.theta * flow.theta))
+    return _energy(tree, flow.theta)
 
 
 def _path_to_root(tree: SampledTree, node: int) -> list[int]:
@@ -89,19 +89,12 @@ def perturb_flow(flow: FlowSolution, leaf1: int, leaf2: int, eps: float) -> Flow
     leaves = set(int(i) for i in tree.leaf_ids())
     if leaf1 not in leaves or leaf2 not in leaves:
         raise ValidationError(f"nodes {leaf1}, {leaf2} are not both leaves")
+    path1, path2 = _path_to_root(tree, leaf1), _path_to_root(tree, leaf2)
+    shared = set(path1) & set(path2)
     theta = flow.theta.copy()
-    on_path1 = set(_path_to_root(tree, leaf1))
-    node = leaf2
-    while node not in on_path1:
-        theta[node] += eps
-        node = int(tree.parent[node])
-    junction = node
-    node = leaf1
-    while node != junction:
-        theta[node] -= eps
-        node = int(tree.parent[node])
-    energy = float(np.sum(tree.resistance * theta * theta))
-    return FlowSolution(tree, theta, None, None, flow.resistance, energy)
+    theta[[v for v in path2 if v not in shared]] += eps
+    theta[[v for v in path1 if v not in shared]] -= eps
+    return FlowSolution(tree, theta, None, None, flow.resistance, _energy(tree, theta))
 
 
 def random_perturbations(

@@ -139,10 +139,6 @@ class WeightDistribution:
         return Moments(mean, var, m2, rmean, rvar)
 
 
-def dist_moments(dist: WeightDistribution) -> Moments:
-    return dist.moments()
-
-
 def _transform(dist: WeightDistribution, u):
     """Map uniforms on [0,1) to weight draws.  Works elementwise on scalars
     and arrays with bit-identical results, so block draws match repeated
@@ -200,7 +196,6 @@ class TreeModel:
                 raise ValidationError(
                     f"model: regular shape needs arity beta >= 2, got {self.beta}"
                 )
-            default = float(self.beta)
         else:
             if not self.offspring:
                 raise ValidationError("model: gw shape needs an offspring pmf")
@@ -218,9 +213,8 @@ class TreeModel:
                     raise ValidationError(f"model: bad offspring count {k}")
                 if p < 0.0:
                     raise ValidationError(f"model: negative offspring probability {p}")
-            default = float(math.fsum(k * p for k, p in self.offspring))
         if self.lam == 0.0:
-            object.__setattr__(self, "lam", default)
+            object.__setattr__(self, "lam", self.offspring_mean())
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise ValidationError(f"model: scaling base lam={self.lam} must be > 0")
 
@@ -249,13 +243,6 @@ class TreeModel:
         lam: float = 0.0,
     ) -> "TreeModel":
         return TreeModel("gw", weights, offspring=tuple(offspring), lam=lam)
-
-
-def validate_model(m: TreeModel) -> TreeModel:
-    """Re-run every TreeModel/WeightDistribution invariant; return m if valid."""
-    WeightDistribution(m.weights.kind, m.weights.a, m.weights.b, m.weights.atoms)
-    TreeModel(m.shape, m.weights, beta=m.beta, offspring=m.offspring, lam=m.lam)
-    return m
 
 
 def sample_offspring(model: TreeModel, rng: "RngStream") -> int:

@@ -32,7 +32,6 @@ from .model import (
     WeightDistribution,
     derive_seed,
     dist_sample_block,
-    validate_model,
 )
 
 QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
@@ -84,7 +83,6 @@ def run_replicates(
 ) -> ReplicateSet:
     """Evaluate m replicates; replicate j uses stream j.  The worker count
     splits the replicate range but cannot change any value."""
-    validate_model(model)
     if m < 1:
         raise ValidationError(f"need at least one replicate, got m={m}")
     if workers <= 1 or m < 4:

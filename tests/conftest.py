@@ -14,6 +14,14 @@ def build_tree(parent, level, weight, lam, shape, beta=None):
                        int(level.max()), float(lam), shape, beta)
 
 
+def assert_node_law(theta, tree, tol):
+    """At every node with children, the current in equals the sum of the
+    children's currents (summed in id order from the parent array)."""
+    outflow = np.bincount(tree.parent[1:], weights=theta[1:], minlength=tree.n_nodes)
+    has_kids = np.bincount(tree.parent[1:], minlength=tree.n_nodes) > 0
+    assert np.all(np.abs(theta[has_kids] - outflow[has_kids]) <= tol)
+
+
 @pytest.fixture
 def three_edge_tree():
     """Root edge r=1 feeding two branch edges r=2 and r=4; R = 7/3."""

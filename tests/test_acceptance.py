@@ -172,7 +172,7 @@ def test_criterion_5_variance_decay(art, c5_moments):
     ns = [4, 6, 8, 11, 16]
     var_c = np.array([c5_moments[n].c.variance for n in ns])
     slope, _ = T.fit_variance_slope(np.array(ns, float), var_c)
-    mom = T.dist_moments(T.parse_distribution(TWOPOINT))
+    mom = T.parse_distribution(TWOPOINT).moments()
     bounds_ok = all(
         c5_moments[n].c.variance
         <= T.variance_bound_constants(0.5, 1.5, mom.recip_variance, n).bound

@@ -160,6 +160,25 @@ class TestOtherCommands:
         assert bounds[4] == pytest.approx(32768.0 / 256.0)
         assert data["tail_constant"] == pytest.approx(6510.7104, rel=1e-6)
 
+    @pytest.mark.parametrize("depth, want", [("10", [10]), ("4,6", [4, 6]),
+                                             (None, list(range(1, 21)))])
+    def test_constants_depths(self, tmp_path, depth, want):
+        argv = ["constants", "--dist", "twopoint:1,2", "--out", str(tmp_path)]
+        if depth is not None:
+            argv += ["--n", depth]
+        assert main(argv) == 0
+        data = json.loads((tmp_path / "constants.json").read_text())
+        assert [row["n"] for row in data["variance_bounds"]] == want
+
+    def test_counts_default_only_when_unset(self, tmp_path):
+        assert main(["flows", "--model", "reg:2", "--n", "3", "--dist", "const:1",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "flow_report.json").read_text())
+        assert len(report["instances"]) == 1
+        assert main(["rde", "--dist", "const:1", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "rde.csv").read_text().strip().split("\n")[2:]
+        assert [row.split(",")[:2] for row in rows] == [[str(k), "10000"] for k in range(1, 9)]
+
     def test_oracle_check(self, tmp_path):
         code = main([
             "oracle-check", "--model", "reg:2", "--n", "2..5",
@@ -254,6 +273,48 @@ class TestExitCodes:
                      "--out", str(blocker / "sub")])
         assert code == 2
         assert "out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["flows", "--model", "reg:2", "--n", "3", "--instances", "0"],
+        ["oracle-check", "--model", "reg:2", "--n", "3", "--instances", "0"],
+        ["rde", "--pool-size", "0"],
+        ["rde", "--levels", "0"],
+        ["gw", "--model", "gw:1:0.5,2:0.5", "--n", "3", "--trees", "0"],
+        ["gw", "--model", "gw:1:0.5,2:0.5", "--n", "3", "--trees", "-4"],
+    ], ids=["flows-instances", "oracle-instances", "rde-pool-size", "rde-levels",
+            "gw-trees-0", "gw-trees-negative"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, argv):
+        code = main(argv + ["--dist", "const:1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "1:0:0.1", "0:1:-0.1", "0:inf:1",
+                                      "0:1", "0:1:x"])
+    def test_bad_t_grid_rejected(self, tmp_path, capsys, grid):
+        code = main(["tails", "--model", "reg:2", "--n", "3", "--dist", "const:1",
+                     "--reps", "100", "--t-grid", grid, "--out", str(tmp_path)])
+        assert code == 2
+        assert "t_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", [
+        "n,mean_R,se_R\n2,1.5,abc\n",
+        "n,mean_R,se_R\n2,1.5\n",
+        "n,mean_R\n2,1.5\n3,2.5\n",
+        "mean_R,se_R\n1.5,0.1\n2.5,0.1\n",
+    ], ids=["non-numeric", "short-row", "no-se_R", "no-n"])
+    def test_malformed_sweep_csv_rejected(self, tmp_path, capsys, table):
+        path = tmp_path / "sweep.csv"
+        path.write_text(table)
+        code = main(["fit", "--sweep-csv", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "sweep_csv" in capsys.readouterr().err
+
+    def test_smallest_gw_tree_over_guard_is_exit_3(self, tmp_path, capsys):
+        code = main(["sample", "--model", "gw:3:1", "--n", "16", "--dist", "const:1",
+                     "--reps", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "guard" in capsys.readouterr().err
 
     def test_seventeen_digit_floats_round_trip(self, tmp_path):
         main(["sample", "--model", "reg:2", "--n", "5",

@@ -106,18 +106,23 @@ class TestExplicitTrees:
         with pytest.raises(GuardError):
             sample_tree_explicit(model, 26, RngStream(0))
 
+    def test_gw_smallest_tree_over_guard_draws_nothing(self):
+        # every node has 3 children, so the tree has (3^17 - 1) / 2 nodes
+        model = TreeModel.galton_watson([(3, 1.0)], WeightDistribution.constant(1.0))
+        rng = RngStream(0)
+        with pytest.raises(GuardError):
+            sample_tree_explicit(model, 16, rng)
+        assert rng.uniform() == RngStream(0).uniform()
+
     def test_preorder_parents(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 5, RngStream(3))
         assert tree.parent[0] == -1
         assert np.all(tree.parent[1:] < np.arange(1, tree.n_nodes))
         # one root edge, leaves exactly at the bottom level
         assert int(np.sum(tree.level == 1)) == 1
-        kids = tree.children_lists()
-        for i, ks in enumerate(kids):
-            if tree.level[i] < tree.n_levels:
-                assert len(ks) == 2
-            else:
-                assert not ks
+        n_kids = np.bincount(tree.parent[1:], minlength=tree.n_nodes)
+        assert np.all(n_kids[tree.level < tree.n_levels] == 2)
+        assert np.all(n_kids[tree.level == tree.n_levels] == 0)
 
 
 class TestRayleighMonotonicity:

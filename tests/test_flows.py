@@ -17,16 +17,28 @@ from treeohm import (
     tail_bound_constant,
     thomson_energy,
 )
-from tests.conftest import build_tree
+from tests.conftest import assert_node_law, build_tree
+
+
+def subtree_sums(tree):
+    """Reference subtree resistances sub and child conductance sums csum
+    (0.0 at leaves) from the parent array: children carry larger ids than
+    their parent, so one sweep in decreasing id order completes each node
+    before its parent reads it."""
+    sub = tree.resistance.copy()
+    csum = np.zeros(tree.n_nodes)
+    for i in range(tree.n_nodes - 1, -1, -1):
+        if csum[i] > 0.0:
+            sub[i] += 1.0 / csum[i]
+        if i > 0:
+            csum[tree.parent[i]] += 1.0 / sub[i]
+    return sub, csum
 
 
 def assert_flow_invariants(flow, tree):
     """Node law, Ohm's law, unit flux, and energy = resistance."""
-    kids = tree.children_lists()
     scale = max(1.0, float(np.max(np.abs(flow.theta))))
-    for i, ks in enumerate(kids):
-        if ks:
-            assert abs(flow.theta[i] - sum(flow.theta[k] for k in ks)) <= 1e-12 * scale
+    assert_node_law(flow.theta, tree, 1e-12 * scale)
     upper = np.where(np.arange(tree.n_nodes) == 0, flow.voltage_top,
                      flow.voltage[tree.parent])
     drop = flow.theta * tree.resistance
@@ -74,14 +86,11 @@ class TestSolveFlow:
     def test_current_split_proportional_to_conductance(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 7, RngStream(2))
         flow = solve_flow(tree)
-        from treeohm.evaluate import _upward_pass
-
-        sub, csum = _upward_pass(tree)
-        kids = tree.children_lists()
-        for i, ks in enumerate(kids):
-            for k in ks:
-                want = flow.theta[i] * (1.0 / sub[k]) / csum[i]
-                assert flow.theta[k] == pytest.approx(want, rel=1e-12)
+        sub, csum = subtree_sums(tree)
+        kids = np.arange(1, tree.n_nodes)
+        up = tree.parent[kids]
+        want = flow.theta[up] * (1.0 / sub[kids]) / csum[up]
+        assert flow.theta[kids] == pytest.approx(want, rel=1e-12)
 
     def test_energy_equals_resistance(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 9, RngStream(8))
@@ -115,10 +124,7 @@ class TestPerturbations:
         flow = solve_flow(tree)
         leaves = tree.leaf_ids()
         moved = perturb_flow(flow, int(leaves[3]), int(leaves[17]), 0.01)
-        kids = tree.children_lists()
-        for i, ks in enumerate(kids):
-            if ks:
-                assert abs(moved.theta[i] - sum(moved.theta[k] for k in ks)) <= 1e-12
+        assert_node_law(moved.theta, tree, 1e-12)
         assert moved.theta[0] == 1.0
         assert moved.voltage is None
 

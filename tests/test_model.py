@@ -10,14 +10,12 @@ from treeohm import (
     ValidationError,
     WeightDistribution,
     derive_seed,
-    dist_moments,
     dist_sample,
     dist_sample_block,
     edge_resistance,
     level_scales,
     parse_distribution,
     parse_offspring,
-    validate_model,
 )
 
 
@@ -51,7 +49,7 @@ class TestDistributions:
     )
     def test_empirical_moments_match_closed_form(self, literal):
         dist = parse_distribution(literal)
-        mom = dist_moments(dist)
+        mom = dist.moments()
         m = 10**6
         draws = dist_sample_block(dist, RngStream(99), m)
         d = draws - draws.mean()
@@ -63,19 +61,19 @@ class TestDistributions:
         assert abs(emp_var - mom.variance) <= 4 * se_var + 1e-12
 
     def test_closed_form_values(self):
-        mom = dist_moments(WeightDistribution.uniform(0.5, 1.5))
+        mom = WeightDistribution.uniform(0.5, 1.5).moments()
         assert mom.mean == pytest.approx(1.0, abs=1e-15)
         assert mom.variance == pytest.approx(1.0 / 12.0, abs=1e-15)
-        mom = dist_moments(WeightDistribution.two_point(0.5, 1.5))
+        mom = WeightDistribution.two_point(0.5, 1.5).moments()
         assert mom.mean == 1.0
         assert mom.variance == pytest.approx(0.25, abs=1e-15)
-        mom = dist_moments(WeightDistribution.two_point(1.0, 2.0))
+        mom = WeightDistribution.two_point(1.0, 2.0).moments()
         # reciprocals {1, 1/2} with mean 3/4
         assert mom.recip_mean == pytest.approx(0.75, abs=1e-15)
         assert mom.recip_variance == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_reciprocal_moments_uniform(self):
-        mom = dist_moments(WeightDistribution.uniform(0.5, 1.5))
+        mom = WeightDistribution.uniform(0.5, 1.5).moments()
         assert mom.recip_mean == pytest.approx(math.log(3.0), rel=1e-12)
         assert mom.recip_variance == pytest.approx(1 / 0.75 - math.log(3.0) ** 2, rel=1e-12)
 
@@ -119,7 +117,6 @@ class TestEdgeResistance:
 class TestModelValidation:
     def test_regular_ok(self):
         m = TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5))
-        assert validate_model(m) is m
         assert m.lam == 2.0
 
     def test_gw_zero_offspring_rejected(self):

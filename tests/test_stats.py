@@ -9,7 +9,6 @@ from treeohm import (
     TreeModel,
     ValidationError,
     WeightDistribution,
-    dist_moments,
     efron_stein_diagnostic,
     estimate_moments,
     fit_expectation,
@@ -140,7 +139,7 @@ class TestTailProfile:
 
 class TestVarianceBoundConstants:
     def test_chain_for_unit_double(self):
-        mom = dist_moments(WeightDistribution.two_point(1.0, 2.0))
+        mom = WeightDistribution.two_point(1.0, 2.0).moments()
         vb = variance_bound_constants(1.0, 2.0, mom.recip_variance, 4)
         assert vb.k0 == 2.0
         assert vb.k1 == 2.0
@@ -175,7 +174,7 @@ class TestConductanceRecursion:
 
     def test_init_mean_near_recip_mean(self, twopoint_half):
         pool = rde_init(twopoint_half, 10**5, RngStream(2))
-        mom = dist_moments(twopoint_half)
+        mom = twopoint_half.moments()
         se = pool.values.std(ddof=1) / math.sqrt(len(pool.values))
         assert abs(pool.values.mean() - mom.recip_mean) <= 4 * se
 
