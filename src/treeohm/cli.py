@@ -202,6 +202,8 @@ def resolve_t_grid(cfg: ExperimentConfig) -> np.ndarray | None:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -282,9 +284,7 @@ def cmd_sample(cfg: ExperimentConfig, workers: int) -> list[str]:
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     batch = run_replicates(model, n, m, cfg.seed, workers)
-    rows = [
-        (j, n, batch.resistance[j], batch.conductance[j]) for j in range(m)
-    ]
+    rows = list(zip(range(m), [n] * m, batch.resistance.tolist(), batch.conductance.tolist()))
     outdir = _outdir(cfg)
     return [write_table(outdir, "samples", ["replicate", "n", "R", "C"], rows, cfg)]
 

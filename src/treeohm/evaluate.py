@@ -9,6 +9,12 @@ pre-order with children visited left to right, and combine children in
 conductance space, summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.
+
+Regular replicates are evaluated in blocks of streams (_regular_rows): row i
+of one draw matrix is filled from stream i, and the whole block is
+transformed, gathered level-major and folded at once.  Each row takes the
+same arithmetic as a lone tree, so resistance_fast, the one-row case, and
+every row of a block give the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .model import (
     TreeModel,
     ValidationError,
     WeightDistribution,
+    _transform,
     dist_sample,
     dist_sample_block,
     level_scales,
@@ -148,34 +155,79 @@ def _dfs_layout(beta: int, n_levels: int):
 def _fold(w_lm: np.ndarray, offsets: np.ndarray, scales: np.ndarray, kids):
     """Series-parallel fold of level-major weights, bottom level first.
 
-    Level l's resistances are w_lm[offsets[l-1]:offsets[l]] * scales[l-1];
-    a node's children conductances 1/sub are summed left to right and its
-    subtree resistance is r + 1/csum, as in the scalar recursion.  `kids` is
-    the int arity of a full regular tree (children summed by reshape) or the
-    parent slots of any tree (summed by np.bincount, in input order from 0).
-    Returns the per-level lists subs and csums, top level first; csums has
-    n_levels - 1 entries, one per level with children.
+    w_lm holds one tree's weights (1-D) or one tree per row (2-D, regular
+    trees only); levels run along the last axis.  Level l's resistances are
+    w_lm[..., offsets[l-1]:offsets[l]] * scales[l-1]; a node's children
+    conductances 1/sub are summed left to right and its subtree resistance is
+    r + 1/csum, as in the scalar recursion.  `kids` is the int arity of a full
+    regular tree (children summed by reshape) or the parent slots of any tree
+    (summed by np.bincount, in input order from 0).  Returns the per-level
+    lists subs and csums, top level first; csums has n_levels - 1 entries,
+    one per level with children.
     """
     n_levels = len(offsets) - 1
-    sub = w_lm[offsets[-2]:] * scales[-1]
+    sub = w_lm[..., offsets[-2]:] * scales[-1]
     subs = [sub]
     csums = []
     for l in range(n_levels - 1, 0, -1):
         cond = 1.0 / sub
         if isinstance(kids, int):
-            cond = cond.reshape(-1, kids)
-            csum = cond[:, 0]
+            cond = cond.reshape(cond.shape[:-1] + (-1, kids))
+            csum = cond[..., 0]
             for j in range(1, kids):
-                csum = csum + cond[:, j]
+                csum = csum + cond[..., j]
         else:
             csum = np.bincount(kids[offsets[l]:offsets[l + 1]], weights=cond,
                                minlength=offsets[l] - offsets[l - 1])
-        sub = w_lm[offsets[l - 1]:offsets[l]] * scales[l - 1] + 1.0 / csum
+        sub = w_lm[..., offsets[l - 1]:offsets[l]] * scales[l - 1] + 1.0 / csum
         subs.append(sub)
         csums.append(csum)
     subs.reverse()
     csums.reverse()
     return subs, csums
+
+
+# draw-matrix budget of a block of regular replicates, in uniforms: a block
+# holds max(1, _BLOCK_UNIFORMS // edges) rows, one row from n = 16 at beta 2
+_BLOCK_UNIFORMS = 2**16
+
+
+def _regular_rows(model: TreeModel, n: int, streams, rows: int) -> np.ndarray:
+    """Root resistances of `rows` depth-n regular trees, one per stream.
+
+    Row i of a (rows, edges) matrix takes the i-th stream's next uniforms in
+    pre-order; the block is transformed once, gathered level-major once and
+    folded once.  Streams may come from a generator, so only the matrix, not
+    `rows` live streams, is held at a time.
+    """
+    if model.shape != "regular":
+        raise ValidationError("fast evaluation requires the regular shape")
+    _check_depth(n)
+    beta = int(model.beta)
+    _, _, offsets, order = _dfs_layout(beta, n)
+    scales = level_scales(model.lam, n)
+    u = np.empty((rows, int(offsets[-1])))
+    for rng, row in zip(streams, u):
+        rng.uniforms(row.shape[0], out=row)
+    w_lm = np.take(_transform(model.weights, u), order, axis=1)
+    del u  # only w_lm and the fold levels stay alive through the fold
+    subs, _ = _fold(w_lm, offsets, scales, beta)
+    return subs[0][:, 0]
+
+
+def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
+    """Root resistances of regular replicates j0..j1-1 (replicate j on
+    stream j), evaluated block by block; a block's arrays are freed before
+    the next block is drawn."""
+    _check_depth(n)
+    beta = int(model.beta)
+    rows = max(1, _BLOCK_UNIFORMS // ((beta**n - 1) // (beta - 1)))
+    out = np.empty(j1 - j0, dtype=np.float64)
+    for b0 in range(j0, j1, rows):
+        b1 = min(b0 + rows, j1)
+        streams = (RngStream(master_seed, j) for j in range(b0, b1))
+        out[b0 - j0:b1 - j0] = _regular_rows(model, n, streams, b1 - b0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +272,9 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
 def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSample:
     """Vectorized twin of resistance_streaming: one block draw in the same
     pre-order, reordered level-major, folded level by level.  Bit-identical
-    to the recursion on the same stream, at the cost of O(beta^n) memory."""
-    if model.shape != "regular":
-        raise ValidationError("fast evaluation requires the regular shape")
-    _check_depth(n)
-    beta = int(model.beta)
-    _, _, offsets, order = _dfs_layout(beta, n)
-    scales = level_scales(model.lam, n)
-    w_pre = dist_sample_block(model.weights, rng, int(offsets[-1]))
-    subs, _ = _fold(w_pre[order], offsets, scales, beta)
-    r_total = float(subs[0][0])
+    to the recursion on the same stream, at the cost of O(beta^n) memory.
+    This is the one-row case of _regular_rows."""
+    r_total = float(_regular_rows(model, n, (rng,), 1)[0])
     return ResistanceSample(n, rng.stream_index, r_total, 1.0 / r_total)
 
 

@@ -10,7 +10,9 @@ root edge has level 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -138,6 +140,13 @@ class WeightDistribution:
         rvar = max(rm2 - rmean * rmean, 0.0)
         return Moments(mean, var, m2, rmean, rvar)
 
+    @cached_property
+    def _cdf(self) -> tuple[np.ndarray, list[float], np.ndarray]:
+        """Cumulative atom probabilities (as an array and as a list for
+        scalar bisection) and the atom values, built once per law."""
+        cum = np.cumsum([p for _, p in self.atoms])
+        return cum, cum.tolist(), np.array([v for v, _ in self.atoms])
+
 
 def _transform(dist: WeightDistribution, u):
     """Map uniforms on [0,1) to weight draws.  Works elementwise on scalars
@@ -151,11 +160,11 @@ def _transform(dist: WeightDistribution, u):
     if dist.kind == "twopoint":
         (lo, p), (hi, _) = dist.atoms
         return np.where(np.asarray(u) < p, lo, hi) if np.ndim(u) else (lo if u < p else hi)
-    cum = np.cumsum([p for _, p in dist.atoms])
-    vals = np.array([v for v, _ in dist.atoms])
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(vals) - 1)  # guard the u ~ 1 edge under prob rounding
-    return vals[idx] if np.ndim(u) else float(vals[int(idx)])
+    cum, cum_list, vals = dist._cdf
+    # the len - 1 clamp guards the u ~ 1 edge under prob rounding
+    if np.ndim(u):
+        return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
+    return float(vals[min(bisect_right(cum_list, u), len(vals) - 1)])
 
 
 def dist_sample(dist: WeightDistribution, rng: "RngStream") -> float:
@@ -232,6 +241,13 @@ class TreeModel:
         m2 = math.fsum(k * k * p for k, p in self.offspring)
         return max(m2 - m * m, 0.0)
 
+    @cached_property
+    def _offspring_cdf(self) -> tuple[np.ndarray, list[float], np.ndarray]:
+        """Cumulative offspring probabilities (array and list) and the
+        offspring counts, built once per gw model."""
+        cum = np.cumsum([p for _, p in self.offspring])
+        return cum, cum.tolist(), np.array([k for k, _ in self.offspring], dtype=np.int64)
+
     @staticmethod
     def regular(beta: int, weights: WeightDistribution, lam: float = 0.0) -> "TreeModel":
         return TreeModel("regular", weights, beta=beta, lam=lam)
@@ -249,17 +265,15 @@ def sample_offspring(model: TreeModel, rng: "RngStream") -> int:
     """Draw one offspring count (one raw uniform)."""
     if model.shape == "regular":
         return int(model.beta)
-    cum = np.cumsum([p for _, p in model.offspring])
-    u = rng.uniform()
-    idx = min(int(np.searchsorted(cum, u, side="right")), len(model.offspring) - 1)
+    _, cum_list, _ = model._offspring_cdf
+    idx = min(bisect_right(cum_list, rng.uniform()), len(cum_list) - 1)
     return int(model.offspring[idx][0])
 
 
 def sample_offspring_block(model: TreeModel, rng: "RngStream", size: int) -> np.ndarray:
     if model.shape == "regular":
         return np.full(size, int(model.beta), dtype=np.int64)
-    cum = np.cumsum([p for _, p in model.offspring])
-    vals = np.array([k for k, _ in model.offspring], dtype=np.int64)
+    cum, _, vals = model._offspring_cdf
     idx = np.minimum(np.searchsorted(cum, rng.uniforms(size), side="right"), len(vals) - 1)
     return vals[idx]
 
@@ -329,8 +343,10 @@ class RngStream:
     def uniform(self) -> float:
         return float(self._gen.random())
 
-    def uniforms(self, size: int) -> np.ndarray:
-        return self._gen.random(size)
+    def uniforms(self, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next `size` uniforms; with `out` (a float64 array of that
+        length), they are written into it in place and it is returned."""
+        return self._gen.random(size, out=out)
 
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform integers in [low, high)."""

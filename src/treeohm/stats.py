@@ -18,9 +18,9 @@ import numpy as np
 
 from .evaluate import (
     ResistanceSample,
+    _regular_replicates,
     gw_shorted_resistance,
     gw_w_estimate,
-    resistance_fast,
     resistance_of_tree,
     sample_tree_explicit,
 )
@@ -67,14 +67,12 @@ class ReplicateSet:
 
 
 def _replicate_chunk(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
-    out = np.empty(j1 - j0, dtype=np.float64)
     if model.shape == "regular":
-        for j in range(j0, j1):
-            out[j - j0] = resistance_fast(model, n, RngStream(master_seed, j)).resistance
-    else:
-        for j in range(j0, j1):
-            tree = sample_tree_explicit(model, n, RngStream(master_seed, j))
-            out[j - j0] = resistance_of_tree(tree).resistance
+        return _regular_replicates(model, n, master_seed, j0, j1)
+    out = np.empty(j1 - j0, dtype=np.float64)
+    for j in range(j0, j1):
+        tree = sample_tree_explicit(model, n, RngStream(master_seed, j))
+        out[j - j0] = resistance_of_tree(tree).resistance
     return out
 
 

@@ -102,6 +102,15 @@ class TestSampleCommand:
         main(args + ["--workers", "4", "--out", str(tmp_path / "w4")])
         assert read(tmp_path / "w1" / "samples.csv") == read(tmp_path / "w4" / "samples.csv")
 
+    def test_workers_byte_identical_across_blocks(self, tmp_path):
+        # 10000 replicates at n=4 span several row blocks at one worker,
+        # while each two-worker chunk stays inside one block
+        args = ["sample", "--model", "reg:2", "--n", "4",
+                "--dist", "unif:0.5,1.5", "--reps", "10000", "--seed", "3"]
+        main(args + ["--workers", "1", "--out", str(tmp_path / "w1")])
+        main(args + ["--workers", "2", "--out", str(tmp_path / "w2")])
+        assert read(tmp_path / "w1" / "samples.csv") == read(tmp_path / "w2" / "samples.csv")
+
     def test_json_format(self, tmp_path):
         code = main([
             "sample", "--model", "reg:2", "--n", "4", "--dist", "const:1",

@@ -17,6 +17,7 @@ from treeohm import (
     resistance_of_tree,
     resistance_streaming,
     reweighted,
+    run_replicates,
     sample_tree_explicit,
     shorted_resistance_of_tree,
     solve_flow,
@@ -83,6 +84,10 @@ def test_regular_routes_bit_identical(case):
     fast = resistance_fast(model, n, RngStream(seed, 1)).resistance
     tree = sample_tree_explicit(model, n, RngStream(seed, 1))
     assert resistance_of_tree(tree).resistance == streaming == fast
+    # the block evaluator: replicate j of a batch is the tree on stream j
+    batch = run_replicates(model, n, 3, seed).resistance
+    assert batch.tolist() == [resistance_streaming(model, n, RngStream(seed, j)).resistance
+                              for j in range(3)]
 
 
 @PROPERTY

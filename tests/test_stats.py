@@ -17,6 +17,7 @@ from treeohm import (
     rde_init,
     rde_levels,
     rde_step,
+    resistance_streaming,
     run_replicates,
     sweep,
     tail_profile,
@@ -64,6 +65,70 @@ class TestRunReplicates:
     def test_bad_m(self, binary_twopoint_model):
         with pytest.raises(ValidationError):
             run_replicates(binary_twopoint_model, 4, 0, 1)
+
+
+_LAWS = {
+    "const": WeightDistribution.constant(1.3),
+    "unif": WeightDistribution.uniform(0.5, 2.0),
+    "twopoint": WeightDistribution.two_point(1.0, 3.0, 0.3),
+    "disc": WeightDistribution.discrete([(0.5, 0.2), (1.0, 0.5), (2.5, 0.3)]),
+}
+
+
+def _block_rows(beta, n):
+    from treeohm.evaluate import _BLOCK_UNIFORMS
+
+    return max(1, _BLOCK_UNIFORMS // ((beta**n - 1) // (beta - 1)))
+
+
+def _streamed(model, n, seed, j0, j1):
+    return [resistance_streaming(model, n, RngStream(seed, j)).resistance
+            for j in range(j0, j1)]
+
+
+class TestBlockEvaluation:
+    """Regular replicates are folded in blocks of rows; every row must equal
+    the scalar recursion on its own stream, whatever block it lands in."""
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    @pytest.mark.parametrize("beta", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 1.3])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_many_rows_match_streaming(self, law, beta, lam, n):
+        model = TreeModel.regular(beta, _LAWS[law], lam=lam)
+        assert _block_rows(beta, n) > 1000
+        batch = run_replicates(model, n, 30, 5)
+        assert batch.resistance.tolist() == _streamed(model, n, 5, 0, 30)
+
+    @pytest.mark.parametrize("beta", [2, 3])
+    def test_partial_last_block_from_offset_chunk(self, beta):
+        from treeohm.stats import _replicate_chunk
+
+        model = TreeModel.regular(beta, _LAWS["unif"], lam=1.3)
+        rows = _block_rows(beta, 4)
+        j0, j1 = 7, 7 + 2 * rows + 5  # two full blocks, then 5 rows
+        chunk = _replicate_chunk(model, 4, 21, j0, j1)
+        assert chunk.tolist() == _streamed(model, 4, 21, j0, j1)
+        # blocks of a run from 0 start elsewhere; the values do not move
+        whole = run_replicates(model, 4, j1, 21).resistance
+        assert np.array_equal(whole[j0:], chunk)
+
+    @pytest.mark.parametrize("law", ["unif", "disc"])
+    @pytest.mark.parametrize("beta, n", [(2, 14), (3, 10)])
+    def test_few_rows_match_streaming(self, law, beta, n):
+        model = TreeModel.regular(beta, _LAWS[law])
+        rows = _block_rows(beta, n)
+        assert 1 < rows < 10
+        m = 2 * rows + 1
+        batch = run_replicates(model, n, m, 9)
+        assert batch.resistance.tolist() == _streamed(model, n, 9, 0, m)
+
+    @pytest.mark.parametrize("law, beta, n", [("twopoint", 2, 17), ("const", 3, 11)])
+    def test_one_row_blocks_match_streaming(self, law, beta, n):
+        model = TreeModel.regular(beta, _LAWS[law], lam=1.3)
+        assert _block_rows(beta, n) == 1
+        batch = run_replicates(model, n, 2, 13)
+        assert batch.resistance.tolist() == _streamed(model, n, 13, 0, 2)
 
 
 class TestMoments:
