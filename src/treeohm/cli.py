@@ -1,21 +1,24 @@
 """Batch experiment runner.
 
-Every subcommand resolves an ExperimentConfig (JSON file, overridden by
-flags), runs a deterministic experiment, and writes CSV/JSON artifacts whose
-bytes depend only on the config: re-running a command, with any worker
-count, reproduces the files exactly.  Exit codes: 0 success, 2 validation
-problems, 3 guard violations.
+Each subcommand declares, in its `_COMMANDS` entry, the options it reads and
+their defaults; `_FLAGS` holds each option's argparse keywords.  Options
+resolve in three layers: the declared defaults, then a JSON `--config` file,
+then the flags given.  A flag or config key the subcommand does not declare,
+or a config value its flag would not accept, is a validation error.  The
+resolved options are what the handler reads, and, minus `out`, what every
+artifact stamps as its provenance, so a provenance line is a valid `--config`
+for the same subcommand.  Artifact bytes depend only on those options:
+re-running a command, with any worker count, reproduces the files exactly.
+Exit codes: 0 success, 2 validation problems, 3 guard violations.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,76 +53,16 @@ OUTDIR_ENV = "TREEOHM_OUT"
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# option literals
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """Experiment description; every field has a CLI flag of the same name.
-
-    Literal-valued fields (model, dist, n, reps, t_grid) keep their literal
-    strings so a config survives an emit/parse round trip unchanged.  None
-    means unset: a subcommand applies its default only then.
-    """
-
-    model: str = "reg:2"
-    dist: str = "unif:0.5,1.5"
-    lam: float | None = None
-    n: str | None = None
-    reps: str = "100"
-    seed: int = 1
-    t_grid: str | None = None
-    pool_size: int | None = None
-    levels: int | None = None
-    trees: int | None = None
-    instances: int | None = None
-    a: float | None = None
-    b: float | None = None
-    mu: float | None = None
-    sigma2: float | None = None
-    sweep_csv: str | None = None
-    out: str | None = None
-    format: str = "csv"
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"config: unknown fields {sorted(unknown)}")
-        cfg = ExperimentConfig(**data)
-        if cfg.format not in ("csv", "json"):
-            raise ValidationError(f"config: format must be csv or json, got {cfg.format!r}")
-        return cfg
-
-    def provenance(self) -> dict:
-        # out is a placement detail, not part of the experiment identity
-        data = self.to_dict()
-        data.pop("out")
-        return data
-
-
-def emit_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    try:
-        return ExperimentConfig.from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config: invalid JSON: {exc}") from exc
-
-
-def resolve_model(cfg: ExperimentConfig) -> TreeModel:
-    head, sep, body = cfg.model.partition(":")
+def resolve_model(cfg: dict) -> TreeModel:
+    head, sep, body = cfg["model"].partition(":")
     if not sep:
-        raise ValidationError(f"model: missing ':' in literal {cfg.model!r}")
-    dist = parse_distribution(cfg.dist)
-    lam = 0.0 if cfg.lam is None else float(cfg.lam)
+        raise ValidationError(f"model: missing ':' in literal {head!r}")
+    dist = parse_distribution(cfg["dist"])
+    lam = 0.0 if cfg["lam"] is None else cfg["lam"]
     if head == "reg":
         try:
             beta = int(body)
@@ -131,8 +74,8 @@ def resolve_model(cfg: ExperimentConfig) -> TreeModel:
     raise ValidationError(f"model: unknown shape {head!r} (want reg: or gw:)")
 
 
-def resolve_ns(cfg: ExperimentConfig) -> list[int]:
-    text = "10" if cfg.n is None else str(cfg.n)  # depth 10 when unset
+def resolve_ns(cfg: dict) -> list[int]:
+    text = cfg["n"]
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -146,8 +89,8 @@ def resolve_ns(cfg: ExperimentConfig) -> list[int]:
     return sorted(set(ns))
 
 
-def resolve_reps(cfg: ExperimentConfig, ns: list[int]) -> dict[int, int]:
-    text = str(cfg.reps)
+def resolve_reps(cfg: dict, ns: list[int]) -> dict[int, int]:
+    text = cfg["reps"]
     if ":" not in text:
         try:
             m = int(text)
@@ -179,10 +122,10 @@ def resolve_reps(cfg: ExperimentConfig, ns: list[int]) -> dict[int, int]:
     return out
 
 
-def resolve_t_grid(cfg: ExperimentConfig) -> np.ndarray | None:
-    if cfg.t_grid is None:
+def resolve_t_grid(cfg: dict) -> np.ndarray | None:
+    text = cfg["t_grid"]
+    if text is None:
         return None
-    text = cfg.t_grid
     try:
         if ":" in text:
             start, stop, step = (float(s) for s in text.split(":"))
@@ -211,17 +154,22 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _provenance_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.provenance(), sort_keys=True, separators=(",", ":"))
+def _provenance(cfg: dict) -> dict:
+    # out is a placement detail, not part of the experiment identity
+    return {name: value for name, value in cfg.items() if name != "out"}
+
+
+def _provenance_json(cfg: dict) -> str:
+    return json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
 
 
 def write_table(outdir: str, name: str, columns: list[str], rows: list[tuple],
-                cfg: ExperimentConfig) -> str:
+                cfg: dict) -> str:
     """Write one table artifact in the configured format; returns the path."""
-    if cfg.format == "json":
+    if cfg["format"] == "json":
         path = os.path.join(outdir, f"{name}.json")
         payload = {
-            "provenance": cfg.provenance(),
+            "provenance": _provenance(cfg),
             "columns": columns,
             "rows": [[_fmt(v) for v in row] for row in rows],
         }
@@ -234,9 +182,9 @@ def write_table(outdir: str, name: str, columns: list[str], rows: list[tuple],
     return path
 
 
-def write_report(outdir: str, name: str, payload: dict, cfg: ExperimentConfig) -> str:
+def write_report(outdir: str, name: str, payload: dict, cfg: dict) -> str:
     path = os.path.join(outdir, f"{name}.json")
-    body = {"provenance": cfg.provenance()}
+    body = {"provenance": _provenance(cfg)}
     body.update(payload)
     _write_text(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
     return path
@@ -250,8 +198,8 @@ def _write_text(path: str, text: str) -> None:
         raise ValidationError(f"out: cannot write {path}: {exc}") from exc
 
 
-def _outdir(cfg: ExperimentConfig) -> str:
-    outdir = cfg.out or os.environ.get(OUTDIR_ENV, ".")
+def _outdir(cfg: dict) -> str:
+    outdir = cfg["out"] or os.environ.get(OUTDIR_ENV, ".")
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -264,36 +212,35 @@ def _outdir(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _count(cfg: ExperimentConfig, name: str, default: int) -> int:
-    """A count option: its default when unset, and at least 1 when set."""
-    value = getattr(cfg, name)
-    if value is not None and value < 1:
-        raise ValidationError(f"{name}: must be >= 1, got {value}")
-    return default if value is None else value
+def _count(cfg: dict, name: str) -> int:
+    """A count option, which must be at least 1."""
+    if cfg[name] < 1:
+        raise ValidationError(f"{name}: must be >= 1, got {cfg[name]}")
+    return cfg[name]
 
 
-def _single_n(cfg: ExperimentConfig) -> int:
+def _single_n(cfg: dict) -> int:
     ns = resolve_ns(cfg)
     if len(ns) != 1:
         raise ValidationError(f"n: this subcommand takes a single depth, got {ns}")
     return ns[0]
 
 
-def cmd_sample(cfg: ExperimentConfig, workers: int) -> list[str]:
+def cmd_sample(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
-    batch = run_replicates(model, n, m, cfg.seed, workers)
+    batch = run_replicates(model, n, m, cfg["seed"], workers)
     rows = list(zip(range(m), [n] * m, batch.resistance.tolist(), batch.conductance.tolist()))
     outdir = _outdir(cfg)
     return [write_table(outdir, "samples", ["replicate", "n", "R", "C"], rows, cfg)]
 
 
-def cmd_sweep(cfg: ExperimentConfig, workers: int) -> list[str]:
+def cmd_sweep(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     ns = resolve_ns(cfg)
     reps = resolve_reps(cfg, ns)
-    reports = sweep(model, ns, reps, cfg.seed, workers)
+    reports = sweep(model, ns, reps, cfg["seed"], workers)
     rows = [
         (rep.n, rep.m, rep.r.mean, rep.r.se_mean, rep.r.variance, rep.r.se_variance,
          rep.c.mean, rep.c.variance, rep.c.se_variance)
@@ -328,15 +275,13 @@ def read_sweep_csv(path: str) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def cmd_fit(cfg: ExperimentConfig, workers: int) -> list[str]:
-    if cfg.sweep_csv is None:
+def cmd_fit(cfg: dict, workers: int) -> list[str]:
+    if cfg["sweep_csv"] is None:
         raise ValidationError("sweep_csv: fit needs --sweep-csv pointing at a sweep table")
-    table = read_sweep_csv(cfg.sweep_csv)
-    if cfg.mu is not None and cfg.sigma2 is not None:
-        mu, sigma2 = cfg.mu, cfg.sigma2
-    else:
-        moments = parse_distribution(cfg.dist).moments()
-        mu, sigma2 = moments.mean, moments.variance
+    table = read_sweep_csv(cfg["sweep_csv"])
+    moments = parse_distribution(cfg["dist"]).moments()
+    mu = moments.mean if cfg["mu"] is None else cfg["mu"]
+    sigma2 = moments.variance if cfg["sigma2"] is None else cfg["sigma2"]
     report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
     if "var_C" in table and np.all(table["var_C"] > 0.0):
         report.var_slope, report.var_intercept = fit_variance_slope(
@@ -368,17 +313,17 @@ def cmd_fit(cfg: ExperimentConfig, workers: int) -> list[str]:
     return [write_report(_outdir(cfg), "fit", payload, cfg)]
 
 
-def cmd_flows(cfg: ExperimentConfig, workers: int) -> list[str]:
+def cmd_flows(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
-    count = _count(cfg, "instances", 1)
-    a = cfg.a if cfg.a is not None else model.weights.a
-    b = cfg.b if cfg.b is not None else model.weights.b
+    count = _count(cfg, "instances")
+    a = cfg["a"] if cfg["a"] is not None else model.weights.a
+    b = cfg["b"] if cfg["b"] is not None else model.weights.b
     outdir = _outdir(cfg)
     dump_rows = []
     report_rows = []
     for i in range(count):
-        tree = sample_tree_explicit(model, n, RngStream(cfg.seed, i))
+        tree = sample_tree_explicit(model, n, RngStream(cfg["seed"], i))
         flow = solve_flow(tree)
         bounds = flow_bound_report(flow, a, b)
         conc = concentration_diagnostics(flow, a, b)
@@ -411,25 +356,19 @@ def cmd_flows(cfg: ExperimentConfig, workers: int) -> list[str]:
     return paths
 
 
-def cmd_oracle_check(cfg: ExperimentConfig, workers: int) -> list[str]:
+def cmd_oracle_check(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
-    if model.shape != "regular":
-        raise ValidationError("model: oracle-check needs a regular shape")
     ns = resolve_ns(cfg)
-    count = _count(cfg, "instances", 100)
-    rows = oracle_gap_table(
-        model.weights, ns, count, cfg.seed, beta=int(model.beta),
-        lam=0.0 if cfg.lam is None else float(cfg.lam),
-    )
+    rows = oracle_gap_table(model, ns, _count(cfg, "instances"), cfg["seed"])
     columns = ["instance", "n", "nodes", "gap_R", "gap_theta", "gap_voltage"]
     return [write_table(_outdir(cfg), "oracle_gaps", columns, rows, cfg)]
 
 
-def cmd_rde(cfg: ExperimentConfig, workers: int) -> list[str]:
-    dist = parse_distribution(cfg.dist)
-    m = _count(cfg, "pool_size", 10000)
-    max_level = _count(cfg, "levels", 8)
-    pools = rde_levels(dist, m, max_level, RngStream(cfg.seed, 0))
+def cmd_rde(cfg: dict, workers: int) -> list[str]:
+    dist = parse_distribution(cfg["dist"])
+    m = _count(cfg, "pool_size")
+    max_level = _count(cfg, "levels")
+    pools = rde_levels(dist, m, max_level, RngStream(cfg["seed"], 0))
     rows = [
         (pool.level, len(pool.values), float(np.mean(pool.values)),
          float(np.var(pool.values, ddof=1)) if len(pool.values) > 1 else 0.0,
@@ -440,13 +379,13 @@ def cmd_rde(cfg: ExperimentConfig, workers: int) -> list[str]:
     return [write_table(_outdir(cfg), "rde", columns, rows, cfg)]
 
 
-def cmd_gw(cfg: ExperimentConfig, workers: int) -> list[str]:
+def cmd_gw(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     if model.shape != "gw":
         raise ValidationError("model: gw subcommand needs a gw: model")
     n = _single_n(cfg)
-    trees = _count(cfg, "trees", 1000)
-    report = gw_experiment(model.offspring, model.weights, n, trees, cfg.seed)
+    trees = _count(cfg, "trees")
+    report = gw_experiment(model, n, trees, cfg["seed"])
     rows = [
         (j, int(report.b1[j]), report.resistance[j], report.shorted[j],
          report.w_hat[j], report.n_times_c[j])
@@ -464,13 +403,12 @@ def cmd_gw(cfg: ExperimentConfig, workers: int) -> list[str]:
     return paths
 
 
-def cmd_constants(cfg: ExperimentConfig, workers: int) -> list[str]:
-    dist = parse_distribution(cfg.dist)
-    a = cfg.a if cfg.a is not None else dist.a
-    b = cfg.b if cfg.b is not None else dist.b
+def cmd_constants(cfg: dict, workers: int) -> list[str]:
+    dist = parse_distribution(cfg["dist"])
+    a = cfg["a"] if cfg["a"] is not None else dist.a
+    b = cfg["b"] if cfg["b"] is not None else dist.b
     var_recip = dist.moments().recip_variance
-    # no depth given: emit the 1..20 table
-    ns = list(range(1, 21)) if cfg.n is None else resolve_ns(cfg)
+    ns = resolve_ns(cfg)
     chain = variance_bound_constants(a, b, var_recip, ns[0])
     payload = {
         "a": a,
@@ -488,14 +426,14 @@ def cmd_constants(cfg: ExperimentConfig, workers: int) -> list[str]:
     return [write_report(_outdir(cfg), "constants", payload, cfg)]
 
 
-def cmd_tails(cfg: ExperimentConfig, workers: int) -> list[str]:
+def cmd_tails(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     t_grid = resolve_t_grid(cfg)
-    batch = run_replicates(model, n, m, cfg.seed, workers)
-    a = cfg.a if cfg.a is not None else model.weights.a
-    b = cfg.b if cfg.b is not None else model.weights.b
+    batch = run_replicates(model, n, m, cfg["seed"], workers)
+    a = cfg["a"] if cfg["a"] is not None else model.weights.a
+    b = cfg["b"] if cfg["b"] is not None else model.weights.b
     constant = tail_bound_constant(a, b)
     report = tail_profile(batch, t_grid, constant)
     rows = [
@@ -507,16 +445,58 @@ def cmd_tails(cfg: ExperimentConfig, workers: int) -> list[str]:
     return [write_table(_outdir(cfg), "tails", columns, rows, cfg)]
 
 
+# option -> argparse keywords of its flag, --option with '_' written '-'
+_FLAGS = {
+    "model": dict(help="tree literal: reg:BETA or gw:K1:P1,K2:P2,..."),
+    "dist": dict(help="weight literal: const:v | unif:a,b | twopoint:a,b[,p] | disc:v1:p1,..."),
+    "lam": dict(type=float, help="scaling base override"),
+    "n": dict(help="depth: single, list 4,6,8, or range 2..18"),
+    "reps": dict(help="replicates: count or default:V,n:V,... map"),
+    "seed": dict(type=int, help="master seed"),
+    "t_grid": dict(help="tail grid: start:stop:step or comma list"),
+    "pool_size": dict(type=int, help="recursion pool size"),
+    "levels": dict(type=int, help="recursion depth"),
+    "trees": dict(type=int, help="branching sample count"),
+    "instances": dict(type=int, help="instance count"),
+    "a": dict(type=float, help="lower weight bound override"),
+    "b": dict(type=float, help="upper weight bound override"),
+    "mu": dict(type=float, help="weight mean override for fits"),
+    "sigma2": dict(type=float, help="weight variance override for fits"),
+    "sweep_csv": dict(help="sweep table to fit"),
+    "format": dict(choices=("csv", "json"), help="table format"),
+    "out": dict(help=f"output directory (default ${OUTDIR_ENV} or .)"),
+}
+
+# subcommand -> (handler, help, {option: default}); every subcommand also
+# takes out.  A None default is derived from the model or the weight law,
+# except sweep_csv, which fit requires.
 _COMMANDS = {
-    "sample": cmd_sample,
-    "sweep": cmd_sweep,
-    "fit": cmd_fit,
-    "flows": cmd_flows,
-    "oracle-check": cmd_oracle_check,
-    "rde": cmd_rde,
-    "gw": cmd_gw,
-    "constants": cmd_constants,
-    "tails": cmd_tails,
+    "sample": (cmd_sample, "replicate table of R and C at one depth", {
+        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "reps": "100", "seed": 1, "format": "csv"}),
+    "sweep": (cmd_sweep, "per-depth moment table over a depth grid", {
+        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "reps": "100", "seed": 1, "format": "csv"}),
+    "fit": (cmd_fit, "asymptotic fit report from a sweep table", {
+        "sweep_csv": None, "dist": "unif:0.5,1.5", "mu": None, "sigma2": None}),
+    "flows": (cmd_flows, "optimal-flow dump plus flow-bound diagnostics", {
+        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "instances": 1, "seed": 1, "a": None, "b": None, "format": "csv"}),
+    "oracle-check": (cmd_oracle_check, "gap table between evaluators and the dense solver", {
+        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "instances": 100, "seed": 1, "format": "csv"}),
+    "rde": (cmd_rde, "per-level pool moments of the conductance recursion", {
+        "dist": "unif:0.5,1.5", "pool_size": 10000, "levels": 8, "seed": 1,
+        "format": "csv"}),
+    "gw": (cmd_gw, "branching-tree records and root-degree conditioning", {
+        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "trees": 1000, "seed": 1, "format": "csv"}),
+    "constants": (cmd_constants, "explicit variance/tail bound constants", {
+        "dist": "unif:0.5,1.5", "a": None, "b": None, "n": "1..20"}),
+    "tails": (cmd_tails, "empirical deviation tail with the sub-Gaussian reference", {
+        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "reps": "100", "seed": 1, "t_grid": None, "a": None, "b": None,
+        "format": "csv"}),
 }
 
 
@@ -532,69 +512,64 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo experiments with reproducible artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "sample": "replicate table of R and C at one depth",
-        "sweep": "per-depth moment table over a depth grid",
-        "fit": "asymptotic fit report from a sweep table",
-        "flows": "optimal-flow dump plus flow-bound diagnostics",
-        "oracle-check": "gap table between evaluators and the dense solver",
-        "rde": "per-level pool moments of the conductance recursion",
-        "gw": "branching-tree records and root-degree conditioning",
-        "constants": "explicit variance/tail bound constants",
-        "tails": "empirical deviation tail with the sub-Gaussian reference",
-    }
-    for name, func in _COMMANDS.items():
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--model", help="tree literal: reg:BETA or gw:K1:P1,K2:P2,...")
-        sp.add_argument("--dist", help="weight literal: const:v | unif:a,b | "
-                                       "twopoint:a,b[,p] | disc:v1:p1,...")
-        sp.add_argument("--lam", type=float, help="scaling base override")
-        sp.add_argument("--n", help="depth: single, list 4,6,8, or range 2..18")
-        sp.add_argument("--reps", help="replicates: count or default:V,n:V,... map")
-        sp.add_argument("--seed", type=int, help="master seed")
-        sp.add_argument("--t-grid", dest="t_grid",
-                        help="tail grid: start:stop:step or comma list")
-        sp.add_argument("--pool-size", dest="pool_size", type=int,
-                        help="recursion pool size")
-        sp.add_argument("--levels", type=int, help="recursion depth")
-        sp.add_argument("--trees", type=int, help="branching sample count")
-        sp.add_argument("--instances", type=int, help="instance count")
-        sp.add_argument("--a", type=float, help="lower weight bound override")
-        sp.add_argument("--b", type=float, help="upper weight bound override")
-        sp.add_argument("--mu", type=float, help="weight mean override for fits")
-        sp.add_argument("--sigma2", type=float, help="weight variance override for fits")
-        sp.add_argument("--sweep-csv", dest="sweep_csv", help="sweep table to fit")
-        sp.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
-        sp.add_argument("--format", choices=("csv", "json"), help="table format")
+        for option in [*options, "out"]:
+            sp.add_argument("--" + option.replace("_", "-"), dest=option,
+                            default=argparse.SUPPRESS, **_FLAGS[option])
+        # every subcommand takes --workers, also those that never fork: the
+        # acceptance suite and the benchmark append it to every call
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes; never changes output bytes")
-        sp.set_defaults(func=func)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def _config_value(option: str, value, default):
+    """A config file value, converted and checked as its flag would be."""
+    if value is None and default is None:
+        return None
+    flag = _FLAGS[option]
+    convert = flag.get("type", str)
+    try:
+        converted = convert(str(value))
+    except ValueError as exc:
+        raise ValidationError(
+            f"{option}: config value {value!r} is not a valid {convert.__name__}"
+        ) from exc
+    if converted not in flag.get("choices", (converted,)):
+        raise ValidationError(f"{option}: config value {value!r} is not one of {flag['choices']}")
+    return converted
+
+
+def resolve_options(args: argparse.Namespace) -> dict:
+    """The subcommand's options: declared defaults, then --config, then flags."""
+    defaults = dict(_COMMANDS[args.command][2], out=None)
+    cfg = dict(defaults)
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read())
+                data = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"config: cannot read {args.config}: {exc}") from exc
-    else:
-        cfg = ExperimentConfig()
-    for name in (f.name for f in dataclasses.fields(ExperimentConfig)):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
+        except ValueError as exc:
+            raise ValidationError(f"config: invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"config: {args.config} does not hold a JSON object")
+        for option, value in data.items():
+            if option not in defaults:
+                raise ValidationError(f"{option}: not an option of {args.command}")
+            cfg[option] = _config_value(option, value, defaults[option])
+    cfg.update((k, v) for k, v in vars(args).items() if k in defaults)
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        paths = args.func(cfg, max(1, args.workers))
+        if args.workers < 1:
+            raise ValidationError(f"workers: must be >= 1, got {args.workers}")
+        paths = _COMMANDS[args.command][0](resolve_options(args), args.workers)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .evaluate import SampledTree, TreeModel, resistance_of_tree, sample_tree_explicit
 from .flows import FlowSolution, solve_flow
-from .model import GuardError, RngStream, WeightDistribution
+from .model import GuardError, RngStream
 
 ORACLE_GUARD = 2**12
 
@@ -123,16 +123,11 @@ def oracle_compare(tree: SampledTree) -> OracleGaps:
 
 
 def oracle_gap_table(
-    dist: WeightDistribution,
-    ns: list[int],
-    count: int,
-    master_seed: int,
-    beta: int = 2,
-    lam: float = 0.0,
+    model: TreeModel, ns: list[int], count: int, master_seed: int
 ) -> list[tuple[int, int, int, float, float, float]]:
     """Gap rows (instance, n, nodes, r_gap, theta_gap, voltage_gap) for
-    `count` seeded instances cycling through the depth list."""
-    model = TreeModel.regular(beta, dist, lam=lam)
+    `count` seeded instances of any tree shape, cycling through the depth
+    list."""
     rows = []
     for i in range(count):
         n = ns[i % len(ns)]

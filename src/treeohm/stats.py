@@ -432,17 +432,10 @@ class GwReport:
     median_scaled_product: float
 
 
-def gw_experiment(
-    offspring: tuple[tuple[int, float], ...],
-    dist: WeightDistribution,
-    n: int,
-    trees: int,
-    master_seed: int,
-) -> GwReport:
+def gw_experiment(model: TreeModel, n: int, trees: int, master_seed: int) -> GwReport:
     """Sample branching trees and record, per tree, the exact resistance, the
     level-shorted series sum, the normalized depth-n population, the root
     offspring count, and n*C_n; then condition n*C_n on the root count."""
-    model = TreeModel.galton_watson(offspring, dist)
     lam = model.lam
     b1 = np.empty(trees, dtype=np.int64)
     res = np.empty(trees, dtype=np.float64)

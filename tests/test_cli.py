@@ -1,17 +1,58 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from treeohm import (
+    RngStream,
+    TreeModel,
+    ValidationError,
+    WeightDistribution,
+    resistance_of_tree,
+    sample_tree_explicit,
+)
 from treeohm.cli import (
-    ExperimentConfig,
-    emit_config,
+    _COMMANDS,
+    _build_parser,
     main,
-    parse_config,
     resolve_model,
     resolve_ns,
+    resolve_options,
     resolve_reps,
     resolve_t_grid,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the options each subcommand reads; --config, --out and --workers come on top
+DECLARED = {
+    "sample": {"model", "dist", "lam", "n", "reps", "seed", "format"},
+    "sweep": {"model", "dist", "lam", "n", "reps", "seed", "format"},
+    "fit": {"sweep_csv", "dist", "mu", "sigma2"},
+    "flows": {"model", "dist", "lam", "n", "instances", "seed", "a", "b", "format"},
+    "oracle-check": {"model", "dist", "lam", "n", "instances", "seed", "format"},
+    "rde": {"dist", "pool_size", "levels", "seed", "format"},
+    "gw": {"model", "dist", "lam", "n", "trees", "seed", "format"},
+    "constants": {"dist", "a", "b", "n"},
+    "tails": {"model", "dist", "lam", "n", "reps", "seed", "t_grid", "a", "b", "format"},
+}
+ALL_OPTIONS = set().union(*DECLARED.values())
+UNDECLARED = [(c, o) for c in DECLARED for o in sorted(ALL_OPTIONS - DECLARED[c])]
+
+# one non-default value per option, and the matching flag spelling
+FULL = {
+    "model": "gw:1:0.5,2:0.5", "dist": "twopoint:0.5,1.5", "lam": 1.5,
+    "n": "2..18", "reps": "default:20000,15:5000", "seed": 7,
+    "t_grid": "0.1:3.0:0.1", "pool_size": 1000, "levels": 12, "trees": 2000,
+    "instances": 500, "a": 0.5, "b": 1.5, "mu": 1.0, "sigma2": 0.25,
+    "sweep_csv": "sweep.csv", "format": "json", "out": "results",
+}
+
+
+def flag(option):
+    return "--" + option.replace("_", "-")
 
 
 def read(path):
@@ -19,30 +60,44 @@ def read(path):
         return fh.read()
 
 
+def resolve(argv):
+    return resolve_options(_build_parser().parse_args(argv))
+
+
+def write_config(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def provenance(path):
+    first = Path(path).read_text().split("\n", 1)[0]
+    assert first.startswith("# provenance: ")
+    return json.loads(first[len("# provenance: "):])
+
+
 class TestConfig:
-    def test_round_trip_defaults(self):
-        cfg = ExperimentConfig()
-        assert parse_config(emit_config(cfg)) == cfg
+    def test_round_trip_defaults(self, tmp_path):
+        for command in DECLARED:
+            cfg = resolve([command])
+            path = write_config(tmp_path / f"{command}.json", cfg)
+            assert resolve([command, "--config", path]) == cfg
 
-    def test_round_trip_full(self):
-        cfg = ExperimentConfig(
-            model="gw:1:0.5,2:0.5", dist="twopoint:0.5,1.5", lam=1.5,
-            n="2..18", reps="default:20000,15:5000", seed=7,
-            t_grid="0.1:3.0:0.1", pool_size=1000, levels=12, trees=2000,
-            instances=500, a=0.5, b=1.5, mu=1.0, sigma2=0.25,
-            sweep_csv="sweep.csv", out="results", format="json",
-        )
-        assert parse_config(emit_config(cfg)) == cfg
+    def test_round_trip_full(self, tmp_path):
+        for command, options in DECLARED.items():
+            data = {k: FULL[k] for k in options | {"out"}}
+            path = write_config(tmp_path / f"{command}.json", data)
+            assert resolve([command, "--config", path]) == data
+            argv = [command] + [a for k in data for a in (flag(k), str(data[k]))]
+            assert resolve(argv) == data
 
-    def test_unknown_field_rejected(self):
-        from treeohm import ValidationError
-
-        with pytest.raises(ValidationError):
-            parse_config('{"bogus": 1}')
+    def test_unknown_field_rejected(self, tmp_path):
+        path = write_config(tmp_path / "conf.json", {"bogus": 1})
+        with pytest.raises(ValidationError, match="bogus"):
+            resolve(["sample", "--config", path])
 
     def test_resolvers(self):
-        cfg = ExperimentConfig(model="reg:3", dist="const:1", n="2..5",
-                               reps="default:10,4:99", t_grid="0.5,1.0")
+        cfg = resolve(["tails", "--model", "reg:3", "--dist", "const:1", "--n", "2..5",
+                       "--reps", "default:10,4:99", "--t-grid", "0.5,1.0"])
         model = resolve_model(cfg)
         assert model.beta == 3 and model.lam == 3.0
         assert resolve_ns(cfg) == [2, 3, 4, 5]
@@ -51,23 +106,112 @@ class TestConfig:
         assert resolve_t_grid(cfg).tolist() == [0.5, 1.0]
 
     def test_t_grid_range(self):
-        cfg = ExperimentConfig(t_grid="0.1:3.0:0.1")
-        grid = resolve_t_grid(cfg)
+        grid = resolve_t_grid(resolve(["tails", "--t-grid", "0.1:3.0:0.1"]))
         assert len(grid) == 30
         assert grid[0] == pytest.approx(0.1)
         assert grid[-1] == pytest.approx(3.0)
 
     def test_flags_override_file(self, tmp_path):
-        path = tmp_path / "conf.json"
-        path.write_text(emit_config(ExperimentConfig(seed=1, n="4")))
+        path = write_config(tmp_path / "conf.json", {"seed": 1, "n": "4"})
         out = tmp_path / "out"
         code = main([
-            "sample", "--config", str(path), "--seed", "9",
+            "sample", "--config", path, "--seed", "9",
             "--dist", "const:1", "--reps", "3", "--out", str(out),
         ])
         assert code == 0
-        text = (out / "samples.csv").read_text()
-        assert '"seed": 9' in text or '"seed":9' in text
+        stamp = provenance(out / "samples.csv")
+        assert stamp["seed"] == 9 and stamp["n"] == "4"
+
+
+class TestOptionDeclarations:
+    def test_each_subcommand_declares_what_it_reads(self):
+        assert {name: set(entry[2]) for name, entry in _COMMANDS.items()} == DECLARED
+
+    def test_settable_values(self):
+        sub = _build_parser()._subparsers._group_actions[0]
+        counts = {
+            name: len([a for a in sub.choices[name]._actions if a.option_strings
+                       and a.dest != "help"])
+            for name in DECLARED
+        }
+        assert counts == {
+            "sample": 10, "sweep": 10, "oracle-check": 10, "gw": 10,
+            "fit": 7, "constants": 7, "rde": 8, "flows": 12, "tails": 13,
+        }
+        assert sum(counts.values()) == 87
+
+    @pytest.mark.parametrize("command, option", UNDECLARED,
+                             ids=[f"{c}-{o}" for c, o in UNDECLARED])
+    def test_undeclared_flag_rejected(self, tmp_path, command, option):
+        with pytest.raises(SystemExit) as err:
+            main([command, flag(option), "1", "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, option", [
+        ("sample", '{"seed": "abc"}', "seed"),
+        ("sample", '{"lam": "x"}', "lam"),
+        ("flows", '{"instances": 2.5}', "instances"),
+        ("sample", '{"seed": null}', "seed"),
+        ("sample", '{"seed": true}', "seed"),
+        ("sample", '{"format": "xml"}', "format"),
+        ("sample", "[1, 2]", "config"),
+        ("sample", "{seed: 1", "config"),
+        ("sample", '{"trees": 5}', "trees"),
+        ("constants", '{"format": "csv"}', "format"),
+    ], ids=["seed-abc", "lam-x", "instances-2.5", "seed-null", "seed-true",
+            "format-xml", "not-an-object", "invalid-json", "key-of-gw",
+            "format-of-tables"])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, command, text, option):
+        path = tmp_path / "conf.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option}")
+        assert not out.exists()
+
+    def test_null_keeps_a_derived_default(self, tmp_path):
+        path = write_config(tmp_path / "conf.json", {"lam": None, "t_grid": None})
+        cfg = resolve(["tails", "--config", path])
+        assert cfg["lam"] is None and cfg["t_grid"] is None
+
+    @pytest.mark.parametrize("argv, name", [
+        (["tails", "--model", "reg:2", "--n", "4", "--dist", "twopoint:0.5,1.5",
+          "--reps", "300", "--seed", "5", "--t-grid", "0:1:0.25", "--a", "0.4"],
+         "tails.csv"),
+        (["constants", "--dist", "twopoint:1,2", "--n", "3,5"], "constants.json"),
+    ], ids=["tails", "constants"])
+    def test_provenance_is_a_config(self, tmp_path, argv, name):
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        first = tmp_path / "a" / name
+        if name.endswith(".csv"):
+            stamp = provenance(first)
+        else:
+            stamp = json.loads(first.read_text())["provenance"]
+        path = write_config(tmp_path / "conf.json", stamp)
+        assert main([argv[0], "--config", path, "--out", str(tmp_path / "b")]) == 0
+        assert read(first) == read(tmp_path / "b" / name)
+
+    def test_readme_commands_parse(self):
+        text = README.read_text()
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+        lines = block.replace("\\\n", " ").strip().split("\n")
+        parser = _build_parser()
+        seen = set()
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "treeohm"
+            args = parser.parse_args(argv[1:])
+            seen.add(args.command)
+        assert seen == set(DECLARED)
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        code = main(["sample", "--n", "3", "--reps", "2", "--workers", workers,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSampleCommand:
@@ -155,6 +299,19 @@ class TestSweepAndFit:
     def test_fit_requires_input(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("option, value", [("mu", 3.0), ("sigma2", 0.5)])
+    def test_fit_keeps_a_lone_override(self, tmp_path, option, value):
+        path = tmp_path / "sweep.csv"
+        path.write_text("n,mean_R,se_R\n" + "".join(f"{n},{n - 0.3},0.1\n" for n in range(2, 10)))
+        code = main(["fit", "--sweep-csv", str(path), "--dist", "twopoint:0.5,1.5",
+                     flag(option), str(value), "--out", str(tmp_path)])
+        assert code == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        law = {"mu": 1.0, "sigma2": 0.25}  # twopoint:0.5,1.5 at p = 1/2
+        law[option] = value
+        assert {"mu": fit["mu"], "sigma2": fit["sigma2"]} == law
+        assert fit["provenance"][option] == value
+
 
 class TestOtherCommands:
     def test_constants_table(self, tmp_path):
@@ -200,6 +357,25 @@ class TestOtherCommands:
         gaps = [float(ln.split(",")[3]) for ln in lines[2:]]
         assert len(gaps) == 12 and max(gaps) <= 1e-9
 
+    def test_oracle_check_branching(self, tmp_path):
+        code = main([
+            "oracle-check", "--model", "gw:1:0.5,2:0.5", "--n", "2..5",
+            "--dist", "unif:0.5,1.5", "--instances", "12", "--seed", "1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        rows = (tmp_path / "oracle_gaps.csv").read_text().strip().split("\n")[2:]
+        assert len(rows) == 12
+        assert max(max(map(float, row.split(",")[3:])) for row in rows) <= 1e-9
+
+    def test_oracle_check_branching_over_guard_is_exit_3(self, tmp_path, capsys):
+        # gw:2:1 at depth 12 is the full binary tree of 8191 nodes
+        code = main(["oracle-check", "--model", "gw:2:1", "--n", "12",
+                     "--dist", "const:1", "--instances", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "oracle" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rde_levels(self, tmp_path):
         code = main([
             "rde", "--dist", "twopoint:0.5,1.5", "--pool-size", "500",
@@ -221,6 +397,23 @@ class TestOtherCommands:
         assert len(lines) == 2 + 50
         summary = json.loads((tmp_path / "gw_summary.json").read_text())
         assert set(summary["cond_mean_nC"]) == {"1", "2"}
+
+    def test_gw_honours_lam(self, tmp_path):
+        argv = ["gw", "--model", "gw:1:0.5,2:0.5", "--dist", "unif:0.5,1.5",
+                "--n", "6", "--trees", "20", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--lam", "1.1", "--out", str(tmp_path / "lam")]) == 0
+
+        def resistances(name):
+            lines = (tmp_path / name / "gw_records.csv").read_text().strip().split("\n")
+            return [float(ln.split(",")[2]) for ln in lines[2:]]
+
+        model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)),
+                                        WeightDistribution.uniform(0.5, 1.5), lam=1.1)
+        want = [resistance_of_tree(sample_tree_explicit(model, 6, RngStream(5, j))).resistance
+                for j in range(20)]
+        assert resistances("lam") == want
+        assert resistances("default") != want
 
     def test_flows_dump(self, tmp_path):
         code = main([

@@ -83,9 +83,8 @@ class TestAgreement:
         assert gaps.max_voltage_gap <= 1e-12
 
     def test_seeded_instances_agree(self):
-        rows = oracle_gap_table(
-            WeightDistribution.uniform(0.5, 1.5), list(range(2, 8)), 60, 1
-        )
+        model = TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5))
+        rows = oracle_gap_table(model, list(range(2, 8)), 60, 1)
         assert len(rows) == 60
         assert max(row[3] for row in rows) <= 1e-9
 

@@ -336,22 +336,21 @@ class TestSweep:
 
 class TestBranchingExperiment:
     def test_deterministic_binary_records(self):
-        report = gw_experiment(((2, 1.0),), WeightDistribution.constant(1.0), 6, 10, 0)
+        model = TreeModel.galton_watson(((2, 1.0),), WeightDistribution.constant(1.0))
+        report = gw_experiment(model, 6, 10, 0)
         assert np.all(report.resistance == 7.0)
         assert np.all(report.shorted == 7.0)
         assert np.all(report.w_hat == 1.0)
         assert np.all(report.b1 == 2)
 
     def test_shorted_below_exact(self):
-        report = gw_experiment(
-            ((1, 0.5), (2, 0.5)), WeightDistribution.constant(1.0), 8, 100, 17
-        )
+        model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), WeightDistribution.constant(1.0))
+        report = gw_experiment(model, 8, 100, 17)
         assert np.all(report.shorted <= report.resistance + 1e-12)
 
     def test_conditional_means_split_by_root_degree(self):
-        report = gw_experiment(
-            ((1, 0.5), (2, 0.5)), WeightDistribution.constant(1.0), 10, 400, 17
-        )
+        model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), WeightDistribution.constant(1.0))
+        report = gw_experiment(model, 10, 400, 17)
         assert set(report.cond_mean_nc) == {1, 2}
         assert report.cond_mean_nc[2] > report.cond_mean_nc[1]
 
