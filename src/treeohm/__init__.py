@@ -18,7 +18,6 @@ from .model import (
     derive_seed,
     dist_sample,
     dist_sample_block,
-    edge_resistance,
     level_scales,
     parse_distribution,
     parse_offspring,
@@ -72,6 +71,7 @@ from .stats import (
     fit_expectation,
     fit_variance_slope,
     gw_experiment,
+    map_trees,
     rde_init,
     rde_levels,
     rde_step,

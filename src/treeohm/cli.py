@@ -19,10 +19,10 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
-from .evaluate import sample_tree_explicit
 from .flows import (
     concentration_diagnostics,
     flow_bound_report,
@@ -42,6 +42,7 @@ from .stats import (
     fit_expectation,
     fit_variance_slope,
     gw_experiment,
+    map_trees,
     rde_levels,
     run_replicates,
     sweep,
@@ -282,7 +283,10 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
     moments = parse_distribution(cfg["dist"]).moments()
     mu = moments.mean if cfg["mu"] is None else cfg["mu"]
     sigma2 = moments.variance if cfg["sigma2"] is None else cfg["sigma2"]
-    report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
+    try:
+        report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
+    except ValidationError as exc:
+        raise ValidationError(f"sweep_csv: {cfg['sweep_csv']}: {exc}") from exc
     if "var_C" in table and np.all(table["var_C"] > 0.0):
         report.var_slope, report.var_intercept = fit_variance_slope(
             table["n"], table["var_C"]
@@ -313,6 +317,35 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
     return [write_report(_outdir(cfg), "fit", payload, cfg)]
 
 
+def _flow_record(a: float, b: float, i: int, tree) -> tuple[dict, list]:
+    """One instance's flow_report entry; instance 0 also gives the
+    per-edge flow_dump rows."""
+    flow = solve_flow(tree)
+    bounds = flow_bound_report(flow, a, b)
+    conc = concentration_diagnostics(flow, a, b)
+    report = {
+        "instance": i,
+        "resistance": flow.resistance,
+        "energy": flow.energy,
+        "min_margin": bounds.min_margin,
+        "s4_scaled": conc.s4_scaled,
+        "s4_plain": conc.s4_plain,
+        "b4": conc.b4,
+    }
+    if i:
+        return report, []
+    upper = np.where(
+        np.arange(tree.n_nodes) == 0, flow.voltage_top, flow.voltage[tree.parent],
+    )
+    dump = [
+        (j, int(tree.parent[j]), int(tree.level[j]), tree.weight[j],
+         tree.resistance[j], flow.theta[j], upper[j], flow.voltage[j],
+         bounds.bound[j], bounds.margin[j])
+        for j in range(tree.n_nodes)
+    ]
+    return report, dump
+
+
 def cmd_flows(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
@@ -320,38 +353,11 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     a = cfg["a"] if cfg["a"] is not None else model.weights.a
     b = cfg["b"] if cfg["b"] is not None else model.weights.b
     outdir = _outdir(cfg)
-    dump_rows = []
-    report_rows = []
-    for i in range(count):
-        tree = sample_tree_explicit(model, n, RngStream(cfg["seed"], i))
-        flow = solve_flow(tree)
-        bounds = flow_bound_report(flow, a, b)
-        conc = concentration_diagnostics(flow, a, b)
-        report_rows.append(
-            {
-                "instance": i,
-                "resistance": flow.resistance,
-                "energy": flow.energy,
-                "min_margin": bounds.min_margin,
-                "s4_scaled": conc.s4_scaled,
-                "s4_plain": conc.s4_plain,
-                "b4": conc.b4,
-            }
-        )
-        if i == 0:
-            upper = np.where(
-                np.arange(tree.n_nodes) == 0, flow.voltage_top,
-                flow.voltage[tree.parent],
-            )
-            dump_rows = [
-                (j, int(tree.parent[j]), int(tree.level[j]), tree.weight[j],
-                 tree.resistance[j], flow.theta[j], upper[j], flow.voltage[j],
-                 bounds.bound[j], bounds.margin[j])
-                for j in range(tree.n_nodes)
-            ]
+    records = map_trees(partial(_flow_record, a, b), model, [n], count, cfg["seed"], workers)
     columns = ["edge_id", "parent_id", "level", "X", "r", "theta",
                "voltage_top", "voltage_bottom", "flow_bound", "margin"]
-    paths = [write_table(outdir, "flow_dump", columns, dump_rows, cfg)]
+    paths = [write_table(outdir, "flow_dump", columns, records[0][1], cfg)]
+    report_rows = [report for report, _ in records]
     paths.append(write_report(outdir, "flow_report", {"instances": report_rows}, cfg))
     return paths
 
@@ -359,7 +365,7 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
 def cmd_oracle_check(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     ns = resolve_ns(cfg)
-    rows = oracle_gap_table(model, ns, _count(cfg, "instances"), cfg["seed"])
+    rows = oracle_gap_table(model, ns, _count(cfg, "instances"), cfg["seed"], workers)
     columns = ["instance", "n", "nodes", "gap_R", "gap_theta", "gap_voltage"]
     return [write_table(_outdir(cfg), "oracle_gaps", columns, rows, cfg)]
 
@@ -385,7 +391,7 @@ def cmd_gw(cfg: dict, workers: int) -> list[str]:
         raise ValidationError("model: gw subcommand needs a gw: model")
     n = _single_n(cfg)
     trees = _count(cfg, "trees")
-    report = gw_experiment(model, n, trees, cfg["seed"])
+    report = gw_experiment(model, n, trees, cfg["seed"], workers)
     rows = [
         (j, int(report.b1[j]), report.resistance[j], report.shorted[j],
          report.w_hat[j], report.n_times_c[j])
@@ -489,7 +495,7 @@ _COMMANDS = {
         "dist": "unif:0.5,1.5", "pool_size": 10000, "levels": 8, "seed": 1,
         "format": "csv"}),
     "gw": (cmd_gw, "branching-tree records and root-degree conditioning", {
-        "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
+        "model": "gw:1:0.5,2:0.5", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
         "trees": 1000, "seed": 1, "format": "csv"}),
     "constants": (cmd_constants, "explicit variance/tail bound constants", {
         "dist": "unif:0.5,1.5", "a": None, "b": None, "n": "1..20"}),
@@ -518,8 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in [*options, "out"]:
             sp.add_argument("--" + option.replace("_", "-"), dest=option,
                             default=argparse.SUPPRESS, **_FLAGS[option])
-        # every subcommand takes --workers, also those that never fork: the
-        # acceptance suite and the benchmark append it to every call
+        # every subcommand takes --workers, also fit, constants and rde,
+        # which run in one process: the acceptance suite and the benchmark
+        # append it to every call
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes; never changes output bytes")
     return parser

@@ -263,16 +263,12 @@ class TreeModel:
 
 def sample_offspring(model: TreeModel, rng: "RngStream") -> int:
     """Draw one offspring count (one raw uniform)."""
-    if model.shape == "regular":
-        return int(model.beta)
     _, cum_list, _ = model._offspring_cdf
     idx = min(bisect_right(cum_list, rng.uniform()), len(cum_list) - 1)
     return int(model.offspring[idx][0])
 
 
 def sample_offspring_block(model: TreeModel, rng: "RngStream", size: int) -> np.ndarray:
-    if model.shape == "regular":
-        return np.full(size, int(model.beta), dtype=np.int64)
     cum, _, vals = model._offspring_cdf
     idx = np.minimum(np.searchsorted(cum, rng.uniforms(size), side="right"), len(vals) - 1)
     return vals[idx]
@@ -281,23 +277,6 @@ def sample_offspring_block(model: TreeModel, rng: "RngStream", size: int) -> np.
 # ---------------------------------------------------------------------------
 # depth scaling
 # ---------------------------------------------------------------------------
-
-
-def edge_resistance(level: int, x: float, lam: float) -> float:
-    """Resistance lam**(level-1) * x of an edge at the given level (root edge
-    is level 1)."""
-    if level < 1:
-        raise ValidationError(f"edge level must be >= 1, got {level}")
-    if level > LEVEL_CAP:
-        raise GuardError(f"edge level {level} exceeds the level cap {LEVEL_CAP}")
-    if not (x > 0.0):
-        raise ValidationError(f"edge weight must be > 0, got {x}")
-    if not (lam > 0.0):
-        raise ValidationError(f"scaling base must be > 0, got {lam}")
-    scale = lam ** (level - 1)
-    if not math.isfinite(scale):
-        raise GuardError(f"lam**{level - 1} overflows the working precision")
-    return scale * x
 
 
 def level_scales(lam: float, n_levels: int) -> np.ndarray:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import SampledTree, TreeModel, resistance_of_tree, sample_tree_explicit
+from .evaluate import SampledTree, TreeModel, resistance_of_tree
 from .flows import FlowSolution, solve_flow
-from .model import GuardError, RngStream
+from .model import GuardError
+from .stats import map_trees
 
 ORACLE_GUARD = 2**12
 
@@ -122,19 +123,16 @@ def oracle_compare(tree: SampledTree) -> OracleGaps:
     return OracleGaps(r_gap, theta_gap, v_gap)
 
 
+def _oracle_record(i: int, tree: SampledTree) -> tuple[int, float, float, float]:
+    gaps = oracle_compare(tree)
+    return (tree.n_nodes, gaps.resistance_rel_gap, gaps.max_theta_gap, gaps.max_voltage_gap)
+
+
 def oracle_gap_table(
-    model: TreeModel, ns: list[int], count: int, master_seed: int
+    model: TreeModel, ns: list[int], count: int, master_seed: int, workers: int = 1
 ) -> list[tuple[int, int, int, float, float, float]]:
     """Gap rows (instance, n, nodes, r_gap, theta_gap, voltage_gap) for
     `count` seeded instances of any tree shape, cycling through the depth
     list."""
-    rows = []
-    for i in range(count):
-        n = ns[i % len(ns)]
-        tree = sample_tree_explicit(model, n, RngStream(master_seed, i))
-        gaps = oracle_compare(tree)
-        rows.append(
-            (i, n, tree.n_nodes, gaps.resistance_rel_gap,
-             gaps.max_theta_gap, gaps.max_voltage_gap)
-        )
-    return rows
+    records = map_trees(_oracle_record, model, ns, count, master_seed, workers)
+    return [(i, ns[i % len(ns)], *rec) for i, rec in enumerate(records)]

@@ -13,16 +13,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .evaluate import (
     ResistanceSample,
     _regular_replicates,
-    gw_shorted_resistance,
     gw_w_estimate,
     resistance_of_tree,
     sample_tree_explicit,
+    shorted_resistance_of_tree,
 )
 from .flows import concentration_diagnostics, solve_flow
 from .model import (
@@ -66,14 +67,37 @@ class ReplicateSet:
         return ReplicateSet(n, len(r), master_seed, r, 1.0 / r)
 
 
-def _replicate_chunk(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
-    if model.shape == "regular":
-        return _regular_replicates(model, n, master_seed, j0, j1)
-    out = np.empty(j1 - j0, dtype=np.float64)
-    for j in range(j0, j1):
-        tree = sample_tree_explicit(model, n, RngStream(master_seed, j))
-        out[j - j0] = resistance_of_tree(tree).resistance
-    return out
+def _chunked(task, args: tuple, count: int, workers: int) -> list:
+    """Results of task(*args, j0, j1) over chunks of range(count), in stream
+    order.  Chunks go to a process pool unless workers <= 1 or count < 4;
+    the split never changes a value, since item j depends only on j."""
+    if workers <= 1 or count < 4:
+        return [task(*args, 0, count)]
+    step = -(-count // (workers * 4))
+    bounds = [(j, min(j + step, count)) for j in range(0, count, step)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, *zip(*(args + b for b in bounds))))
+
+
+def _tree_chunk(record, model: TreeModel, ns: list[int], master_seed: int,
+                j0: int, j1: int) -> list:
+    return [
+        record(j, sample_tree_explicit(model, ns[j % len(ns)], RngStream(master_seed, j)))
+        for j in range(j0, j1)
+    ]
+
+
+def map_trees(record, model: TreeModel, ns: list[int], count: int, master_seed: int,
+              workers: int = 1) -> list:
+    """[record(j, tree j) for j in range(count)]: tree j has depth
+    ns[j % len(ns)] and is drawn from stream j.  With workers > 1, record
+    must pickle (a module-level function or a partial of one)."""
+    chunks = _chunked(_tree_chunk, (record, model, ns, master_seed), count, workers)
+    return [rec for chunk in chunks for rec in chunk]
+
+
+def _resistance_record(j: int, tree) -> float:
+    return resistance_of_tree(tree).resistance
 
 
 def run_replicates(
@@ -83,19 +107,11 @@ def run_replicates(
     splits the replicate range but cannot change any value."""
     if m < 1:
         raise ValidationError(f"need at least one replicate, got m={m}")
-    if workers <= 1 or m < 4:
-        resistance = _replicate_chunk(model, n, master_seed, 0, m)
-    else:
-        step = -(-m // (workers * 4))
-        chunks = [(j, min(j + step, m)) for j in range(0, m, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _replicate_chunk,
-                    *zip(*((model, n, master_seed, j0, j1) for j0, j1 in chunks)),
-                )
-            )
+    if model.shape == "regular":
+        parts = _chunked(_regular_replicates, (model, n, master_seed), m, workers)
         resistance = np.concatenate(parts)
+    else:
+        resistance = np.array(map_trees(_resistance_record, model, [n], m, master_seed, workers))
     _check_envelope(model, n, resistance)
     return ReplicateSet(n, m, master_seed, resistance, 1.0 / resistance)
 
@@ -432,22 +448,22 @@ class GwReport:
     median_scaled_product: float
 
 
-def gw_experiment(model: TreeModel, n: int, trees: int, master_seed: int) -> GwReport:
+def _gw_record(n: int, j: int, tree) -> tuple[int, float, float, float]:
+    """(root offspring count, R, level-shorted R, Z_n / lam**n) of one tree."""
+    z_n = int(tree.level_counts()[-1])
+    return (int(np.sum(tree.parent == 0)), resistance_of_tree(tree).resistance,
+            shorted_resistance_of_tree(tree), gw_w_estimate(z_n, tree.lam, n))
+
+
+def gw_experiment(
+    model: TreeModel, n: int, trees: int, master_seed: int, workers: int = 1
+) -> GwReport:
     """Sample branching trees and record, per tree, the exact resistance, the
-    level-shorted series sum, the normalized depth-n population, the root
-    offspring count, and n*C_n; then condition n*C_n on the root count."""
-    lam = model.lam
-    b1 = np.empty(trees, dtype=np.int64)
-    res = np.empty(trees, dtype=np.float64)
-    shorted = np.empty(trees, dtype=np.float64)
-    w_hat = np.empty(trees, dtype=np.float64)
-    for j in range(trees):
-        tree = sample_tree_explicit(model, n, RngStream(master_seed, j))
-        z = tree.level_counts()
-        b1[j] = int(np.sum(tree.parent == 0))
-        res[j] = resistance_of_tree(tree).resistance
-        shorted[j] = gw_shorted_resistance(z, lam)
-        w_hat[j] = gw_w_estimate(int(z[-1]), lam, n)
+    level-shorted resistance (a lower bound on it), the normalized depth-n
+    population, the root offspring count, and n*C_n; then condition n*C_n on
+    the root count."""
+    records = map_trees(partial(_gw_record, n), model, [n], trees, master_seed, workers)
+    b1, res, shorted, w_hat = (np.array(col) for col in zip(*records))
     n_times_c = n / res
     cond = {
         int(v): float(np.mean(n_times_c[b1 == v])) for v in np.unique(b1)
@@ -477,20 +493,18 @@ class EfronSteinReport:
     bound_plain_half: float
 
 
+def _efron_stein_record(a: float, b: float, j: int, tree) -> tuple[float, float, float]:
+    flow = solve_flow(tree)
+    report = concentration_diagnostics(flow, a, b)
+    return flow.resistance, report.s4_scaled, report.s4_plain
+
+
 def efron_stein_diagnostic(
     model: TreeModel, n: int, m: int, master_seed: int
 ) -> EfronSteinReport:
     a, b = model.weights.a, model.weights.b
-    res = np.empty(m, dtype=np.float64)
-    s4s = np.empty(m, dtype=np.float64)
-    s4p = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        tree = sample_tree_explicit(model, n, RngStream(master_seed, j))
-        flow = solve_flow(tree)
-        res[j] = flow.resistance
-        report = concentration_diagnostics(flow, a, b)
-        s4s[j] = report.s4_scaled
-        s4p[j] = report.s4_plain
+    records = map_trees(partial(_efron_stein_record, a, b), model, [n], m, master_seed)
+    res, s4s, s4p = (np.array(col) for col in zip(*records))
     stats = _variable_stats(res)
     spread = (b - a) ** 2
     return EfronSteinReport(

@@ -386,6 +386,20 @@ class TestOtherCommands:
         assert lines[1] == "level,m,mean,var,min,max"
         assert len(lines) == 2 + 6
 
+    @pytest.mark.parametrize("argv, names", [
+        (["gw", "--model", "gw:1:0.5,2:0.5", "--n", "5", "--trees", "9"],
+         ["gw_records.csv", "gw_summary.json"]),
+        (["flows", "--model", "reg:2", "--n", "5", "--instances", "6"],
+         ["flow_dump.csv", "flow_report.json"]),
+        (["oracle-check", "--model", "gw:1:0.5,2:0.5", "--n", "2..5", "--instances", "9"],
+         ["oracle_gaps.csv"]),
+    ], ids=["gw", "flows", "oracle-check"])
+    def test_workers_byte_identical(self, tmp_path, argv, names):
+        main(argv + ["--workers", "1", "--out", str(tmp_path / "w1")])
+        main(argv + ["--workers", "2", "--out", str(tmp_path / "w2")])
+        for name in names:
+            assert read(tmp_path / "w1" / name) == read(tmp_path / "w2" / name)
+
     def test_gw_command(self, tmp_path):
         code = main([
             "gw", "--model", "gw:1:0.5,2:0.5", "--dist", "const:1",
@@ -451,6 +465,16 @@ class TestExitCodes:
                      "--dist", "const:1", "--reps", "1", "--out", str(tmp_path)])
         assert code == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_gw_runs_without_model(self, tmp_path):
+        assert main(["gw", "--n", "3", "--trees", "5", "--out", str(tmp_path)]) == 0
+
+    def test_short_fit_table_names_its_option(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("n,mean_R,se_R\n" + "".join(f"{n},{n}.5,0.1\n" for n in range(2, 6)))
+        code = main(["fit", "--sweep-csv", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: sweep_csv:")
 
     def test_gw_command_needs_gw_model(self, tmp_path):
         assert main(["gw", "--model", "reg:2", "--dist", "const:1",

@@ -12,7 +12,6 @@ from treeohm import (
     derive_seed,
     dist_sample,
     dist_sample_block,
-    edge_resistance,
     level_scales,
     parse_distribution,
     parse_offspring,
@@ -87,27 +86,24 @@ class TestDistributions:
 
 
 class TestEdgeResistance:
+    # an edge at level l with weight x has resistance level_scales(lam, .)[l-1] * x
+
     def test_examples(self):
-        assert edge_resistance(1, 1.3, 2.0) == 1.3
-        assert edge_resistance(3, 1.0, 2.0) == 4.0
-        assert edge_resistance(2, 0.7, 1.5) == pytest.approx(1.05, rel=1e-15)
+        assert level_scales(2.0, 3)[0] * 1.3 == 1.3
+        assert level_scales(2.0, 3)[2] * 1.0 == 4.0
+        assert level_scales(1.5, 2)[1] * 0.7 == pytest.approx(1.05, rel=1e-15)
 
     def test_multiplicative_across_levels(self):
         for lam in (1.5, 2.0, 3.0):
+            scales = level_scales(lam, 40)
             for level in range(1, 40):
-                lhs = edge_resistance(level + 1, 0.7, lam)
-                rhs = lam * edge_resistance(level, 0.7, lam)
-                assert lhs == pytest.approx(rhs, rel=4e-16)
+                assert scales[level] == lam * scales[level - 1]
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            edge_resistance(61, 1.0, 2.0)
-        with pytest.raises(ValidationError):
-            edge_resistance(0, 1.0, 2.0)
-        with pytest.raises(ValidationError):
-            edge_resistance(1, 0.0, 2.0)
-        with pytest.raises(GuardError):
             level_scales(2.0, 61)
+        with pytest.raises(ValidationError):
+            level_scales(2.0, 0)
 
     def test_scales_table_matches_pow(self):
         scales = level_scales(2.0, 20)

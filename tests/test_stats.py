@@ -14,11 +14,14 @@ from treeohm import (
     fit_expectation,
     fit_variance_slope,
     gw_experiment,
+    map_trees,
     rde_init,
     rde_levels,
     rde_step,
+    resistance_of_tree,
     resistance_streaming,
     run_replicates,
+    sample_tree_explicit,
     sweep,
     tail_profile,
     variance_bound_constants,
@@ -102,12 +105,12 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("beta", [2, 3])
     def test_partial_last_block_from_offset_chunk(self, beta):
-        from treeohm.stats import _replicate_chunk
+        from treeohm.evaluate import _regular_replicates
 
         model = TreeModel.regular(beta, _LAWS["unif"], lam=1.3)
         rows = _block_rows(beta, 4)
         j0, j1 = 7, 7 + 2 * rows + 5  # two full blocks, then 5 rows
-        chunk = _replicate_chunk(model, 4, 21, j0, j1)
+        chunk = _regular_replicates(model, 4, 21, j0, j1)
         assert chunk.tolist() == _streamed(model, 4, 21, j0, j1)
         # blocks of a run from 0 start elsewhere; the values do not move
         whole = run_replicates(model, 4, j1, 21).resistance
@@ -348,11 +351,40 @@ class TestBranchingExperiment:
         report = gw_experiment(model, 8, 100, 17)
         assert np.all(report.shorted <= report.resistance + 1e-12)
 
+    def test_shorted_below_exact_at_non_unit_weights(self):
+        model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), WeightDistribution.uniform(0.5, 0.6))
+        report = gw_experiment(model, 6, 50, 3)
+        assert np.all(report.shorted <= report.resistance * (1 + 1e-12))
+
     def test_conditional_means_split_by_root_degree(self):
         model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), WeightDistribution.constant(1.0))
         report = gw_experiment(model, 10, 400, 17)
         assert set(report.cond_mean_nc) == {1, 2}
         assert report.cond_mean_nc[2] > report.cond_mean_nc[1]
+
+
+def _nodes_and_resistance(j, tree):
+    return j, tree.n_nodes, resistance_of_tree(tree).resistance
+
+
+class TestMapTrees:
+    def test_tree_j_from_stream_j_with_cycling_depths(self):
+        model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), WeightDistribution.uniform(0.5, 1.5))
+        ns = [2, 5, 3]
+        records = map_trees(_nodes_and_resistance, model, ns, 7, 11)
+        for j, (jj, nodes, r) in enumerate(records):
+            tree = sample_tree_explicit(model, ns[j % 3], RngStream(11, j))
+            assert (jj, nodes, r) == (j, tree.n_nodes, resistance_of_tree(tree).resistance)
+
+    @pytest.mark.parametrize("shape", ["reg", "gw"])
+    def test_workers_give_the_same_records(self, shape, twopoint_half):
+        if shape == "reg":
+            model = TreeModel.regular(3, twopoint_half)
+        else:
+            model = TreeModel.galton_watson(((1, 0.5), (3, 0.5)), twopoint_half)
+        serial = map_trees(_nodes_and_resistance, model, [4, 2, 3], 9, 5, workers=1)
+        pooled = map_trees(_nodes_and_resistance, model, [4, 2, 3], 9, 5, workers=2)
+        assert pooled == serial
 
 
 class TestEfronSteinDiagnostic:
