@@ -25,7 +25,6 @@ from .model import (
 from .evaluate import (
     ResistanceSample,
     SampledTree,
-    gw_generations,
     gw_shorted_resistance,
     gw_w_estimate,
     resistance_fast,
@@ -46,7 +45,6 @@ from .flows import (
     random_perturbations,
     solve_flow,
     tail_bound_constant,
-    thomson_energy,
 )
 from .oracle import (
     DenseSystem,
@@ -58,7 +56,6 @@ from .oracle import (
     oracle_gap_table,
 )
 from .stats import (
-    EfronSteinReport,
     FitReport,
     GwReport,
     MomentReport,
@@ -66,7 +63,6 @@ from .stats import (
     ReplicateSet,
     TailReport,
     VarianceBound,
-    efron_stein_diagnostic,
     estimate_moments,
     fit_expectation,
     fit_variance_slope,

@@ -1,14 +1,15 @@
 """Batch experiment runner.
 
 Each subcommand declares, in its `_COMMANDS` entry, the options it reads and
-their defaults; `_FLAGS` holds each option's argparse keywords.  Options
+their defaults; `_FLAGS` holds each option's converter and help.  Options
 resolve in three layers: the declared defaults, then a JSON `--config` file,
 then the flags given.  A flag or config key the subcommand does not declare,
-or a config value its flag would not accept, is a validation error.  The
-resolved options are what the handler reads, and, minus `out`, what every
-artifact stamps as its provenance, so a provenance line is a valid `--config`
-for the same subcommand.  Artifact bytes depend only on those options:
-re-running a command, with any worker count, reproduces the files exactly.
+or a flag or config value that its option's converter refuses, is a
+validation error.  The resolved options are what the handler reads, and,
+minus `out`, what every artifact stamps as its provenance, so a provenance
+line is a valid `--config` for the same subcommand.  Artifact bytes depend
+only on those options: re-running a command, with any worker count,
+reproduces the files exactly.
 Exit codes: 0 success, 2 validation problems, 3 guard violations.
 """
 
@@ -63,15 +64,14 @@ def resolve_model(cfg: dict) -> TreeModel:
     if not sep:
         raise ValidationError(f"model: missing ':' in literal {head!r}")
     dist = parse_distribution(cfg["dist"])
-    lam = 0.0 if cfg["lam"] is None else cfg["lam"]
     if head == "reg":
         try:
             beta = int(body)
         except ValueError as exc:
             raise ValidationError(f"model: bad arity {body!r}") from exc
-        return TreeModel.regular(beta, dist, lam=lam)
+        return TreeModel.regular(beta, dist, lam=cfg["lam"])
     if head == "gw":
-        return TreeModel.galton_watson(parse_offspring(body), dist, lam=lam)
+        return TreeModel.galton_watson(parse_offspring(body), dist, lam=cfg["lam"])
     raise ValidationError(f"model: unknown shape {head!r} (want reg: or gw:)")
 
 
@@ -133,11 +133,14 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
             steps = (stop - start) / step if step != 0.0 else math.nan
             if not 0.0 <= steps < math.inf:
                 raise ValidationError(f"t_grid: step {step!r} cannot lead {start!r} to {stop!r}")
-            count = int(round(steps)) + 1
-            return np.linspace(start, stop, count)
-        return np.array([float(s) for s in text.split(",")])
+            grid = np.linspace(start, stop, int(round(steps)) + 1)
+        else:
+            grid = np.array([float(s) for s in text.split(",")])
     except ValueError as exc:
         raise ValidationError(f"t_grid: malformed literal {text!r}") from exc
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"t_grid: entries must be finite, got {text!r}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +286,10 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
     moments = parse_distribution(cfg["dist"]).moments()
     mu = moments.mean if cfg["mu"] is None else cfg["mu"]
     sigma2 = moments.variance if cfg["sigma2"] is None else cfg["sigma2"]
+    if not mu > 0.0:
+        raise ValidationError(f"mu: must be > 0, got {mu}")
+    if not sigma2 >= 0.0:
+        raise ValidationError(f"sigma2: must be >= 0, got {sigma2}")
     try:
         report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
     except ValidationError as exc:
@@ -451,26 +458,41 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     return [write_table(_outdir(cfg), "tails", columns, rows, cfg)]
 
 
-# option -> argparse keywords of its flag, --option with '_' written '-'
+def real(text: str) -> float:
+    """A float option's value: a finite number, so inf and nan are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def table_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"{text!r} is not csv or json")
+    return text
+
+
+# option -> (converter of its flag or config value, help); the flag is
+# --option with '_' written '-'
 _FLAGS = {
-    "model": dict(help="tree literal: reg:BETA or gw:K1:P1,K2:P2,..."),
-    "dist": dict(help="weight literal: const:v | unif:a,b | twopoint:a,b[,p] | disc:v1:p1,..."),
-    "lam": dict(type=float, help="scaling base override"),
-    "n": dict(help="depth: single, list 4,6,8, or range 2..18"),
-    "reps": dict(help="replicates: count or default:V,n:V,... map"),
-    "seed": dict(type=int, help="master seed"),
-    "t_grid": dict(help="tail grid: start:stop:step or comma list"),
-    "pool_size": dict(type=int, help="recursion pool size"),
-    "levels": dict(type=int, help="recursion depth"),
-    "trees": dict(type=int, help="branching sample count"),
-    "instances": dict(type=int, help="instance count"),
-    "a": dict(type=float, help="lower weight bound override"),
-    "b": dict(type=float, help="upper weight bound override"),
-    "mu": dict(type=float, help="weight mean override for fits"),
-    "sigma2": dict(type=float, help="weight variance override for fits"),
-    "sweep_csv": dict(help="sweep table to fit"),
-    "format": dict(choices=("csv", "json"), help="table format"),
-    "out": dict(help=f"output directory (default ${OUTDIR_ENV} or .)"),
+    "model": (str, "tree literal: reg:BETA or gw:K1:P1,K2:P2,..."),
+    "dist": (str, "weight literal: const:v | unif:a,b | twopoint:a,b[,p] | disc:v1:p1,..."),
+    "lam": (real, "scaling base override"),
+    "n": (str, "depth: single, list 4,6,8, or range 2..18"),
+    "reps": (str, "replicates: count or default:V,n:V,... map"),
+    "seed": (int, "master seed"),
+    "t_grid": (str, "tail grid: start:stop:step or comma list"),
+    "pool_size": (int, "recursion pool size"),
+    "levels": (int, "recursion depth"),
+    "trees": (int, "branching sample count"),
+    "instances": (int, "instance count"),
+    "a": (real, "lower weight bound override"),
+    "b": (real, "upper weight bound override"),
+    "mu": (real, "weight mean override for fits"),
+    "sigma2": (real, "weight variance override for fits"),
+    "sweep_csv": (str, "sweep table to fit"),
+    "format": (table_format, "table format: csv or json"),
+    "out": (str, f"output directory (default ${OUTDIR_ENV} or .)"),
 }
 
 # subcommand -> (handler, help, {option: default}); every subcommand also
@@ -523,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags override it")
         for option in [*options, "out"]:
             sp.add_argument("--" + option.replace("_", "-"), dest=option,
-                            default=argparse.SUPPRESS, **_FLAGS[option])
+                            default=argparse.SUPPRESS, help=_FLAGS[option][1])
         # every subcommand takes --workers, also fit, constants and rde,
         # which run in one process: the acceptance suite and the benchmark
         # append it to every call
@@ -532,21 +554,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(option: str, value, default):
-    """A config file value, converted and checked as its flag would be."""
-    if value is None and default is None:
-        return None
-    flag = _FLAGS[option]
-    convert = flag.get("type", str)
+def _convert(option: str, value):
+    """A flag or config value, converted by its option's converter."""
+    convert = _FLAGS[option][0]
     try:
-        converted = convert(str(value))
+        return convert(str(value))
     except ValueError as exc:
         raise ValidationError(
-            f"{option}: config value {value!r} is not a valid {convert.__name__}"
+            f"{option}: {value!r} is not a valid {convert.__name__}"
         ) from exc
-    if converted not in flag.get("choices", (converted,)):
-        raise ValidationError(f"{option}: config value {value!r} is not one of {flag['choices']}")
-    return converted
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -566,8 +582,9 @@ def resolve_options(args: argparse.Namespace) -> dict:
         for option, value in data.items():
             if option not in defaults:
                 raise ValidationError(f"{option}: not an option of {args.command}")
-            cfg[option] = _config_value(option, value, defaults[option])
-    cfg.update((k, v) for k, v in vars(args).items() if k in defaults)
+            if value is not None or defaults[option] is not None:
+                cfg[option] = _convert(option, value)
+    cfg.update((k, _convert(k, v)) for k, v in vars(args).items() if k in defaults)
     return cfg
 
 

@@ -32,16 +32,12 @@ from .model import (
     RngStream,
     TreeModel,
     ValidationError,
-    WeightDistribution,
     _transform,
     dist_sample,
     dist_sample_block,
     level_scales,
     sample_offspring,
-    sample_offspring_block,
 )
-
-_UNIT_WEIGHT = WeightDistribution.constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -331,45 +327,23 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
                        n_levels, model.lam, "gw", None)
 
 
-def resistance_of_tree(tree: SampledTree, replicate: int = -1) -> ResistanceSample:
+def resistance_of_tree(tree: SampledTree) -> ResistanceSample:
     """Series-parallel fold over an explicit tree, bottom level first.
 
     Exact for any tree whose leaves all sit at the bottom level and are held
     at one potential: branches below a node meet again only at the sink, so
-    they combine in parallel.
+    they combine in parallel.  The tree carries no stream id, so the sample's
+    replicate is -1.
     """
     # scales of 1.0 fold the tree's own edge resistances unchanged
     subs, _ = _fold(tree.resistance[tree.order], tree.offsets, np.ones(tree.n_levels), tree.slot)
     r_total = float(subs[0][0])
-    return ResistanceSample(tree.n_levels, replicate, r_total, 1.0 / r_total)
+    return ResistanceSample(tree.n_levels, -1, r_total, 1.0 / r_total)
 
 
 # ---------------------------------------------------------------------------
-# branching-process utilities
+# level-shorted resistance and the normalized population
 # ---------------------------------------------------------------------------
-
-
-def gw_generations(
-    offspring: tuple[tuple[int, float], ...],
-    n: int,
-    rng: RngStream,
-    population_guard: int = MEMORY_GUARD,
-) -> np.ndarray:
-    """Generation sizes (Z_0, ..., Z_n): Z_0 = 1, each node begets i.i.d.
-    offspring.  Draws happen generation by generation in one block each."""
-    model = TreeModel.galton_watson(offspring, _UNIT_WEIGHT)
-    z = np.empty(n + 1, dtype=np.int64)
-    z[0] = 1
-    total = 1
-    for i in range(n):
-        counts = sample_offspring_block(model, rng, int(z[i]))
-        z[i + 1] = int(counts.sum())
-        total += int(z[i + 1])
-        if total > population_guard:
-            raise GuardError(
-                f"branching population exceeded the {population_guard}-node guard"
-            )
-    return z
 
 
 def gw_shorted_resistance(z: np.ndarray, lam: float) -> float:

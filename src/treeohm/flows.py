@@ -63,13 +63,6 @@ def _energy(tree: SampledTree, theta: np.ndarray) -> float:
     return float(np.sum(tree.resistance * theta * theta))
 
 
-def thomson_energy(flow: FlowSolution, tree: SampledTree) -> float:
-    """Energy sum r_e * theta_e^2 of a unit flow on the given tree."""
-    if flow.theta.shape[0] != tree.n_nodes:
-        raise ValidationError("flow and tree sizes disagree")
-    return _energy(tree, flow.theta)
-
-
 def _path_to_root(tree: SampledTree, node: int) -> list[int]:
     path = []
     while node != -1:
@@ -97,14 +90,13 @@ def perturb_flow(flow: FlowSolution, leaf1: int, leaf2: int, eps: float) -> Flow
     return FlowSolution(tree, theta, None, None, flow.resistance, _energy(tree, theta))
 
 
-def random_perturbations(
-    flow: FlowSolution,
-    count: int,
-    rng,
-    eps_values: tuple[float, ...] = (1e-3, -1e-3, 1e-2, -1e-2),
-) -> float:
-    """Apply `count` random leaf-pair perturbations (eps cycling through the
-    grid) and return the minimum perturbed energy."""
+# shifts that random_perturbations cycles through
+_EPS_GRID = (1e-3, -1e-3, 1e-2, -1e-2)
+
+
+def random_perturbations(flow: FlowSolution, count: int, rng) -> float:
+    """Apply `count` random leaf-pair perturbations (eps cycling through
+    _EPS_GRID) and return the minimum perturbed energy."""
     leaves = flow.tree.leaf_ids()
     n_leaves = len(leaves)
     if n_leaves < 2:
@@ -115,7 +107,7 @@ def random_perturbations(
         j = int(rng.integers(0, n_leaves - 1))
         if j >= i:
             j += 1
-        eps = eps_values[k % len(eps_values)]
+        eps = _EPS_GRID[k % len(_EPS_GRID)]
         perturbed = perturb_flow(flow, int(leaves[i]), int(leaves[j]), eps)
         best = min(best, perturbed.energy)
     return best
@@ -196,22 +188,26 @@ def concentration_diagnostics(flow: FlowSolution, a: float, b: float) -> Concent
     return ConcentrationReport(s4_scaled, s4_plain, b4)
 
 
-def tail_bound_constant(a: float, b: float, n_max: int = 200) -> float:
+# depths scanned for the sup in tail_bound_constant
+_N_SCAN = 200
+
+
+def tail_bound_constant(a: float, b: float) -> float:
     """Constant C(a, b) for the sub-Gaussian deviation bound 2*exp(-t^2/(4C)).
 
     C = (2^4 b^4 (b-a)^2 / a^4) * sup_n flow_bound_sum(n).  The sup is taken
-    numerically over n <= n_max; the scan asserts the sequence is decreasing
+    numerically over n <= _N_SCAN; the scan asserts the sequence is decreasing
     well before the cutoff (it rises to a single hump near n = 6 and falls
     back toward 1), so truncation is safe.
     """
     if not (0.0 < a <= b):
         raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
-    sums = [flow_bound_sum(n) for n in range(1, n_max + 1)]
+    sums = [flow_bound_sum(n) for n in range(1, _N_SCAN + 1)]
     best = max(sums)
     arg = sums.index(best)
-    if arg > n_max - 50:
+    if arg > _N_SCAN - 50:
         raise RuntimeError("flow bound sum still rising near the scan cutoff")
-    tail = sums[max(arg, n_max - 50):]
+    tail = sums[max(arg, _N_SCAN - 50):]
     if any(tail[k] < tail[k + 1] for k in range(len(tail) - 1)):
         raise RuntimeError("flow bound sum not decreasing past its peak")
     return (2.0**4 * b**4 * (b - a) ** 2 / a**4) * best

@@ -35,6 +35,17 @@ class GuardError(RuntimeError):
     (maps to CLI exit code 3)."""
 
 
+def _check_probability(what: str, p: float) -> None:
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ValidationError(f"{what} probability {p} must be finite and >= 0")
+
+
+def _check_total(what: str, total: float) -> None:
+    # written so that a NaN total fails
+    if not abs(total - 1.0) <= _PROB_TOL:
+        raise ValidationError(f"{what} probabilities sum to {total!r}, not 1")
+
+
 # ---------------------------------------------------------------------------
 # weight distributions
 # ---------------------------------------------------------------------------
@@ -67,9 +78,9 @@ class WeightDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "uniform", "twopoint", "discrete"):
             raise ValidationError(f"dist: unknown kind {self.kind!r}")
-        if not (self.a > 0.0):
+        if not (self.a > 0.0 and math.isfinite(self.b)):
             raise ValidationError(
-                f"dist: lower support bound a={self.a} must be > 0"
+                f"dist: support bounds a={self.a}, b={self.b} must be finite with a > 0"
             )
         if self.a > self.b:
             raise ValidationError(
@@ -78,18 +89,13 @@ class WeightDistribution:
         if self.kind != "uniform":
             if not self.atoms:
                 raise ValidationError(f"dist: kind {self.kind} needs atoms")
-            total = math.fsum(p for _, p in self.atoms)
-            if abs(total - 1.0) > _PROB_TOL:
-                raise ValidationError(
-                    f"dist: atom probabilities sum to {total!r}, not 1"
-                )
             for v, p in self.atoms:
-                if p < 0.0:
-                    raise ValidationError(f"dist: negative probability {p}")
-                if v < self.a or v > self.b:
+                _check_probability("dist: atom", p)
+                if not (self.a <= v <= self.b):
                     raise ValidationError(
                         f"dist: atom {v} outside support [{self.a}, {self.b}]"
                     )
+            _check_total("dist: atom", math.fsum(p for _, p in self.atoms))
 
     # -- constructors -------------------------------------------------------
 
@@ -195,7 +201,7 @@ class TreeModel:
     weights: WeightDistribution
     beta: int | None = None
     offspring: tuple[tuple[int, float], ...] | None = None
-    lam: float = 0.0  # 0 means "use the default": beta, or the offspring mean
+    lam: float | None = None  # None means "derive": beta, or the offspring mean
 
     def __post_init__(self) -> None:
         if self.shape not in ("regular", "gw"):
@@ -208,24 +214,19 @@ class TreeModel:
         else:
             if not self.offspring:
                 raise ValidationError("model: gw shape needs an offspring pmf")
-            total = math.fsum(p for _, p in self.offspring)
-            if abs(total - 1.0) > _PROB_TOL:
-                raise ValidationError(
-                    f"model: offspring probabilities sum to {total!r}, not 1"
-                )
             for k, p in self.offspring:
+                _check_probability("model: offspring", p)
                 if k == 0 and p > 0.0:
                     raise ValidationError(
                         "model: offspring law puts mass at zero children"
                     )
                 if k < 0 or k != int(k):
                     raise ValidationError(f"model: bad offspring count {k}")
-                if p < 0.0:
-                    raise ValidationError(f"model: negative offspring probability {p}")
-        if self.lam == 0.0:
+            _check_total("model: offspring", math.fsum(p for _, p in self.offspring))
+        if self.lam is None:
             object.__setattr__(self, "lam", self.offspring_mean())
-        if not (self.lam > 0.0) or not math.isfinite(self.lam):
-            raise ValidationError(f"model: scaling base lam={self.lam} must be > 0")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValidationError(f"lam: scaling base must be finite and > 0, got {self.lam}")
 
     # -- offspring helpers --------------------------------------------------
 
@@ -234,44 +235,29 @@ class TreeModel:
             return float(self.beta)
         return float(math.fsum(k * p for k, p in self.offspring))
 
-    def offspring_variance(self) -> float:
-        if self.shape == "regular":
-            return 0.0
-        m = self.offspring_mean()
-        m2 = math.fsum(k * k * p for k, p in self.offspring)
-        return max(m2 - m * m, 0.0)
-
     @cached_property
-    def _offspring_cdf(self) -> tuple[np.ndarray, list[float], np.ndarray]:
-        """Cumulative offspring probabilities (array and list) and the
-        offspring counts, built once per gw model."""
-        cum = np.cumsum([p for _, p in self.offspring])
-        return cum, cum.tolist(), np.array([k for k, _ in self.offspring], dtype=np.int64)
+    def _offspring_cdf(self) -> list[float]:
+        """Cumulative offspring probabilities, built once per gw model."""
+        return np.cumsum([p for _, p in self.offspring]).tolist()
 
     @staticmethod
-    def regular(beta: int, weights: WeightDistribution, lam: float = 0.0) -> "TreeModel":
+    def regular(beta: int, weights: WeightDistribution, lam: float | None = None) -> "TreeModel":
         return TreeModel("regular", weights, beta=beta, lam=lam)
 
     @staticmethod
     def galton_watson(
         offspring: Iterable[tuple[int, float]],
         weights: WeightDistribution,
-        lam: float = 0.0,
+        lam: float | None = None,
     ) -> "TreeModel":
         return TreeModel("gw", weights, offspring=tuple(offspring), lam=lam)
 
 
 def sample_offspring(model: TreeModel, rng: "RngStream") -> int:
     """Draw one offspring count (one raw uniform)."""
-    _, cum_list, _ = model._offspring_cdf
-    idx = min(bisect_right(cum_list, rng.uniform()), len(cum_list) - 1)
+    cum = model._offspring_cdf
+    idx = min(bisect_right(cum, rng.uniform()), len(cum) - 1)
     return int(model.offspring[idx][0])
-
-
-def sample_offspring_block(model: TreeModel, rng: "RngStream", size: int) -> np.ndarray:
-    cum, _, vals = model._offspring_cdf
-    idx = np.minimum(np.searchsorted(cum, rng.uniforms(size), side="right"), len(vals) - 1)
-    return vals[idx]
 
 
 # ---------------------------------------------------------------------------

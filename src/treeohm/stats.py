@@ -18,14 +18,12 @@ from functools import partial
 import numpy as np
 
 from .evaluate import (
-    ResistanceSample,
     _regular_replicates,
     gw_w_estimate,
     resistance_of_tree,
     sample_tree_explicit,
     shorted_resistance_of_tree,
 )
-from .flows import concentration_diagnostics, solve_flow
 from .model import (
     RngStream,
     TreeModel,
@@ -54,12 +52,6 @@ class ReplicateSet:
     master_seed: int
     resistance: np.ndarray
     conductance: np.ndarray
-
-    def samples(self):
-        for j in range(self.m):
-            yield ResistanceSample(
-                self.n, j, float(self.resistance[j]), float(self.conductance[j])
-            )
 
     @staticmethod
     def from_values(n: int, resistance: np.ndarray, master_seed: int = 0) -> "ReplicateSet":
@@ -472,43 +464,3 @@ def gw_experiment(
     median_prod = float(np.median((res / n) * w_hat))
     return GwReport(n, trees, b1, res, shorted, w_hat, n_times_c,
                     cond, corr, median_prod)
-
-
-@dataclass(frozen=True)
-class EfronSteinReport:
-    """Sample variance of R against the resample-difference flow bound.
-
-    bound_scaled uses the depth-scaled fourth-power sum (the form the tail
-    argument needs); bound_plain_half is the unscaled variant sometimes
-    quoted, reported for comparison only.
-    """
-
-    n: int
-    m: int
-    var_r: float
-    se_var_r: float
-    mean_s4_scaled: float
-    mean_s4_plain: float
-    bound_scaled: float
-    bound_plain_half: float
-
-
-def _efron_stein_record(a: float, b: float, j: int, tree) -> tuple[float, float, float]:
-    flow = solve_flow(tree)
-    report = concentration_diagnostics(flow, a, b)
-    return flow.resistance, report.s4_scaled, report.s4_plain
-
-
-def efron_stein_diagnostic(
-    model: TreeModel, n: int, m: int, master_seed: int
-) -> EfronSteinReport:
-    a, b = model.weights.a, model.weights.b
-    records = map_trees(partial(_efron_stein_record, a, b), model, [n], m, master_seed)
-    res, s4s, s4p = (np.array(col) for col in zip(*records))
-    stats = _variable_stats(res)
-    spread = (b - a) ** 2
-    return EfronSteinReport(
-        n, m, stats.variance, stats.se_variance,
-        float(np.mean(s4s)), float(np.mean(s4p)),
-        spread * float(np.mean(s4s)), 0.5 * spread * float(np.mean(s4p)),
-    )

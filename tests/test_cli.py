@@ -159,9 +159,12 @@ class TestOptionDeclarations:
         ("sample", "{seed: 1", "config"),
         ("sample", '{"trees": 5}', "trees"),
         ("constants", '{"format": "csv"}', "format"),
+        ("sample", '{"lam": Infinity}', "lam"),
+        ("constants", '{"a": NaN}', "a"),
+        ("fit", '{"sigma2": -Infinity}', "sigma2"),
     ], ids=["seed-abc", "lam-x", "instances-2.5", "seed-null", "seed-true",
             "format-xml", "not-an-object", "invalid-json", "key-of-gw",
-            "format-of-tables"])
+            "format-of-tables", "lam-inf", "a-nan", "sigma2-minus-inf"])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, text, option):
         path = tmp_path / "conf.json"
         path.write_text(text)
@@ -475,6 +478,35 @@ class TestExitCodes:
         code = main(["fit", "--sweep-csv", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: sweep_csv:")
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sample", "--n", "3", "--dist", "unif:1,inf"], "dist"),
+        (["sample", "--n", "3", "--dist", "disc:1:0.5,inf:0.5"], "dist"),
+        (["sample", "--n", "3", "--dist", "disc:1:nan,2:1"], "dist"),
+        (["sample", "--n", "3", "--dist", "disc:1:0.5,nan:0.25,2:0.25"], "dist"),
+        (["gw", "--model", "gw:2:nan", "--lam", "2", "--n", "3", "--trees", "5"], "model"),
+        (["oracle-check", "--dist", "const:inf", "--n", "2", "--instances", "1"], "dist"),
+        (["constants", "--b", "inf"], "b"),
+        (["flows", "--n", "3", "--a", "nan"], "a"),
+        (["tails", "--n", "3", "--t-grid", "0.5,nan"], "t_grid"),
+        (["sample", "--n", "3", "--lam", "0"], "lam"),
+        (["sample", "--n", "3", "--lam", "-0.0"], "lam"),
+        (["sample", "--n", "3", "--lam", "inf"], "lam"),
+        (["fit", "--mu", "0"], "mu"),
+        (["fit", "--mu", "nan"], "mu"),
+        (["fit", "--sigma2", "-1"], "sigma2"),
+    ], ids=["unif-inf", "disc-inf", "disc-nan-prob", "disc-nan-value", "gw-nan-prob",
+            "const-inf", "b-inf", "a-nan", "t-grid-nan", "lam-0", "lam-minus-0",
+            "lam-inf", "mu-0", "mu-nan", "sigma2-negative"])
+    def test_out_of_domain_number_rejected(self, tmp_path, capsys, argv, option):
+        if argv[0] == "fit":
+            table = tmp_path / "sweep.csv"
+            table.write_text("n,mean_R,se_R\n" + "".join(f"{n},{n}.5,0.1\n" for n in range(2, 10)))
+            argv = argv + ["--sweep-csv", str(table)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option}:")
+        assert not out.exists()
 
     def test_gw_command_needs_gw_model(self, tmp_path):
         assert main(["gw", "--model", "reg:2", "--dist", "const:1",

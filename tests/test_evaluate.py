@@ -7,7 +7,6 @@ from treeohm import (
     TreeModel,
     ValidationError,
     WeightDistribution,
-    gw_generations,
     gw_shorted_resistance,
     gw_w_estimate,
     kirchhoff_solve,
@@ -136,13 +135,19 @@ class TestRayleighMonotonicity:
             assert resistance_of_tree(bumped).resistance >= base - 1e-12
 
 
+def generations(offspring, n, rng):
+    """Generation sizes (Z_0, ..., Z_n) of a unit-weight branching tree."""
+    model = TreeModel.galton_watson(offspring, WeightDistribution.constant(1.0))
+    return sample_tree_explicit(model, n, rng).level_counts()
+
+
 class TestBranchingUtilities:
     def test_generations_deterministic(self):
-        assert gw_generations(((2, 1.0),), 3, RngStream(0)).tolist() == [1, 2, 4, 8]
-        assert gw_generations(((1, 1.0),), 5, RngStream(0)).tolist() == [1] * 6
+        assert generations(((2, 1.0),), 3, RngStream(0)).tolist() == [1, 2, 4, 8]
+        assert generations(((1, 1.0),), 5, RngStream(0)).tolist() == [1] * 6
 
     def test_generations_support(self):
-        z = gw_generations(((1, 0.5), (2, 0.5)), 2, RngStream(42))
+        z = generations(((1, 0.5), (2, 0.5)), 2, RngStream(42))
         assert z[0] == 1
         assert z[1] in (1, 2)
         assert z[1] <= z[2] <= 2 * z[1]
@@ -194,7 +199,7 @@ class TestBranchingUtilities:
         assert gw_w_estimate(2**7, 2.0, 7) == 1.0
         assert gw_w_estimate(3**4, 3.0, 4) == 1.0
         for seed in range(5):
-            z = gw_generations(((1, 0.5), (2, 0.5)), 6, RngStream(31, seed))
+            z = generations(((1, 0.5), (2, 0.5)), 6, RngStream(31, seed))
             w = gw_w_estimate(int(z[-1]), 1.5, 6)
             assert (1 / 1.5) ** 6 <= w <= (2 / 1.5) ** 6
 

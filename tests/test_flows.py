@@ -15,7 +15,6 @@ from treeohm import (
     sample_tree_explicit,
     solve_flow,
     tail_bound_constant,
-    thomson_energy,
 )
 from tests.conftest import assert_node_law, build_tree
 
@@ -95,7 +94,7 @@ class TestSolveFlow:
     def test_energy_equals_resistance(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 9, RngStream(8))
         flow = solve_flow(tree)
-        assert thomson_energy(flow, tree) == pytest.approx(
+        assert flow.energy == pytest.approx(
             resistance_of_tree(tree).resistance, rel=1e-9
         )
 

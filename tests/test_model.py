@@ -126,7 +126,6 @@ class TestModelValidation:
             [(1, 0.5), (2, 0.5)], WeightDistribution.constant(1.0)
         )
         assert m.lam == 1.5
-        assert m.offspring_variance() == pytest.approx(0.25)
 
     def test_arity_too_small(self):
         with pytest.raises(ValidationError):

@@ -49,7 +49,7 @@ def weight_laws(draw):
     )
 
 
-_LAMS = st.one_of(st.just(0.0), st.floats(0.5, 2.5))  # 0.0 = the model's default
+_LAMS = st.one_of(st.just(None), st.floats(0.5, 2.5))  # None = the model's default
 
 
 @st.composite
@@ -88,6 +88,19 @@ def test_regular_routes_bit_identical(case):
     batch = run_replicates(model, n, 3, seed).resistance
     assert batch.tolist() == [resistance_streaming(model, n, RngStream(seed, j)).resistance
                               for j in range(3)]
+
+
+@PROPERTY
+@given(st.one_of(regular_cases(), gw_cases()), st.integers(0, 5))
+def test_explicit_tree_draw_contract(case, j):
+    # one uniform per edge, then one offspring draw per internal gw node
+    model, n, seed = case
+    rng = RngStream(seed, j)
+    tree = sample_tree_explicit(model, n, rng)
+    k = tree.n_nodes
+    if model.shape == "gw":
+        k += int(np.sum(tree.level < tree.n_levels))
+    assert rng.uniform() == RngStream(seed, j).uniforms(k + 1)[k]
 
 
 @PROPERTY
