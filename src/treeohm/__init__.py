@@ -16,7 +16,6 @@ from .model import (
     ValidationError,
     WeightDistribution,
     derive_seed,
-    dist_sample,
     dist_sample_block,
     level_scales,
     parse_distribution,

@@ -223,6 +223,16 @@ def _count(cfg: dict, name: str) -> int:
     return cfg[name]
 
 
+def _envelope(cfg: dict, dist) -> tuple[float, float]:
+    """(a, b) from the options, else the law; a bad pair names b if b is set and a > 0."""
+    a = dist.a if cfg["a"] is None else cfg["a"]
+    b = dist.b if cfg["b"] is None else cfg["b"]
+    if not 0.0 < a <= b:
+        name = "a" if cfg["b"] is None or not a > 0.0 else "b"
+        raise ValidationError(f"{name}: need 0 < a <= b, got a={a}, b={b}")
+    return a, b
+
+
 def _single_n(cfg: dict) -> int:
     ns = resolve_ns(cfg)
     if len(ns) != 1:
@@ -357,8 +367,7 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
     count = _count(cfg, "instances")
-    a = cfg["a"] if cfg["a"] is not None else model.weights.a
-    b = cfg["b"] if cfg["b"] is not None else model.weights.b
+    a, b = _envelope(cfg, model.weights)
     outdir = _outdir(cfg)
     records = map_trees(partial(_flow_record, a, b), model, [n], count, cfg["seed"], workers)
     columns = ["edge_id", "parent_id", "level", "X", "r", "theta",
@@ -418,8 +427,7 @@ def cmd_gw(cfg: dict, workers: int) -> list[str]:
 
 def cmd_constants(cfg: dict, workers: int) -> list[str]:
     dist = parse_distribution(cfg["dist"])
-    a = cfg["a"] if cfg["a"] is not None else dist.a
-    b = cfg["b"] if cfg["b"] is not None else dist.b
+    a, b = _envelope(cfg, dist)
     var_recip = dist.moments().recip_variance
     ns = resolve_ns(cfg)
     chain = variance_bound_constants(a, b, var_recip, ns[0])
@@ -444,9 +452,8 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     t_grid = resolve_t_grid(cfg)
+    a, b = _envelope(cfg, model.weights)
     batch = run_replicates(model, n, m, cfg["seed"], workers)
-    a = cfg["a"] if cfg["a"] is not None else model.weights.a
-    b = cfg["b"] if cfg["b"] is not None else model.weights.b
     constant = tail_bound_constant(a, b)
     report = tail_profile(batch, t_grid, constant)
     rows = [

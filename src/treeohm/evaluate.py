@@ -1,12 +1,12 @@
 """Exact effective resistance of sampled trees via series-parallel reduction.
 
 Three evaluation routes produce bit-identical resistances for the same
-stream: a memory-light recursive evaluator (resistance_streaming), and one
-vectorized level fold (_fold) reached from full regular trees
-(resistance_fast) and from explicit trees of any shape (sample_tree_explicit
-+ resistance_of_tree).  All of them draw one uniform per edge in depth-first
-pre-order with children visited left to right, and combine children in
-conductance space, summed left to right, with a single reciprocal per node.
+stream: a memory-light recursion (resistance_streaming), and one vectorized
+level fold (_fold) reached from full regular trees (resistance_fast) and from
+explicit trees of any shape (sample_tree_explicit + resistance_of_tree).  All
+of them draw one uniform per edge in depth-first pre-order, in blocks, with
+children visited left to right, and combine children in conductance space,
+summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.
 
@@ -32,11 +32,10 @@ from .model import (
     RngStream,
     TreeModel,
     ValidationError,
+    _inverse_cdf,
     _transform,
-    dist_sample,
     dist_sample_block,
     level_scales,
-    sample_offspring,
 )
 
 
@@ -241,19 +240,21 @@ def _check_depth(n: int) -> None:
 def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> ResistanceSample:
     """Effective resistance of a depth-n regular tree without materializing it.
 
-    Depth-first recursion in O(n) memory: each call draws the edge weight,
-    then resolves its children left to right and combines them in parallel.
+    Depth-first recursion in O(n) memory, plus one block of at most
+    _BLOCK_UNIFORMS weights: each call takes the next edge weight, then
+    resolves its children left to right and combines them in parallel.
     """
     if model.shape != "regular":
         raise ValidationError("streaming evaluation requires the regular shape")
     _check_depth(n)
     scales = level_scales(model.lam, n)
     beta = int(model.beta)
-    dist = model.weights
+    edges = (beta**n - 1) // (beta - 1)
+    weights = (x for b0 in range(0, edges, _BLOCK_UNIFORMS) for x in dist_sample_block(
+        model.weights, rng, min(_BLOCK_UNIFORMS, edges - b0)).tolist())
 
     def rec(lvl: int) -> float:
-        x = dist_sample(dist, rng)
-        r = scales[lvl - 1] * x
+        r = scales[lvl - 1] * next(weights)
         if lvl == n:
             return r
         c = 0.0
@@ -279,7 +280,10 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
 
     Regular shape consumes one uniform per edge; the branching shape
     additionally draws one offspring count per internal node, right after
-    that node's weight.
+    that node's weight.  The branching walk draws uniforms in blocks of
+    exactly the count the pending nodes are certain to consume (a node at
+    level l draws at least 2*(n_levels - l) + 1 on its way down to a leaf),
+    so it never draws past the tree: nodes + internal nodes in all.
     """
     _check_depth(n)
     if model.shape == "regular":
@@ -302,26 +306,34 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
                          f"{MEMORY_GUARD}-node guard")
     parents: list[int] = []
     levels: list[int] = []
-    weights: list[float] = []
+    blocks: list[np.ndarray] = []
+    kids: list[int] = []  # the offspring count each drawn uniform would give
+    pos = 0  # next unread uniform
     stack = [(1, -1)]
     while stack:
         lvl, par = stack.pop()
+        internal = lvl < n_levels
+        if pos + internal >= len(kids):
+            # the pending nodes and this one are certain to draw this many
+            due = sum(2 * (n_levels - l) + 1 for l, _ in stack) + 2 * (n_levels - lvl) + 1
+            u = rng.uniforms(due - (len(kids) - pos))
+            blocks.append(u)
+            kids += _inverse_cdf(*model._offspring_cdf, u).tolist()
         i = len(parents)
         if i >= MEMORY_GUARD:
-            raise GuardError(
-                f"branching tree exceeded the {MEMORY_GUARD}-node guard "
-                f"(realized {i} nodes)"
-            )
+            raise GuardError(f"branching tree exceeded the {MEMORY_GUARD}-node guard "
+                             f"(realized {i} nodes)")
         parents.append(par)
         levels.append(lvl)
-        weights.append(dist_sample(model.weights, rng))
-        if lvl < n_levels:
-            b = sample_offspring(model, rng)
-            for _ in range(b):
-                stack.append((lvl + 1, i))
+        stack += [(lvl + 1, i)] * (kids[pos + 1] if internal else 0)
+        pos += 1 + internal
     parent = np.array(parents, dtype=np.int64)
     level = np.array(levels, dtype=np.int64)
-    weight = np.array(weights, dtype=np.float64)
+    # node i's weight uniform comes after i weights and the offspring draws
+    # of the internal nodes before it
+    has_kids = level < n_levels
+    wpos = np.arange(len(level)) + np.cumsum(has_kids) - has_kids
+    weight = _transform(model.weights, np.concatenate(blocks)[wpos])
     resistance = weight * scales[level - 1]
     return SampledTree(parent, level, weight, resistance,
                        n_levels, model.lam, "gw", None)

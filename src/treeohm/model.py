@@ -2,6 +2,8 @@
 
 Everything downstream (evaluators, flow solver, Monte Carlo engine) builds on
 the three types defined here: WeightDistribution, TreeModel and RngStream.
+Every draw maps a block of a stream's uniforms through array functions
+(_transform, _inverse_cdf), so a uniform's draw does not depend on the block.
 Resistances follow the depth scaling r_e = lam**(level-1) * X_e, where the
 level of an edge counts the edges on the root-to-edge path inclusive (the
 root edge has level 1).
@@ -10,7 +12,6 @@ root edge has level 1).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -147,40 +148,30 @@ class WeightDistribution:
         return Moments(mean, var, m2, rmean, rvar)
 
     @cached_property
-    def _cdf(self) -> tuple[np.ndarray, list[float], np.ndarray]:
-        """Cumulative atom probabilities (as an array and as a list for
-        scalar bisection) and the atom values, built once per law."""
-        cum = np.cumsum([p for _, p in self.atoms])
-        return cum, cum.tolist(), np.array([v for v, _ in self.atoms])
+    def _cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative atom probabilities and the atom values, built once per law."""
+        return np.cumsum([p for _, p in self.atoms]), np.array([v for v, _ in self.atoms])
 
 
-def _transform(dist: WeightDistribution, u):
-    """Map uniforms on [0,1) to weight draws.  Works elementwise on scalars
-    and arrays with bit-identical results, so block draws match repeated
-    single draws from the same stream."""
-    if dist.kind == "constant":
-        v = dist.atoms[0][0]
-        return np.full_like(np.asarray(u, dtype=np.float64), v) if np.ndim(u) else v
-    if dist.kind == "uniform":
+def _inverse_cdf(cum: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """vals[i] for the first cum[i] > u; the clamp guards u ~ 1 under rounding."""
+    return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
+
+
+def _transform(dist: WeightDistribution, u: np.ndarray) -> np.ndarray:
+    """Map an array of uniforms on [0,1) to weight draws, elementwise, so a
+    uniform gives the same weight bits wherever a block split puts it."""
+    if dist.kind in ("uniform", "constant"):  # a constant law has a == b
         return dist.a + (dist.b - dist.a) * u
     if dist.kind == "twopoint":
         (lo, p), (hi, _) = dist.atoms
-        return np.where(np.asarray(u) < p, lo, hi) if np.ndim(u) else (lo if u < p else hi)
-    cum, cum_list, vals = dist._cdf
-    # the len - 1 clamp guards the u ~ 1 edge under prob rounding
-    if np.ndim(u):
-        return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
-    return float(vals[min(bisect_right(cum_list, u), len(vals) - 1)])
-
-
-def dist_sample(dist: WeightDistribution, rng: "RngStream") -> float:
-    """Draw one weight.  Consumes exactly one raw uniform for every kind."""
-    return float(_transform(dist, rng.uniform()))
+        return np.where(u < p, lo, hi)
+    return _inverse_cdf(*dist._cdf, u)
 
 
 def dist_sample_block(dist: WeightDistribution, rng: "RngStream", size: int) -> np.ndarray:
-    """Draw `size` weights in one block; bit-identical to `size` single draws."""
-    return np.asarray(_transform(dist, rng.uniforms(size)), dtype=np.float64)
+    """Draw `size` weights in one block (one raw uniform each)."""
+    return _transform(dist, rng.uniforms(size))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +227,10 @@ class TreeModel:
         return float(math.fsum(k * p for k, p in self.offspring))
 
     @cached_property
-    def _offspring_cdf(self) -> list[float]:
-        """Cumulative offspring probabilities, built once per gw model."""
-        return np.cumsum([p for _, p in self.offspring]).tolist()
+    def _offspring_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative offspring probabilities and the counts, built once per model."""
+        return (np.cumsum([p for _, p in self.offspring]),
+                np.array([k for k, _ in self.offspring], dtype=np.int64))
 
     @staticmethod
     def regular(beta: int, weights: WeightDistribution, lam: float | None = None) -> "TreeModel":
@@ -251,13 +243,6 @@ class TreeModel:
         lam: float | None = None,
     ) -> "TreeModel":
         return TreeModel("gw", weights, offspring=tuple(offspring), lam=lam)
-
-
-def sample_offspring(model: TreeModel, rng: "RngStream") -> int:
-    """Draw one offspring count (one raw uniform)."""
-    cum = model._offspring_cdf
-    idx = min(bisect_right(cum, rng.uniform()), len(cum) - 1)
-    return int(model.offspring[idx][0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +276,8 @@ class RngStream:
     """One deterministic random stream, keyed by (master_seed, stream_index).
 
     Distinct stream indices give statistically independent streams (the pair
-    is fed through SeedSequence spawn keys).  Block draws and repeated single
-    draws produce the same underlying sequence, which the evaluators rely on.
+    is fed through SeedSequence spawn keys).  A draw split into blocks anywhere
+    yields the same uniforms as one block; the branching sampler relies on it.
     """
 
     master_seed: int
@@ -304,9 +289,6 @@ class RngStream:
             raise ValidationError("seed and stream index must be non-negative")
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         object.__setattr__(self, "_gen", np.random.Generator(np.random.PCG64(ss)))
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
 
     def uniforms(self, size: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next `size` uniforms; with `out` (a float64 array of that

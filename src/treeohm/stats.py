@@ -98,7 +98,7 @@ def run_replicates(
     """Evaluate m replicates; replicate j uses stream j.  The worker count
     splits the replicate range but cannot change any value."""
     if m < 1:
-        raise ValidationError(f"need at least one replicate, got m={m}")
+        raise ValidationError(f"reps: need at least one replicate, got m={m}")
     if model.shape == "regular":
         parts = _chunked(_regular_replicates, (model, n, master_seed), m, workers)
         resistance = np.concatenate(parts)
@@ -169,7 +169,7 @@ class MomentReport:
 
 def estimate_moments(samples: ReplicateSet) -> MomentReport:
     if samples.m < 2:
-        raise ValidationError(f"moment estimation needs m >= 2, got {samples.m}")
+        raise ValidationError(f"reps: moment estimation needs m >= 2, got {samples.m}")
     return MomentReport(
         samples.n,
         samples.m,
@@ -205,7 +205,7 @@ def tail_profile(
     intervals and, when a constant C is supplied, the reference curve
     2*exp(-t^2/(4C))."""
     if samples.m < 100:
-        raise ValidationError(f"tail estimation needs m >= 100, got {samples.m}")
+        raise ValidationError(f"reps: tail estimation needs m >= 100, got {samples.m}")
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=np.float64)
     x = samples.resistance
     m = samples.m

@@ -1,7 +1,9 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
-from treeohm import SampledTree, TreeModel, WeightDistribution
+from treeohm import SampledTree, TreeModel, WeightDistribution, level_scales
 
 
 def build_tree(parent, level, weight, lam, shape, beta=None):
@@ -20,6 +22,38 @@ def assert_node_law(theta, tree, tol):
     outflow = np.bincount(tree.parent[1:], weights=theta[1:], minlength=tree.n_nodes)
     has_kids = np.bincount(tree.parent[1:], minlength=tree.n_nodes) > 0
     assert np.all(np.abs(theta[has_kids] - outflow[has_kids]) <= tol)
+
+
+def _scalar_weight(dist, u):
+    """One weight from one uniform, by the per-kind scalar rule."""
+    if dist.kind in ("constant", "uniform"):
+        return dist.a + (dist.b - dist.a) * u
+    cum = np.cumsum([p for _, p in dist.atoms]).tolist()
+    return dist.atoms[min(bisect_right(cum, u), len(cum) - 1)][0]
+
+
+def scalar_gw_tree(model, n, rng):
+    """Reference branching sampler: the per-node loop that draws one uniform
+    at a time, a node's weight first, then, at an internal node, its
+    offspring count, found by bisection on the cumulative probabilities."""
+    n_levels = n + 1
+    cum = np.cumsum([p for _, p in model.offspring]).tolist()
+    parents, levels, weights = [], [], []
+    stack = [(1, -1)]
+    while stack:
+        lvl, par = stack.pop()
+        i = len(parents)
+        parents.append(par)
+        levels.append(lvl)
+        weights.append(_scalar_weight(model.weights, float(rng.uniforms(1)[0])))
+        if lvl < n_levels:
+            b = model.offspring[min(bisect_right(cum, rng.uniforms(1)[0]), len(cum) - 1)][0]
+            stack.extend([(lvl + 1, i)] * b)
+    level = np.array(levels, dtype=np.int64)
+    weight = np.array(weights, dtype=np.float64)
+    resistance = weight * level_scales(model.lam, n_levels)[level - 1]
+    return SampledTree(np.array(parents, dtype=np.int64), level, weight, resistance,
+                       n_levels, model.lam, "gw", None)
 
 
 @pytest.fixture

@@ -495,9 +495,19 @@ class TestExitCodes:
         (["fit", "--mu", "0"], "mu"),
         (["fit", "--mu", "nan"], "mu"),
         (["fit", "--sigma2", "-1"], "sigma2"),
+        (["sample", "--n", "3", "--reps", "0"], "reps"),
+        (["sweep", "--n", "3,4", "--reps", "3:0,4:5"], "reps"),
+        (["sweep", "--n", "4", "--reps", "1"], "reps"),
+        (["tails", "--n", "4", "--reps", "50"], "reps"),
+        (["flows", "--n", "3", "--a", "2", "--b", "1"], "b"),
+        (["constants", "--a", "2", "--b", "1"], "b"),
+        (["constants", "--a", "3"], "a"),
+        (["tails", "--n", "4", "--reps", "200", "--a", "2", "--b", "1"], "b"),
     ], ids=["unif-inf", "disc-inf", "disc-nan-prob", "disc-nan-value", "gw-nan-prob",
             "const-inf", "b-inf", "a-nan", "t-grid-nan", "lam-0", "lam-minus-0",
-            "lam-inf", "mu-0", "mu-nan", "sigma2-negative"])
+            "lam-inf", "mu-0", "mu-nan", "sigma2-negative", "sample-reps-0",
+            "sweep-reps-0", "sweep-reps-1", "tails-reps-50", "flows-a-above-b",
+            "constants-a-above-b", "constants-a-above-law", "tails-a-above-b"])
     def test_out_of_domain_number_rejected(self, tmp_path, capsys, argv, option):
         if argv[0] == "fit":
             table = tmp_path / "sweep.csv"

@@ -10,6 +10,8 @@ from treeohm import (
     gw_shorted_resistance,
     gw_w_estimate,
     kirchhoff_solve,
+    parse_distribution,
+    parse_offspring,
     resistance_fast,
     resistance_of_tree,
     resistance_streaming,
@@ -17,6 +19,7 @@ from treeohm import (
     sample_tree_explicit,
     shorted_resistance_of_tree,
 )
+from tests.conftest import scalar_gw_tree
 
 
 class TestRegularEvaluation:
@@ -111,7 +114,7 @@ class TestExplicitTrees:
         rng = RngStream(0)
         with pytest.raises(GuardError):
             sample_tree_explicit(model, 16, rng)
-        assert rng.uniform() == RngStream(0).uniform()
+        assert rng.uniforms(1)[0] == RngStream(0).uniforms(1)[0]
 
     def test_preorder_parents(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 5, RngStream(3))
@@ -122,6 +125,26 @@ class TestExplicitTrees:
         n_kids = np.bincount(tree.parent[1:], minlength=tree.n_nodes)
         assert np.all(n_kids[tree.level < tree.n_levels] == 2)
         assert np.all(n_kids[tree.level == tree.n_levels] == 0)
+
+
+class TestBlockSampler:
+    # trees of tens to thousands of nodes, so each crosses many block refills
+    @pytest.mark.parametrize("offspring, dist, lam, n", [
+        ("1:0.5,2:0.5", "const:1", None, 14),
+        ("1:0.5,2:0.5", "unif:0.5,1.5", None, 14),
+        ("2:0.5,3:0.5", "twopoint:0.5,1.5", None, 8),
+        ("1:0.3,2:0.4,3:0.3", "disc:0.5:0.25,1.0:0.5,1.5:0.25", 1.3, 10),
+        ("0:0,1:0.7,3:0.3", "unif:0.5,1.5", None, 10),
+    ], ids=["binary-const", "binary-unif", "two-three", "disc-lam", "zero-atom"])
+    def test_matches_per_node_reference(self, offspring, dist, lam, n):
+        model = TreeModel.galton_watson(parse_offspring(offspring), parse_distribution(dist), lam)
+        for j in range(5):
+            rng, ref_rng = RngStream(2024, j), RngStream(2024, j)
+            tree = sample_tree_explicit(model, n, rng)
+            ref = scalar_gw_tree(model, n, ref_rng)
+            for name in ("parent", "level", "weight", "resistance"):
+                assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert rng.uniforms(1)[0] == ref_rng.uniforms(1)[0]
 
 
 class TestRayleighMonotonicity:

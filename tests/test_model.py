@@ -10,7 +10,6 @@ from treeohm import (
     ValidationError,
     WeightDistribution,
     derive_seed,
-    dist_sample,
     dist_sample_block,
     level_scales,
     parse_distribution,
@@ -22,7 +21,7 @@ class TestDistributions:
     def test_constant_always_value(self):
         dist = WeightDistribution.constant(1.0)
         rng = RngStream(5)
-        assert all(dist_sample(dist, rng) == 1.0 for _ in range(50))
+        assert np.all(dist_sample_block(dist, rng, 50) == 1.0)
 
     def test_two_point_support_and_seeded_mean(self):
         dist = WeightDistribution.two_point(0.5, 1.5)
@@ -142,11 +141,11 @@ class TestRngStream:
         b = RngStream(42, 3).uniforms(100)
         assert np.array_equal(a, b)
 
-    def test_block_equals_scalar(self):
+    def test_split_blocks_equal_one_block(self):
         block = RngStream(42, 3).uniforms(64)
         rng = RngStream(42, 3)
-        singles = np.array([rng.uniform() for _ in range(64)])
-        assert np.array_equal(block, singles)
+        split = np.concatenate([rng.uniforms(k) for k in (1, 10, 53)])
+        assert np.array_equal(block, split)
 
     def test_streams_distinct(self):
         a = RngStream(42, 0).uniforms(32)

@@ -100,7 +100,7 @@ def test_explicit_tree_draw_contract(case, j):
     k = tree.n_nodes
     if model.shape == "gw":
         k += int(np.sum(tree.level < tree.n_levels))
-    assert rng.uniform() == RngStream(seed, j).uniforms(k + 1)[k]
+    assert rng.uniforms(1)[0] == RngStream(seed, j).uniforms(k + 1)[k]
 
 
 @PROPERTY
