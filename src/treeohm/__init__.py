@@ -24,7 +24,6 @@ from .model import (
 from .evaluate import (
     ResistanceSample,
     SampledTree,
-    gw_shorted_resistance,
     gw_w_estimate,
     resistance_fast,
     resistance_of_tree,

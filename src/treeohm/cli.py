@@ -368,8 +368,8 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     count = _count(cfg, "instances")
     a, b = _envelope(cfg, model.weights)
-    outdir = _outdir(cfg)
     records = map_trees(partial(_flow_record, a, b), model, [n], count, cfg["seed"], workers)
+    outdir = _outdir(cfg)
     columns = ["edge_id", "parent_id", "level", "X", "r", "theta",
                "voltage_top", "voltage_bottom", "flow_bound", "margin"]
     paths = [write_table(outdir, "flow_dump", columns, records[0][1], cfg)]
@@ -473,6 +473,14 @@ def real(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """A seed option's value: an integer, refused below 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def table_format(text: str) -> str:
     if text not in ("csv", "json"):
         raise ValueError(f"{text!r} is not csv or json")
@@ -487,7 +495,7 @@ _FLAGS = {
     "lam": (real, "scaling base override"),
     "n": (str, "depth: single, list 4,6,8, or range 2..18"),
     "reps": (str, "replicates: count or default:V,n:V,... map"),
-    "seed": (int, "master seed"),
+    "seed": (seed, "master seed, at least 0"),
     "t_grid": (str, "tail grid: start:stop:step or comma list"),
     "pool_size": (int, "recursion pool size"),
     "levels": (int, "recursion depth"),

@@ -339,18 +339,17 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
                        n_levels, model.lam, "gw", None)
 
 
-def resistance_of_tree(tree: SampledTree) -> ResistanceSample:
-    """Series-parallel fold over an explicit tree, bottom level first.
+def resistance_of_tree(tree: SampledTree) -> float:
+    """Effective resistance R of an explicit tree: the series-parallel fold,
+    bottom level first.
 
     Exact for any tree whose leaves all sit at the bottom level and are held
     at one potential: branches below a node meet again only at the sink, so
-    they combine in parallel.  The tree carries no stream id, so the sample's
-    replicate is -1.
+    they combine in parallel.
     """
     # scales of 1.0 fold the tree's own edge resistances unchanged
     subs, _ = _fold(tree.resistance[tree.order], tree.offsets, np.ones(tree.n_levels), tree.slot)
-    r_total = float(subs[0][0])
-    return ResistanceSample(tree.n_levels, -1, r_total, 1.0 / r_total)
+    return float(subs[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +357,12 @@ def resistance_of_tree(tree: SampledTree) -> ResistanceSample:
 # ---------------------------------------------------------------------------
 
 
-def gw_shorted_resistance(z: np.ndarray, lam: float) -> float:
-    """Sum of lam**i / Z_i over generations: the resistance of the unit-weight
-    network with each depth class merged into one vertex.  Merging vertices
-    never raises resistance, so this lower-bounds the exact unit-weight R."""
-    z = np.asarray(z)
-    if np.any(z < 1):
-        raise ValidationError("generation sizes must all be >= 1")
-    scales = level_scales(lam, len(z))
-    return math.fsum(scales[i] / z[i] for i in range(len(z)))
-
-
 def shorted_resistance_of_tree(tree: SampledTree) -> float:
-    """Weighted version of the level-shorted resistance: each level's edges in
-    parallel, levels in series.  Lower-bounds resistance_of_tree for every
-    weight assignment; equals gw_shorted_resistance when all weights are 1."""
+    """Level-shorted resistance: the network with each depth class merged
+    into one vertex, so each level's edges are in parallel and the levels in
+    series.  Merging vertices never raises resistance, so this lower-bounds
+    resistance_of_tree for every weight assignment; at unit weights it is
+    the sum of lam**(l-1) / Z_l over the level sizes Z_l."""
     scales = level_scales(tree.lam, tree.n_levels)
     w = tree.weight[tree.order]
     off = tree.offsets

@@ -129,8 +129,6 @@ def _require_binary_doubling(tree: SampledTree) -> None:
 class FlowBoundReport:
     """Per-edge check of theta_e <= b*n / (a*(n-d+1)*2**(d-1))."""
 
-    level: np.ndarray
-    theta: np.ndarray
     bound: np.ndarray
     margin: np.ndarray
     min_margin: float
@@ -151,7 +149,7 @@ def flow_bound_report(flow: FlowSolution, a: float, b: float) -> FlowBoundReport
     d = tree.level.astype(np.float64)
     bound = (b * n) / (a * (n - d + 1.0) * 2.0 ** (d - 1.0))
     margin = bound - flow.theta
-    return FlowBoundReport(tree.level, flow.theta, bound, margin, float(margin.min()))
+    return FlowBoundReport(bound, margin, float(margin.min()))
 
 
 def flow_bound_sum(n: int) -> float:

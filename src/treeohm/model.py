@@ -58,7 +58,6 @@ class Moments:
 
     mean: float
     variance: float
-    second_moment: float
     recip_mean: float
     recip_variance: float
 
@@ -124,19 +123,18 @@ class WeightDistribution:
     # -- moments ------------------------------------------------------------
 
     def moments(self) -> Moments:
-        """Exact closed-form mean/variance of X, E[X^2], and reciprocal stats."""
+        """Exact closed-form mean/variance of X and of 1/X."""
         if self.kind == "uniform":
             a, b = self.a, self.b
             mean = 0.5 * (a + b)
             var = (b - a) ** 2 / 12.0
-            m2 = var + mean * mean
             if a == b:
                 rmean = 1.0 / a
                 rvar = 0.0
             else:
                 rmean = math.log(b / a) / (b - a)
                 rvar = 1.0 / (a * b) - rmean * rmean
-            return Moments(mean, var, m2, rmean, rvar)
+            return Moments(mean, var, rmean, rvar)
         vals = np.array([v for v, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
         mean = float(np.dot(probs, vals))
@@ -145,7 +143,7 @@ class WeightDistribution:
         rmean = float(np.dot(probs, 1.0 / vals))
         rm2 = float(np.dot(probs, 1.0 / (vals * vals)))
         rvar = max(rm2 - rmean * rmean, 0.0)
-        return Moments(mean, var, m2, rmean, rvar)
+        return Moments(mean, var, rmean, rvar)
 
     @cached_property
     def _cdf(self) -> tuple[np.ndarray, np.ndarray]:

@@ -33,8 +33,6 @@ from .model import (
     dist_sample_block,
 )
 
-QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -89,7 +87,7 @@ def map_trees(record, model: TreeModel, ns: list[int], count: int, master_seed: 
 
 
 def _resistance_record(j: int, tree) -> float:
-    return resistance_of_tree(tree).resistance
+    return resistance_of_tree(tree)
 
 
 def run_replicates(
@@ -132,11 +130,9 @@ class VariableStats:
     mean: float
     variance: float  # unbiased, m-1 denominator
     m2: float        # central moments, 1/m denominator
-    m3: float
     m4: float
     se_mean: float
     se_variance: float  # delete-1 jackknife
-    quantiles: tuple[float, ...]
 
 
 def _variable_stats(x: np.ndarray) -> VariableStats:
@@ -145,7 +141,6 @@ def _variable_stats(x: np.ndarray) -> VariableStats:
     d = x - mean
     s2 = float(np.sum(d * d))
     m2 = s2 / m
-    m3 = float(np.sum(d**3)) / m
     m4 = float(np.sum(d**4)) / m
     var = s2 / (m - 1)
     se_mean = math.sqrt(var / m)
@@ -155,8 +150,7 @@ def _variable_stats(x: np.ndarray) -> VariableStats:
         se_var = math.sqrt((m - 1) / m * float(np.sum((loo - np.mean(loo)) ** 2)))
     else:
         se_var = float("nan")
-    qs = tuple(float(q) for q in np.quantile(x, QUANTILES))
-    return VariableStats(mean, var, m2, m3, m4, se_mean, se_var, qs)
+    return VariableStats(mean, var, m2, m4, se_mean, se_var)
 
 
 @dataclass(frozen=True)
@@ -180,8 +174,6 @@ def estimate_moments(samples: ReplicateSet) -> MomentReport:
 
 @dataclass(frozen=True)
 class TailReport:
-    n: int
-    m: int
     t: np.ndarray
     count: np.ndarray
     freq: np.ndarray
@@ -225,7 +217,7 @@ def tail_profile(
         bound = np.full_like(t, np.nan)
     else:
         bound = 2.0 * np.exp(-(t * t) / (4.0 * tail_constant))
-    return TailReport(samples.n, m, t, count, p, lo, hi, bound, mean, sd)
+    return TailReport(t, count, p, lo, hi, bound, mean, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,6 @@ class VarianceBound:
     k0: float
     k1: float
     k: float
-    n: int
     bound: float
 
 
@@ -257,7 +248,7 @@ def variance_bound_constants(a: float, b: float, var_recip: float, n: int) -> Va
     k0 = 0.5 * (b / a) ** 4 * (1.0 / b - 1.0 / a) ** 2
     k1 = max(k0, var_recip)
     k = max(b**4, 1.0) * k1
-    return VarianceBound(k0, k1, k, n, 2.0**10 * k / float(n) ** 4)
+    return VarianceBound(k0, k1, k, 2.0**10 * k / float(n) ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +262,13 @@ class RDEPool:
 
     level: int
     values: np.ndarray
-    dist: WeightDistribution
 
 
 def rde_init(dist: WeightDistribution, m: int, rng: RngStream) -> RDEPool:
     """Depth-1 pool: the conductance of a single edge is 1/X."""
     if m < 1:
         raise ValidationError(f"pool size must be >= 1, got {m}")
-    return RDEPool(1, 1.0 / dist_sample_block(dist, rng, m), dist)
+    return RDEPool(1, 1.0 / dist_sample_block(dist, rng, m))
 
 
 def rde_step(pool: RDEPool, dist: WeightDistribution, rng: RngStream) -> RDEPool:
@@ -296,7 +286,7 @@ def rde_step(pool: RDEPool, dist: WeightDistribution, rng: RngStream) -> RDEPool
     j = rng.integers(0, m, m)
     x = dist_sample_block(dist, rng, m)
     s = 0.5 * (pool.values[i] + pool.values[j])
-    return RDEPool(pool.level + 1, s / (1.0 + x * s), dist)
+    return RDEPool(pool.level + 1, s / (1.0 + x * s))
 
 
 def rde_levels(
@@ -405,7 +395,12 @@ def sweep(
     workers: int = 1,
 ) -> list[MomentReport]:
     """Moment reports over a depth grid; each depth gets its own derived
-    master seed so the grids stay decorrelated."""
+    master seed so the grids stay decorrelated.  Every depth's count is
+    checked before any depth is sampled."""
+    for n in ns:
+        if reps_for[n] < 2:
+            raise ValidationError(
+                f"reps: moment estimation needs m >= 2, got m={reps_for[n]} at n={n}")
     reports = []
     for n in ns:
         seed_n = derive_seed(master_seed, n)
@@ -428,8 +423,6 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 class GwReport:
     """Per-tree branching records plus the root-degree conditioning summary."""
 
-    n: int
-    trees: int
     b1: np.ndarray
     resistance: np.ndarray
     shorted: np.ndarray
@@ -443,7 +436,7 @@ class GwReport:
 def _gw_record(n: int, j: int, tree) -> tuple[int, float, float, float]:
     """(root offspring count, R, level-shorted R, Z_n / lam**n) of one tree."""
     z_n = int(tree.level_counts()[-1])
-    return (int(np.sum(tree.parent == 0)), resistance_of_tree(tree).resistance,
+    return (int(np.sum(tree.parent == 0)), resistance_of_tree(tree),
             shorted_resistance_of_tree(tree), gw_w_estimate(z_n, tree.lam, n))
 
 
@@ -462,5 +455,4 @@ def gw_experiment(
     }
     corr = _pearson(res / n, 1.0 / w_hat)
     median_prod = float(np.median((res / n) * w_hat))
-    return GwReport(n, trees, b1, res, shorted, w_hat, n_times_c,
-                    cond, corr, median_prod)
+    return GwReport(b1, res, shorted, w_hat, n_times_c, cond, corr, median_prod)

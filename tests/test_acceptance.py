@@ -223,8 +223,8 @@ def test_criterion_8_branching(art):
     exact_ok = True
     for n in range(1, 13):
         tree = T.sample_tree_explicit(model, n, T.RngStream(0))
-        r = T.resistance_of_tree(tree).resistance
-        s = T.gw_shorted_resistance(tree.level_counts(), 2.0)
+        r = T.resistance_of_tree(tree)
+        s = T.shorted_resistance_of_tree(tree)
         exact_ok = exact_ok and r == float(n + 1) and s == float(n + 1)
     # (b) random offspring: scaled resistance tracks the population limit
     with open(art["out"]["c8_gw"] / "gw_summary.json") as fh:

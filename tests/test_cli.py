@@ -162,15 +162,17 @@ class TestOptionDeclarations:
         ("sample", '{"lam": Infinity}', "lam"),
         ("constants", '{"a": NaN}', "a"),
         ("fit", '{"sigma2": -Infinity}', "sigma2"),
+        ("sample", '{"seed": -2}', "seed"),
     ], ids=["seed-abc", "lam-x", "instances-2.5", "seed-null", "seed-true",
             "format-xml", "not-an-object", "invalid-json", "key-of-gw",
-            "format-of-tables", "lam-inf", "a-nan", "sigma2-minus-inf"])
+            "format-of-tables", "lam-inf", "a-nan", "sigma2-minus-inf",
+            "seed-negative"])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, text, option):
         path = tmp_path / "conf.json"
         path.write_text(text)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {option}")
+        assert capsys.readouterr().err.startswith(f"error: {option}:")
         assert not out.exists()
 
     def test_null_keeps_a_derived_default(self, tmp_path):
@@ -427,7 +429,7 @@ class TestOtherCommands:
 
         model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)),
                                         WeightDistribution.uniform(0.5, 1.5), lam=1.1)
-        want = [resistance_of_tree(sample_tree_explicit(model, 6, RngStream(5, j))).resistance
+        want = [resistance_of_tree(sample_tree_explicit(model, 6, RngStream(5, j)))
                 for j in range(20)]
         assert resistances("lam") == want
         assert resistances("default") != want
@@ -503,11 +505,14 @@ class TestExitCodes:
         (["constants", "--a", "2", "--b", "1"], "b"),
         (["constants", "--a", "3"], "a"),
         (["tails", "--n", "4", "--reps", "200", "--a", "2", "--b", "1"], "b"),
+        (["sample", "--seed", "-1"], "seed"),
+        (["rde", "--seed", "-1"], "seed"),
     ], ids=["unif-inf", "disc-inf", "disc-nan-prob", "disc-nan-value", "gw-nan-prob",
             "const-inf", "b-inf", "a-nan", "t-grid-nan", "lam-0", "lam-minus-0",
             "lam-inf", "mu-0", "mu-nan", "sigma2-negative", "sample-reps-0",
             "sweep-reps-0", "sweep-reps-1", "tails-reps-50", "flows-a-above-b",
-            "constants-a-above-b", "constants-a-above-law", "tails-a-above-b"])
+            "constants-a-above-b", "constants-a-above-law", "tails-a-above-b",
+            "sample-seed-negative", "rde-seed-negative"])
     def test_out_of_domain_number_rejected(self, tmp_path, capsys, argv, option):
         if argv[0] == "fit":
             table = tmp_path / "sweep.csv"
@@ -556,6 +561,16 @@ class TestExitCodes:
         assert code == 2
         assert "must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--model", "reg:3", "--n", "3"], 2),
+        (["--n", "3", "--lam", "1.5"], 2),
+        (["--n", "26"], 3),
+    ], ids=["ternary", "lam-1.5", "node-guard"])
+    def test_rejected_flows_creates_no_out(self, tmp_path, argv, code):
+        out = tmp_path / "out"
+        assert main(["flows", *argv, "--out", str(out)]) == code
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0:1:0", "1:0:0.1", "0:1:-0.1", "0:inf:1",
                                       "0:1", "0:1:x"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from treeohm import (
     TreeModel,
     ValidationError,
     WeightDistribution,
-    gw_shorted_resistance,
     gw_w_estimate,
     kirchhoff_solve,
+    level_scales,
     parse_distribution,
     parse_offspring,
     resistance_fast,
@@ -40,7 +42,7 @@ class TestRegularEvaluation:
             assert 0.5 * 12 <= r <= 1.5 * 12
 
     def test_three_edge_instance(self, three_edge_tree):
-        fold = resistance_of_tree(three_edge_tree).resistance
+        fold = resistance_of_tree(three_edge_tree)
         dense = kirchhoff_solve(three_edge_tree).resistance
         assert fold == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert abs(fold - dense) <= 1e-12 * dense
@@ -55,7 +57,7 @@ class TestRegularEvaluation:
             streaming = resistance_streaming(model, n, RngStream(seed, 2)).resistance
             fast = resistance_fast(model, n, RngStream(seed, 2)).resistance
             tree = sample_tree_explicit(model, n, RngStream(seed, 2))
-            fold = resistance_of_tree(tree).resistance
+            fold = resistance_of_tree(tree)
             assert streaming == fast == fold
 
     def test_bit_identity_other_kinds(self, binary_twopoint_model):
@@ -101,7 +103,7 @@ class TestExplicitTrees:
         tree = sample_tree_explicit(binary_twopoint_model, 1, RngStream(5))
         assert tree.n_nodes == 1
         r = resistance_of_tree(tree)
-        assert r.resistance == tree.resistance[0]
+        assert r == tree.resistance[0]
 
     def test_memory_guard(self):
         model = TreeModel.regular(2, WeightDistribution.constant(1.0))
@@ -150,12 +152,12 @@ class TestBlockSampler:
 class TestRayleighMonotonicity:
     def test_single_edge_increase_never_decreases_r(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 6, RngStream(11))
-        base = resistance_of_tree(tree).resistance
+        base = resistance_of_tree(tree)
         rng = RngStream(404)
         for _ in range(25):
             node = int(rng.integers(0, tree.n_nodes))
             bumped = reweighted(tree, node, tree.weight[node] + 0.25)
-            assert resistance_of_tree(bumped).resistance >= base - 1e-12
+            assert resistance_of_tree(bumped) >= base - 1e-12
 
 
 def generations(offspring, n, rng):
@@ -176,15 +178,15 @@ class TestBranchingUtilities:
         assert z[1] <= z[2] <= 2 * z[1]
 
     def test_shorted_formula(self):
-        assert gw_shorted_resistance(np.array([1, 2, 4, 8]), 2.0) == 4.0
-        assert gw_shorted_resistance(np.array([1] * 6), 1.0) == 6.0
-        with pytest.raises(ValidationError):
-            gw_shorted_resistance(np.array([1, 0]), 2.0)
+        unit = WeightDistribution.constant(1.0)
+        binary = TreeModel.galton_watson([(2, 1.0)], unit, lam=2.0)
+        assert shorted_resistance_of_tree(sample_tree_explicit(binary, 3, RngStream(0))) == 4.0
+        path = TreeModel.galton_watson([(1, 1.0)], unit, lam=1.0)
+        assert shorted_resistance_of_tree(sample_tree_explicit(path, 5, RngStream(0))) == 6.0
 
     def test_bushy_instance_strictly_above_shorted(self, bushy_tree):
-        exact = resistance_of_tree(bushy_tree).resistance
-        z = bushy_tree.level_counts()
-        short = gw_shorted_resistance(z, bushy_tree.lam)
+        exact = resistance_of_tree(bushy_tree)
+        short = shorted_resistance_of_tree(bushy_tree)
         assert exact == pytest.approx(22.0 / 7.0, rel=1e-12)
         assert short == pytest.approx(3.0, rel=1e-12)
         assert short < exact
@@ -195,8 +197,8 @@ class TestBranchingUtilities:
         )
         for seed in range(10):
             tree = sample_tree_explicit(model, 6, RngStream(77, seed))
-            exact = resistance_of_tree(tree).resistance
-            short = gw_shorted_resistance(tree.level_counts(), tree.lam)
+            exact = resistance_of_tree(tree)
+            short = shorted_resistance_of_tree(tree)
             assert short <= exact + 1e-12
 
     def test_weighted_shorting_any_weights(self):
@@ -205,7 +207,7 @@ class TestBranchingUtilities:
         )
         for seed in range(10):
             tree = sample_tree_explicit(model, 6, RngStream(88, seed))
-            exact = resistance_of_tree(tree).resistance
+            exact = resistance_of_tree(tree)
             short = shorted_resistance_of_tree(tree)
             assert short <= exact + 1e-12
 
@@ -214,8 +216,10 @@ class TestBranchingUtilities:
             [(1, 0.5), (3, 0.5)], WeightDistribution.constant(1.0)
         )
         tree = sample_tree_explicit(model, 5, RngStream(9, 2))
-        assert shorted_resistance_of_tree(tree) == gw_shorted_resistance(
-            tree.level_counts(), tree.lam
+        z = tree.level_counts()
+        scales = level_scales(tree.lam, len(z))
+        assert shorted_resistance_of_tree(tree) == math.fsum(
+            scales[i] / z[i] for i in range(len(z))
         )
 
     def test_w_estimate(self):
@@ -230,7 +234,6 @@ class TestBranchingUtilities:
         model = TreeModel.galton_watson([(2, 1.0)], WeightDistribution.constant(1.0))
         for n in range(1, 13):
             tree = sample_tree_explicit(model, n, RngStream(0))
-            exact = resistance_of_tree(tree).resistance
-            z = tree.level_counts()
+            exact = resistance_of_tree(tree)
             assert exact == float(n + 1)
-            assert gw_shorted_resistance(z, 2.0) == float(n + 1)
+            assert shorted_resistance_of_tree(tree) == float(n + 1)

@@ -76,7 +76,7 @@ class TestSolveFlow:
         flow = solve_flow(tree)
         assert_flow_invariants(flow, tree)
         # total agrees with the series-parallel fold bit for bit
-        assert flow.resistance == resistance_of_tree(tree).resistance
+        assert flow.resistance == resistance_of_tree(tree)
 
     def test_invariants_branching_instance(self, bushy_tree):
         flow = solve_flow(bushy_tree)
@@ -95,7 +95,7 @@ class TestSolveFlow:
         tree = sample_tree_explicit(binary_twopoint_model, 9, RngStream(8))
         flow = solve_flow(tree)
         assert flow.energy == pytest.approx(
-            resistance_of_tree(tree).resistance, rel=1e-9
+            resistance_of_tree(tree), rel=1e-9
         )
 
 

@@ -101,4 +101,4 @@ class TestAgreement:
 
     def test_flow_total_matches_fold_exactly(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 8, RngStream(12))
-        assert solve_flow(tree).resistance == resistance_of_tree(tree).resistance
+        assert solve_flow(tree).resistance == resistance_of_tree(tree)

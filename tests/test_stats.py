@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from treeohm import stats
 from treeohm import (
     ReplicateSet,
     RngStream,
@@ -159,10 +160,6 @@ class TestMoments:
         rep = estimate_moments(ReplicateSet.from_values(1, x))
         assert rep.r.m4 >= rep.r.m2**2
         assert rep.c.m4 >= rep.c.m2**2
-
-    def test_quantiles_monotone(self, binary_twopoint_model):
-        rep = estimate_moments(run_replicates(binary_twopoint_model, 6, 500, 2))
-        assert list(rep.r.quantiles) == sorted(rep.r.quantiles)
 
     def test_jackknife_se_tracks_simulation_spread(self):
         # the delete-1 jackknife SE for the variance should match the
@@ -338,6 +335,14 @@ class TestSweep:
         reports = sweep(binary_twopoint_model, [4, 5], {4: 30, 5: 30}, 9)
         assert reports[0].r.mean != reports[1].r.mean
 
+    def test_every_count_checked_before_sampling(self, binary_twopoint_model, monkeypatch):
+        def fail(*args):
+            raise AssertionError("sampled before the counts were checked")
+
+        monkeypatch.setattr(stats, "run_replicates", fail)
+        with pytest.raises(ValidationError, match="^reps: .*n=4"):
+            sweep(binary_twopoint_model, [3, 4], {3: 5, 4: 1}, 0)
+
 
 class TestBranchingExperiment:
     def test_deterministic_binary_records(self):
@@ -366,7 +371,7 @@ class TestBranchingExperiment:
 
 
 def _nodes_and_resistance(j, tree):
-    return j, tree.n_nodes, resistance_of_tree(tree).resistance
+    return j, tree.n_nodes, resistance_of_tree(tree)
 
 
 class TestMapTrees:
@@ -376,7 +381,7 @@ class TestMapTrees:
         records = map_trees(_nodes_and_resistance, model, ns, 7, 11)
         for j, (jj, nodes, r) in enumerate(records):
             tree = sample_tree_explicit(model, ns[j % 3], RngStream(11, j))
-            assert (jj, nodes, r) == (j, tree.n_nodes, resistance_of_tree(tree).resistance)
+            assert (jj, nodes, r) == (j, tree.n_nodes, resistance_of_tree(tree))
 
     @pytest.mark.parametrize("shape", ["reg", "gw"])
     def test_workers_give_the_same_records(self, shape, twopoint_half):
