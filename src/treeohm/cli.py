@@ -27,6 +27,7 @@ import numpy as np
 from .flows import (
     concentration_diagnostics,
     flow_bound_report,
+    require_binary_doubling,
     solve_flow,
     tail_bound_constant,
 )
@@ -365,6 +366,7 @@ def _flow_record(a: float, b: float, i: int, tree) -> tuple[dict, list]:
 
 def cmd_flows(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
+    require_binary_doubling(model)
     n = _single_n(cfg)
     count = _count(cfg, "instances")
     a, b = _envelope(cfg, model.weights)

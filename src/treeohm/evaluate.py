@@ -11,10 +11,11 @@ The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.
 
 Regular replicates are evaluated in blocks of streams (_regular_rows): row i
-of one draw matrix is filled from stream i, and the whole block is
-transformed, gathered level-major and folded at once.  Each row takes the
-same arithmetic as a lone tree, so resistance_fast, the one-row case, and
-every row of a block give the same bits.
+of one draw matrix is filled from stream i, the uniforms are gathered
+level-major once, each level is mapped in place to its resistances, and the
+block is folded in place, in buffers reused from block to block.  Each row
+takes the same arithmetic as a lone tree, so resistance_fast, the one-row
+case, and every row of a block give the same bits.
 """
 
 from __future__ import annotations
@@ -147,39 +148,51 @@ def _dfs_layout(beta: int, n_levels: int):
     return level, parent, offsets, order
 
 
-def _fold(w_lm: np.ndarray, offsets: np.ndarray, scales: np.ndarray, kids):
-    """Series-parallel fold of level-major weights, bottom level first.
+def _fold(sub: np.ndarray, offsets: np.ndarray, kids, cond: np.ndarray,
+          csum: np.ndarray) -> None:
+    """Series-parallel fold of level-major edge resistances, bottom level
+    first, in place.
 
-    w_lm holds one tree's weights (1-D) or one tree per row (2-D, regular
-    trees only); levels run along the last axis.  Level l's resistances are
-    w_lm[..., offsets[l-1]:offsets[l]] * scales[l-1]; a node's children
-    conductances 1/sub are summed left to right and its subtree resistance is
-    r + 1/csum, as in the scalar recursion.  `kids` is the int arity of a full
-    regular tree (children summed by reshape) or the parent slots of any tree
-    (summed by np.bincount, in input order from 0).  Returns the per-level
-    lists subs and csums, top level first; csums has n_levels - 1 entries,
-    one per level with children.
+    sub holds one tree's resistances (1-D) or one tree per row (2-D, regular
+    trees only), already scaled; levels run along the last axis, level l in
+    slots offsets[l-1]:offsets[l].  Each level slice of sub becomes that
+    level's subtree resistances: a node's children's conductances 1/sub are
+    summed left to right and its subtree resistance is r + 1/csum, as in the
+    scalar recursion.  The caller owns the scratch: cond, shaped like sub,
+    ends with each level's 1/sub from level 2 down; csum, with at least
+    offsets[-2] slots on the last axis, ends with the child conductance sums
+    of each level that has children, in that level's slots.  csum may be
+    cond itself when the sums are not read afterwards: level l's sums are
+    spent before level l - 1 writes into their slots.  `kids` is the int arity
+    of a full regular tree (children summed by reshape) or the parent slots
+    of any tree (summed by np.bincount, in input order from 0).
     """
-    n_levels = len(offsets) - 1
-    sub = w_lm[..., offsets[-2]:] * scales[-1]
-    subs = [sub]
-    csums = []
-    for l in range(n_levels - 1, 0, -1):
-        cond = 1.0 / sub
+    off = offsets.tolist()
+    for l in range(len(off) - 2, 0, -1):
+        lo, mid, hi = off[l - 1], off[l], off[l + 1]
+        c = cond[..., mid:hi]
+        np.divide(1.0, sub[..., mid:hi], out=c)
+        sums, recip, res = csum[..., lo:mid], cond[..., lo:mid], sub[..., lo:mid]
         if isinstance(kids, int):
-            cond = cond.reshape(cond.shape[:-1] + (-1, kids))
-            csum = cond[..., 0]
-            for j in range(1, kids):
-                csum = csum + cond[..., j]
+            c = c.reshape(c.shape[:-1] + (-1, kids))
+            np.add(c[..., 0], c[..., 1], out=sums)
+            for j in range(2, kids):
+                np.add(sums, c[..., j], out=sums)
         else:
-            csum = np.bincount(kids[offsets[l]:offsets[l + 1]], weights=cond,
-                               minlength=offsets[l] - offsets[l - 1])
-        sub = w_lm[..., offsets[l - 1]:offsets[l]] * scales[l - 1] + 1.0 / csum
-        subs.append(sub)
-        csums.append(csum)
-    subs.reverse()
-    csums.reverse()
-    return subs, csums
+            sums[:] = np.bincount(kids[mid:hi], weights=c, minlength=mid - lo)
+        # level l's cond slots hold 1/csum until the next level overwrites them
+        np.divide(1.0, sums, out=recip)
+        np.add(res, recip, out=res)
+
+
+def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_fold of an explicit tree: level-major subtree resistances, their
+    conductances (from level 2 down) and the child conductance sums."""
+    sub = tree.resistance[tree.order]
+    cond = np.empty_like(sub)
+    csum = np.empty(int(tree.offsets[-2]))
+    _fold(sub, tree.offsets, tree.slot, cond, csum)
+    return sub, cond, csum
 
 
 # draw-matrix budget of a block of regular replicates, in uniforms: a block
@@ -187,41 +200,53 @@ def _fold(w_lm: np.ndarray, offsets: np.ndarray, scales: np.ndarray, kids):
 _BLOCK_UNIFORMS = 2**16
 
 
-def _regular_rows(model: TreeModel, n: int, streams, rows: int) -> np.ndarray:
+def _regular_rows(model: TreeModel, n: int, streams, rows: int, buffers=None) -> np.ndarray:
     """Root resistances of `rows` depth-n regular trees, one per stream.
 
-    Row i of a (rows, edges) matrix takes the i-th stream's next uniforms in
-    pre-order; the block is transformed once, gathered level-major once and
-    folded once.  Streams may come from a generator, so only the matrix, not
-    `rows` live streams, is held at a time.
+    Row i of a (rows, edges) draw matrix takes the i-th stream's next
+    uniforms in pre-order; the uniforms are gathered level-major once, each
+    level is mapped in place to resistances (_transform with the level's
+    scale), and the block is folded in place with the spent draw matrix as
+    scratch.  `buffers`, two (at least `rows`, edges) arrays for the draw
+    matrix and its gather (None allocates them), may be reused across
+    blocks; only their leading `rows` rows are written and read.  Streams
+    may come from a generator, so only the buffers, not `rows` live streams,
+    are held at a time.
     """
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     _check_depth(n)
     beta = int(model.beta)
     _, _, offsets, order = _dfs_layout(beta, n)
-    scales = level_scales(model.lam, n)
-    u = np.empty((rows, int(offsets[-1])))
+    scales = model.scales(n)
+    if buffers is None:
+        buffers = np.empty((rows, int(offsets[-1]))), np.empty((rows, int(offsets[-1])))
+    u, g = (buf[:rows] for buf in buffers)
     for rng, row in zip(streams, u):
         rng.uniforms(row.shape[0], out=row)
-    w_lm = np.take(_transform(model.weights, u), order, axis=1)
-    del u  # only w_lm and the fold levels stay alive through the fold
-    subs, _ = _fold(w_lm, offsets, scales, beta)
-    return subs[0][:, 0]
+    np.take(u, order, axis=1, out=g, mode="clip")  # every index is in range
+    for l in range(1, n + 1):
+        _transform(model.weights, g[:, offsets[l - 1]:offsets[l]], scales[l - 1])
+    _fold(g, offsets, beta, u, u)
+    return g[:, 0]
 
 
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
-    stream j), evaluated block by block; a block's arrays are freed before
-    the next block is drawn."""
+    stream j), evaluated block by block in one set of buffers."""
     _check_depth(n)
     beta = int(model.beta)
-    rows = max(1, _BLOCK_UNIFORMS // ((beta**n - 1) // (beta - 1)))
+    edges = (beta**n - 1) // (beta - 1)
+    rows = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
+    # two arrays rather than one of twice the size: the allocator can then
+    # reuse the previous depth's freed blocks, which kept the peak RSS of a
+    # sweep over n = 14..18 3 MiB lower
+    buffers = np.empty((rows, edges)), np.empty((rows, edges))
     out = np.empty(j1 - j0, dtype=np.float64)
     for b0 in range(j0, j1, rows):
         b1 = min(b0 + rows, j1)
         streams = (RngStream(master_seed, j) for j in range(b0, b1))
-        out[b0 - j0:b1 - j0] = _regular_rows(model, n, streams, b1 - b0)
+        out[b0 - j0:b1 - j0] = _regular_rows(model, n, streams, b1 - b0, buffers)
     return out
 
 
@@ -247,7 +272,7 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
     if model.shape != "regular":
         raise ValidationError("streaming evaluation requires the regular shape")
     _check_depth(n)
-    scales = level_scales(model.lam, n)
+    scales = model.scales(n)
     beta = int(model.beta)
     edges = (beta**n - 1) // (beta - 1)
     weights = (x for b0 in range(0, edges, _BLOCK_UNIFORMS) for x in dist_sample_block(
@@ -288,7 +313,7 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     _check_depth(n)
     if model.shape == "regular":
         level, parent, offsets, _ = _dfs_layout(int(model.beta), n)
-        scales = level_scales(model.lam, n)
+        scales = model.scales(n)
         weight = dist_sample_block(model.weights, rng, int(offsets[-1]))
         resistance = weight * scales[level - 1]
         return SampledTree(parent.copy(), level.copy(), weight, resistance,
@@ -297,7 +322,7 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
     n_levels = n + 1
-    scales = level_scales(model.lam, n_levels)
+    scales = model.scales(n)
     # refuse before drawing when even the smallest possible tree is too big
     kmin = min(k for k, p in model.offspring if p > 0.0)
     smallest = sum(kmin**l for l in range(n_levels))
@@ -347,9 +372,7 @@ def resistance_of_tree(tree: SampledTree) -> float:
     at one potential: branches below a node meet again only at the sink, so
     they combine in parallel.
     """
-    # scales of 1.0 fold the tree's own edge resistances unchanged
-    subs, _ = _fold(tree.resistance[tree.order], tree.offsets, np.ones(tree.n_levels), tree.slot)
-    return float(subs[0][0])
+    return float(_fold_tree(tree)[0][0])
 
 
 # ---------------------------------------------------------------------------

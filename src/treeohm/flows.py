@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import SampledTree, _fold
+from .evaluate import SampledTree, _fold_tree
 from .model import ValidationError
 
 
@@ -45,16 +45,18 @@ def solve_flow(tree: SampledTree) -> FlowSolution:
     children's subtree conductances.  Voltages follow from current times
     the downstream resistance, so leaves land at exactly 0."""
     offsets, slot = tree.offsets, tree.slot
-    subs, csums = _fold(tree.resistance[tree.order], offsets, np.ones(tree.n_levels), slot)
-    thetas = [np.ones(1)]
+    sub, cond, csum = _fold_tree(tree)
+    theta, voltage = np.empty(tree.n_nodes), np.zeros(tree.n_nodes)
+    theta_lm = np.ones(tree.n_nodes)
     for l in range(1, tree.n_levels):
-        pslot = slot[offsets[l]:offsets[l + 1]]
-        thetas.append(thetas[-1][pslot] * ((1.0 / subs[l]) / csums[l - 1][pslot]))
-    volts = [t * (1.0 / c) for t, c in zip(thetas, csums)] + [np.zeros_like(thetas[-1])]
-    theta, voltage = np.empty(tree.n_nodes), np.empty(tree.n_nodes)
-    theta[tree.order] = np.concatenate(thetas)
-    voltage[tree.order] = np.concatenate(volts)
-    r_total = float(subs[0][0])
+        here, up = slice(offsets[l], offsets[l + 1]), slice(offsets[l - 1], offsets[l])
+        pslot = slot[here]
+        theta_lm[here] = theta_lm[up][pslot] * (cond[here] / csum[up][pslot])
+    # leaves keep voltage 0; every other node's is its current over its child sum
+    below = tree.order[:offsets[-2]]
+    voltage[below] = theta_lm[:offsets[-2]] * (1.0 / csum)
+    theta[tree.order] = theta_lm
+    r_total = float(sub[0])
     return FlowSolution(tree, theta, voltage, r_total, r_total, _energy(tree, theta))
 
 
@@ -118,11 +120,12 @@ def random_perturbations(flow: FlowSolution, count: int, rng) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_binary_doubling(tree: SampledTree) -> None:
-    if tree.shape != "regular" or tree.beta != 2 or tree.lam != 2.0:
-        raise ValidationError(
-            "flow bounds hold for regular binary trees with doubling scale"
-        )
+def require_binary_doubling(tree) -> None:
+    """Refuse a tree, or a model, outside the flow bounds' binary doubling case."""
+    if tree.shape != "regular" or tree.beta != 2:
+        raise ValidationError("model: flow bounds hold for regular binary trees (reg:2)")
+    if tree.lam != 2.0:
+        raise ValidationError(f"lam: flow bounds need the doubling scale 2, got {tree.lam}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def flow_bound_report(flow: FlowSolution, a: float, b: float) -> FlowBoundReport
     subtree's resistance is at least a*(n-d+1)*2**(d-1) for an edge at level d.
     """
     tree = flow.tree
-    _require_binary_doubling(tree)
+    require_binary_doubling(tree)
     if not (0.0 < a <= b):
         raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
     n = tree.n_levels
@@ -175,7 +178,7 @@ class ConcentrationReport:
 
 def concentration_diagnostics(flow: FlowSolution, a: float, b: float) -> ConcentrationReport:
     tree = flow.tree
-    _require_binary_doubling(tree)
+    require_binary_doubling(tree)
     if not (0.0 < a <= b):
         raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
     d = tree.level.astype(np.float64)

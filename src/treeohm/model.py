@@ -156,15 +156,31 @@ def _inverse_cdf(cum: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray
     return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
 
 
-def _transform(dist: WeightDistribution, u: np.ndarray) -> np.ndarray:
-    """Map an array of uniforms on [0,1) to weight draws, elementwise, so a
-    uniform gives the same weight bits wherever a block split puts it."""
+def _transform(dist: WeightDistribution, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Map an array of uniforms on [0,1) in place to weight draws times
+    `scale` (a level's scale gives that level's resistances) and return it.
+    The map is elementwise, so a uniform gives the same bits wherever a
+    block split puts it.
+
+    Two-point laws select between lo*scale and hi*scale without a branch:
+    the mask u < p, written over u as int64 0/1, times bits(lo) ^ bits(hi),
+    xor bits(hi), is bits(lo) where u < p and bits(hi) elsewhere.
+    """
     if dist.kind in ("uniform", "constant"):  # a constant law has a == b
-        return dist.a + (dist.b - dist.a) * u
-    if dist.kind == "twopoint":
+        np.multiply(u, dist.b - dist.a, out=u)
+        np.add(u, dist.a, out=u)
+        if scale != 1.0:
+            np.multiply(u, scale, out=u)
+    elif dist.kind == "twopoint":
         (lo, p), (hi, _) = dist.atoms
-        return np.where(u < p, lo, hi)
-    return _inverse_cdf(*dist._cdf, u)
+        lo_bits, hi_bits = np.array([lo * scale, hi * scale]).view(np.int64).tolist()
+        mask = u.view(np.int64)
+        np.less(u, p, out=mask)
+        np.multiply(mask, lo_bits ^ hi_bits, out=mask)
+        np.bitwise_xor(mask, hi_bits, out=mask)
+    else:
+        np.multiply(_inverse_cdf(*dist._cdf, u), scale, out=u)
+    return u
 
 
 def dist_sample_block(dist: WeightDistribution, rng: "RngStream", size: int) -> np.ndarray:
@@ -217,6 +233,28 @@ class TreeModel:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValidationError(f"lam: scaling base must be finite and > 0, got {self.lam}")
 
+    # -- depth scaling ------------------------------------------------------
+
+    def scales(self, n: int) -> np.ndarray:
+        """level_scales of a depth-n tree (n edge levels for the regular
+        shape, n + 1 for the branching one), refused before any draw when an
+        edge resistance X * lam**(l-1) could leave the float range: the
+        largest root-to-leaf resistance b * sum(scales) must be finite and
+        the smallest edge resistance a * min(scales) must be > 0."""
+        scales = level_scales(self.lam, n if self.shape == "regular" else n + 1)
+        a, b = self.weights.a, self.weights.b
+        try:
+            top = b * math.fsum(scales.tolist())
+        except OverflowError:  # fsum refuses an intermediate overflow
+            top = math.inf
+        if not math.isfinite(top):
+            raise GuardError(f"lam={self.lam} with dist up to b={b}: a root-to-leaf "
+                             f"resistance at depth {n} overflows the working precision")
+        if a * float(scales.min()) == 0.0:
+            raise GuardError(f"lam={self.lam} with dist down to a={a}: an edge "
+                             f"resistance at depth {n} underflows to 0")
+        return scales
+
     # -- offspring helpers --------------------------------------------------
 
     def offspring_mean(self) -> float:
@@ -258,9 +296,10 @@ def level_scales(lam: float, n_levels: int) -> np.ndarray:
         raise ValidationError(f"need at least one level, got {n_levels}")
     if n_levels > LEVEL_CAP:
         raise GuardError(f"{n_levels} levels exceed the level cap {LEVEL_CAP}")
-    scales = np.cumprod(np.concatenate(([1.0], np.full(n_levels - 1, lam))))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        scales = np.cumprod(np.concatenate(([1.0], np.full(n_levels - 1, lam))))
     if not np.isfinite(scales[-1]):
-        raise GuardError(f"lam**{n_levels - 1} overflows the working precision")
+        raise GuardError(f"lam={lam}: lam**{n_levels - 1} overflows the working precision")
     return scales
 
 

@@ -81,7 +81,10 @@ def map_trees(record, model: TreeModel, ns: list[int], count: int, master_seed: 
               workers: int = 1) -> list:
     """[record(j, tree j) for j in range(count)]: tree j has depth
     ns[j % len(ns)] and is drawn from stream j.  With workers > 1, record
-    must pickle (a module-level function or a partial of one)."""
+    must pickle (a module-level function or a partial of one).  Every
+    depth's resistance range is checked before any tree is drawn."""
+    for n in ns:
+        model.scales(n)
     chunks = _chunked(_tree_chunk, (record, model, ns, master_seed), count, workers)
     return [rec for chunk in chunks for rec in chunk]
 
@@ -395,12 +398,13 @@ def sweep(
     workers: int = 1,
 ) -> list[MomentReport]:
     """Moment reports over a depth grid; each depth gets its own derived
-    master seed so the grids stay decorrelated.  Every depth's count is
-    checked before any depth is sampled."""
+    master seed so the grids stay decorrelated.  Every depth's count and
+    resistance range are checked before any depth is sampled."""
     for n in ns:
         if reps_for[n] < 2:
             raise ValidationError(
                 f"reps: moment estimation needs m >= 2, got m={reps_for[n]} at n={n}")
+        model.scales(n)
     reports = []
     for n in ns:
         seed_n = derive_seed(master_seed, n)

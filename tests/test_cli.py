@@ -507,12 +507,14 @@ class TestExitCodes:
         (["tails", "--n", "4", "--reps", "200", "--a", "2", "--b", "1"], "b"),
         (["sample", "--seed", "-1"], "seed"),
         (["rde", "--seed", "-1"], "seed"),
+        (["flows", "--model", "reg:3", "--n", "3"], "model"),
+        (["flows", "--n", "3", "--lam", "1.5"], "lam"),
     ], ids=["unif-inf", "disc-inf", "disc-nan-prob", "disc-nan-value", "gw-nan-prob",
             "const-inf", "b-inf", "a-nan", "t-grid-nan", "lam-0", "lam-minus-0",
             "lam-inf", "mu-0", "mu-nan", "sigma2-negative", "sample-reps-0",
             "sweep-reps-0", "sweep-reps-1", "tails-reps-50", "flows-a-above-b",
             "constants-a-above-b", "constants-a-above-law", "tails-a-above-b",
-            "sample-seed-negative", "rde-seed-negative"])
+            "sample-seed-negative", "rde-seed-negative", "flows-ternary", "flows-lam"])
     def test_out_of_domain_number_rejected(self, tmp_path, capsys, argv, option):
         if argv[0] == "fit":
             table = tmp_path / "sweep.csv"
@@ -521,6 +523,31 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {option}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--model", "reg:2", "--n", "3", "--dist", "twopoint:0.5,1e308",
+          "--lam", "10", "--reps", "3"], "overflows"),
+        (["sample", "--n", "3", "--dist", "const:1", "--lam", "1e-200"], "underflows"),
+        (["sweep", "--n", "3..5", "--dist", "const:1", "--lam", "1e-110", "--reps", "3"],
+         "underflows"),
+        (["oracle-check", "--n", "2,3", "--lam", "1e-200", "--instances", "3"], "underflows"),
+        (["gw", "--model", "gw:2:1", "--n", "3", "--lam", "1e300"], "lam**3 overflows"),
+    ], ids=["sample-overflow", "sample-underflow", "sweep-underflow", "oracle-underflow",
+            "gw-scale-overflow"])
+    def test_resistance_range_guarded_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+        from treeohm import model as model_module
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew uniforms before the range guard")
+
+        monkeypatch.setattr(model_module.RngStream, "uniforms", no_draws)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard: lam") and message in err
+        assert "dist" in err or argv[0] == "gw"
         assert not out.exists()
 
     def test_gw_command_needs_gw_model(self, tmp_path):

@@ -15,6 +15,7 @@ from treeohm import (
     parse_distribution,
     parse_offspring,
 )
+from treeohm.model import _transform
 
 
 class TestDistributions:
@@ -39,6 +40,35 @@ class TestDistributions:
         dist = parse_distribution("disc:0.5:0.25,1.0:0.5,1.5:0.25")
         draws = dist_sample_block(dist, RngStream(11), 20000)
         assert set(np.unique(draws)) <= {0.5, 1.0, 1.5}
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["const:1.3", "unif:0.5,2", "twopoint:1,3,0.3", "twopoint:0.5,1.5,0",
+         "twopoint:0.5,1.5,1", "disc:0.5:0.2,1:0.5,2.5:0.3"],
+    )
+    def test_block_weights_keep_their_formula(self, literal):
+        # each kind's out-of-place map, written out, against the in-place one
+        dist = parse_distribution(literal)
+
+        def expected(u):
+            if dist.kind in ("uniform", "constant"):
+                return dist.a + (dist.b - dist.a) * u
+            if dist.kind == "twopoint":
+                (lo, p), (hi, _) = dist.atoms
+                return np.where(u < p, lo, hi)
+            cum = np.cumsum([p for _, p in dist.atoms])
+            vals = np.array([v for v, _ in dist.atoms])
+            return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
+
+        u = RngStream(4, 2).uniforms(6000)
+        got = dist_sample_block(dist, RngStream(4, 2), 6000)
+        assert got.tobytes() == expected(u).tobytes()
+        # scaled, on a strided (k, 1) column of a block, as the regular fold maps its root level
+        block = u.reshape(2000, 3).copy()
+        want = expected(block[:, :1]) * 1.7
+        _transform(dist, block[:, :1], 1.7)
+        assert block[:, :1].tobytes() == want.tobytes()
+        assert block[:, 1:].tobytes() == u.reshape(2000, 3)[:, 1:].tobytes()
 
     @pytest.mark.parametrize(
         "literal",

@@ -136,6 +136,40 @@ class TestBlockEvaluation:
         batch = run_replicates(model, n, 2, 13)
         assert batch.resistance.tolist() == _streamed(model, n, 13, 0, 2)
 
+    # the two-point select at p = 0 and p = 1 takes one atom everywhere
+    _EDGE_LAWS = {
+        "twopoint-p0": WeightDistribution.two_point(0.5, 1.5, 0.0),
+        "twopoint-p1": WeightDistribution.two_point(0.5, 1.5, 1.0),
+        "const": WeightDistribution.constant(0.7),
+    }
+
+    @pytest.mark.parametrize("law", sorted(_EDGE_LAWS))
+    @pytest.mark.parametrize("beta, lam, n", [(2, None, 3), (4, None, 3), (4, 0.7, 4),
+                                              (2, 0.7, 6)])
+    def test_edge_laws_match_streaming(self, law, beta, lam, n):
+        model = TreeModel.regular(beta, self._EDGE_LAWS[law], lam=lam)
+        batch = run_replicates(model, n, 25, 17)
+        assert batch.resistance.tolist() == _streamed(model, n, 17, 0, 25)
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_partial_block_reads_no_stale_rows(self, law):
+        from treeohm.evaluate import _regular_replicates
+
+        # the last block fills only the first 3 rows of buffers that the
+        # full block before it left holding other trees
+        model = TreeModel.regular(4, _LAWS[law], lam=0.7)
+        rows = _block_rows(4, 3)
+        chunk = _regular_replicates(model, 3, 8, 2, 2 + rows + 3)
+        assert chunk.tolist() == _streamed(model, 3, 8, 2, 2 + rows + 3)
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_single_edge_trees_match_streaming(self, law):
+        # at n = 1 the whole block is one level of width 1
+        model = TreeModel.regular(3, _LAWS[law])
+        batch = run_replicates(model, 1, 40, 6)
+        assert batch.resistance.tolist() == _streamed(model, 1, 6, 0, 40)
+        assert len(set(batch.resistance.tolist())) == len(_LAWS[law].atoms or range(40))
+
 
 class TestMoments:
     def test_tiny_sample(self):
