@@ -21,6 +21,8 @@ import math
 import os
 import sys
 from functools import partial
+from itertools import chain, repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -168,9 +170,10 @@ def _provenance_json(cfg: dict) -> str:
     return json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
 
 
-def write_table(outdir: str, name: str, columns: list[str], rows: list[tuple],
+def write_table(outdir: str, name: str, columns: list[str], rows: Iterable[tuple],
                 cfg: dict) -> str:
-    """Write one table artifact in the configured format; returns the path."""
+    """Write one table artifact in the configured format; returns the path.
+    `rows` is read once, and a CSV table is written a row at a time."""
     if cfg["format"] == "json":
         path = os.path.join(outdir, f"{name}.json")
         payload = {
@@ -178,12 +181,11 @@ def write_table(outdir: str, name: str, columns: list[str], rows: list[tuple],
             "columns": columns,
             "rows": [[_fmt(v) for v in row] for row in rows],
         }
-        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         return path
     path = os.path.join(outdir, f"{name}.csv")
-    lines = [f"# provenance: {_provenance_json(cfg)}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    header = f"# provenance: {_provenance_json(cfg)}\n{','.join(columns)}\n"
+    _write_lines(path, chain([header], (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
     return path
 
 
@@ -191,14 +193,14 @@ def write_report(outdir: str, name: str, payload: dict, cfg: dict) -> str:
     path = os.path.join(outdir, f"{name}.json")
     body = {"provenance": _provenance(cfg)}
     body.update(payload)
-    _write_text(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
+    _write_lines(path, [json.dumps(body, sort_keys=True, indent=2) + "\n"])
     return path
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ValidationError(f"out: cannot write {path}: {exc}") from exc
 
@@ -246,7 +248,7 @@ def cmd_sample(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     batch = run_replicates(model, n, m, cfg["seed"], workers)
-    rows = list(zip(range(m), [n] * m, batch.resistance.tolist(), batch.conductance.tolist()))
+    rows = zip(range(m), repeat(n), batch.resistance.tolist(), batch.conductance.tolist())
     outdir = _outdir(cfg)
     return [write_table(outdir, "samples", ["replicate", "n", "R", "C"], rows, cfg)]
 

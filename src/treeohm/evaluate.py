@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .model import (
     _transform,
     dist_sample_block,
     level_scales,
+    streams,
 )
 
 
@@ -125,15 +127,34 @@ def reweighted(tree: SampledTree, node: int, x: float) -> SampledTree:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dfs_layout(beta: int, n_levels: int):
-    """Pre-order levels and parents of the full beta-ary tree with n_levels
-    edge levels, plus its level offsets and level-major order."""
+def _regular_layout(beta: int, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-major order and level offsets (see _level_major) of the full
+    beta-ary tree with n_levels edge levels, built level by level without
+    its pre-order levels and parents: the children of the pre-order node p
+    at level l are p + 1 + i * size for i < beta, where size is the node
+    count of a subtree rooted at level l + 1."""
     n = (beta**n_levels - 1) // (beta - 1)
     if n > MEMORY_GUARD:
         raise GuardError(
             f"regular tree with {n} nodes exceeds the {MEMORY_GUARD}-node guard"
         )
+    offsets = np.concatenate(([0], np.cumsum(beta ** np.arange(n_levels))))
+    order = np.zeros(n, dtype=np.int64)
+    off = offsets.tolist()
+    for l in range(1, n_levels):
+        size = (beta ** (n_levels - l) - 1) // (beta - 1)
+        kids = order[off[l]:off[l + 1]].reshape(-1, beta)
+        np.add(order[off[l - 1]:off[l], None], 1 + size * np.arange(beta), out=kids)
+    return order, offsets
+
+
+@lru_cache(maxsize=8)
+def _dfs_layout(beta: int, n_levels: int):
+    """Pre-order levels and parents of the full beta-ary tree with n_levels
+    edge levels, plus its _regular_layout (order, offsets), for explicit
+    regular trees and resistance_fast.  The cache holds the last 8 depths,
+    which covers oracle-check's n = 2..9 without keeping every depth alive."""
+    order, offsets = _regular_layout(beta, n_levels)
     # a tree one level deeper is a new root above beta copies of the tree,
     # laid out one after another in pre-order
     level = np.ones(1, dtype=np.int64)
@@ -144,8 +165,7 @@ def _dfs_layout(beta: int, n_levels: int):
         copies[:, 0] = 0
         level = np.concatenate(([1], np.tile(level + 1, beta)))
         parent = np.concatenate(([-1], copies.ravel()))
-    order, offsets = _level_major(level, n_levels)
-    return level, parent, offsets, order
+    return level, parent, order, offsets
 
 
 def _fold(sub: np.ndarray, offsets: np.ndarray, kids, cond: np.ndarray,
@@ -200,29 +220,32 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _BLOCK_UNIFORMS = 2**16
 
 
-def _regular_rows(model: TreeModel, n: int, streams, rows: int, buffers=None) -> np.ndarray:
-    """Root resistances of `rows` depth-n regular trees, one per stream.
+def _regular_rows(model: TreeModel, n: int, rngs, rows: int, layout=None,
+                  buffers=None) -> np.ndarray:
+    """Root resistances of `rows` depth-n regular trees, one per stream of
+    `rngs`.
 
     Row i of a (rows, edges) draw matrix takes the i-th stream's next
     uniforms in pre-order; the uniforms are gathered level-major once, each
     level is mapped in place to resistances (_transform with the level's
     scale), and the block is folded in place with the spent draw matrix as
-    scratch.  `buffers`, two (at least `rows`, edges) arrays for the draw
-    matrix and its gather (None allocates them), may be reused across
-    blocks; only their leading `rows` rows are written and read.  Streams
-    may come from a generator, so only the buffers, not `rows` live streams,
-    are held at a time.
+    scratch.  `layout` is the depth's (order, offsets) (None takes them
+    from the cached _dfs_layout).  `buffers`, two (at least `rows`, edges)
+    arrays for the draw matrix and its gather (None allocates them), may be
+    reused across blocks; only their leading `rows` rows are written and
+    read.  `rngs` may be an iterator, so only the buffers, not `rows` live
+    streams, are held at a time.
     """
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     _check_depth(n)
     beta = int(model.beta)
-    _, _, offsets, order = _dfs_layout(beta, n)
+    order, offsets = layout or _dfs_layout(beta, n)[2:]
     scales = model.scales(n)
     if buffers is None:
         buffers = np.empty((rows, int(offsets[-1]))), np.empty((rows, int(offsets[-1])))
     u, g = (buf[:rows] for buf in buffers)
-    for rng, row in zip(streams, u):
+    for rng, row in zip(rngs, u):
         rng.uniforms(row.shape[0], out=row)
     np.take(u, order, axis=1, out=g, mode="clip")  # every index is in range
     for l in range(1, n + 1):
@@ -233,20 +256,22 @@ def _regular_rows(model: TreeModel, n: int, streams, rows: int, buffers=None) ->
 
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
-    stream j), evaluated block by block in one set of buffers."""
+    stream j), evaluated block by block in one set of buffers, with one
+    seed derivation (streams) and one layout for the whole range."""
     _check_depth(n)
     beta = int(model.beta)
     edges = (beta**n - 1) // (beta - 1)
+    layout = _regular_layout(beta, n)
     rows = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
     buffers = np.empty((rows, edges)), np.empty((rows, edges))
     out = np.empty(j1 - j0, dtype=np.float64)
-    for b0 in range(j0, j1, rows):
-        b1 = min(b0 + rows, j1)
-        streams = (RngStream(master_seed, j) for j in range(b0, b1))
-        out[b0 - j0:b1 - j0] = _regular_rows(model, n, streams, b1 - b0, buffers)
+    chunk = streams(master_seed, j0, j1)
+    for b0 in range(0, j1 - j0, rows):
+        b1 = min(b0 + rows, j1 - j0)
+        out[b0:b1] = _regular_rows(model, n, islice(chunk, b1 - b0), b1 - b0, layout, buffers)
     return out
 
 
@@ -312,7 +337,7 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     """
     _check_depth(n)
     if model.shape == "regular":
-        level, parent, offsets, _ = _dfs_layout(int(model.beta), n)
+        level, parent, _, offsets = _dfs_layout(int(model.beta), n)
         scales = model.scales(n)
         weight = dist_sample_block(model.weights, rng, int(offsets[-1]))
         resistance = weight * scales[level - 1]

@@ -2,6 +2,8 @@
 
 Everything downstream (evaluators, flow solver, Monte Carlo engine) builds on
 the three types defined here: WeightDistribution, TreeModel and RngStream.
+A range of streams comes from streams(), which derives the seeds of the
+whole range in one vectorized pass.
 Every draw maps a block of a stream's uniforms through array functions
 (_transform, _inverse_cdf), so a uniform's draw does not depend on the block.
 Resistances follow the depth scaling r_e = lam**(level-1) * X_e, where the
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from functools import cache, cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +25,9 @@ LEVEL_CAP = 60
 
 # hard ceiling on explicitly materialized tree nodes
 MEMORY_GUARD = 2**25
+
+# streams() seeds from one-word spawn keys, so stream indices stay below this
+STREAM_LIMIT = 2**32
 
 _PROB_TOL = 1e-12
 
@@ -315,6 +320,11 @@ class RngStream:
     Distinct stream indices give statistically independent streams (the pair
     is fed through SeedSequence spawn keys).  A draw split into blocks anywhere
     yields the same uniforms as one block; the branching sampler relies on it.
+
+    A lone RngStream(master_seed, j) seeds its PCG64 through numpy's
+    SeedSequence.  For one stream that is the cheaper route, and it is the
+    independent reference for streams(), which builds a range of streams
+    from one vectorized seed derivation with the same draws.
     """
 
     master_seed: int
@@ -335,6 +345,118 @@ class RngStream:
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform integers in [low, high)."""
         return self._gen.integers(low, high, size=size)
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator) and pool size
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix (with _MULT_B, its output hash) of a 32-bit
+    word, or of a uint64 array of them: the hashed value and the next hash
+    constant, which never depends on the value.  Each product of two 32-bit
+    values is masked back to 32 bits, so a uint64 array cannot overflow."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of a pool word x with a hashed word (or uint64
+    array of them) y; a uint64 difference wraps modulo 2**64, which leaves
+    its low 32 bits exact."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(master_seed: int, j0: int, j1: int) -> np.ndarray:
+    """A (j1 - j0, 4) uint64 array whose row j - j0 is
+    SeedSequence(master_seed, spawn_key=(j,)).generate_state(4, np.uint64).
+
+    SeedSequence hashes master_seed's 32-bit words, zero-padded to the pool
+    size, then the spawn word j.  Every step before j depends on master_seed
+    alone and runs once, in Python ints.  The four steps that mix j into the
+    pool and the eight output words run as uint64 array ops on 32-bit values.
+    """
+    if master_seed < 0 or not 0 <= j0 <= j1:
+        raise ValidationError(f"need a seed >= 0 and 0 <= j0 <= j1, got "
+                              f"{master_seed}, {j0}, {j1}")
+    if j1 > STREAM_LIMIT:
+        raise GuardError(f"stream index {j1 - 1} is past the last index "
+                         f"2**32 - 1 of a range of streams")
+    entropy = [master_seed & _MASK32]
+    rest = master_seed >> 32
+    while rest:
+        entropy.append(rest & _MASK32)
+        rest >>= 32
+    entropy += [0] * (_POOL - len(entropy))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    # the last entropy word is the spawn word j, one array over the range
+    for word in entropy[_POOL:] + [np.arange(j0, j1, dtype=np.uint64)]:
+        for dst in range(_POOL):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    # generate_state: 32-bit output word i hashes pool word i % 4, and each
+    # (low, high) pair of output words is one uint64
+    out = np.empty((j1 - j0, _POOL), dtype=np.uint64)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL):
+        word, hash_const = _hashmix(pool[i % _POOL], hash_const, _MULT_B)
+        if i % 2:
+            out[:, i // 2] |= word << 32
+        else:
+            out[:, i // 2] = word
+    return out
+
+
+@cache
+def _seed_row_type() -> type:
+    """The ISeedSequence that hands PCG64 one precomputed row of _seed_words.
+    It is defined on first use: naming numpy.random when this module is
+    imported would load it on every import of the package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRow(ISeedSequence):
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or dtype is not np.uint64:
+                raise ValueError("a seed row holds the 4 uint64 words PCG64 takes")
+            return self.row
+
+    return SeedRow
+
+
+def _row_stream(master_seed: int, j: int, seed_row) -> RngStream:
+    rng = object.__new__(RngStream)
+    rng.master_seed, rng.stream_index = master_seed, j
+    rng._gen = np.random.Generator(np.random.PCG64(seed_row))
+    return rng
+
+
+def streams(master_seed: int, j0: int, j1: int) -> Iterator[RngStream]:
+    """RngStream j0..j1-1 of master_seed, in order, built lazily from one
+    _seed_words derivation made on this call.  Stream j owns
+    Generator(PCG64(its seed row)) and draws exactly what the lone
+    RngStream(master_seed, j) draws, without a SeedSequence of its own."""
+    words = _seed_words(master_seed, j0, j1)
+    seed_row = _seed_row_type()
+    return (_row_stream(master_seed, j, seed_row(row)) for j, row in enumerate(words, j0))
 
 
 def derive_seed(master_seed: int, *keys: int) -> int:

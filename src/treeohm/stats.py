@@ -25,12 +25,15 @@ from .evaluate import (
     shorted_resistance_of_tree,
 )
 from .model import (
+    STREAM_LIMIT,
+    GuardError,
     RngStream,
     TreeModel,
     ValidationError,
     WeightDistribution,
     derive_seed,
     dist_sample_block,
+    streams,
 )
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -69,11 +72,19 @@ def _chunked(task, args: tuple, count: int, workers: int) -> list:
         return list(pool.map(task, *zip(*(args + b for b in bounds))))
 
 
+def _check_streams(what: str, count: int) -> None:
+    """Refuse, before anything is allocated or drawn, a count whose last
+    stream index would reach STREAM_LIMIT."""
+    if count > STREAM_LIMIT:
+        raise GuardError(f"{what}: {count} streams need indices up to "
+                         f"{count - 1}, past the last stream index 2**32 - 1")
+
+
 def _tree_chunk(record, model: TreeModel, ns: list[int], master_seed: int,
                 j0: int, j1: int) -> list:
     return [
-        record(j, sample_tree_explicit(model, ns[j % len(ns)], RngStream(master_seed, j)))
-        for j in range(j0, j1)
+        record(j, sample_tree_explicit(model, ns[j % len(ns)], rng))
+        for j, rng in enumerate(streams(master_seed, j0, j1), j0)
     ]
 
 
@@ -82,7 +93,9 @@ def map_trees(record, model: TreeModel, ns: list[int], count: int, master_seed: 
     """[record(j, tree j) for j in range(count)]: tree j has depth
     ns[j % len(ns)] and is drawn from stream j.  With workers > 1, record
     must pickle (a module-level function or a partial of one).  Every
-    depth's resistance range is checked before any tree is drawn."""
+    depth's resistance range, and the stream count, are checked before any
+    tree is drawn."""
+    _check_streams("trees", count)
     for n in ns:
         model.scales(n)
     chunks = _chunked(_tree_chunk, (record, model, ns, master_seed), count, workers)
@@ -100,6 +113,7 @@ def run_replicates(
     splits the replicate range but cannot change any value."""
     if m < 1:
         raise ValidationError(f"reps: need at least one replicate, got m={m}")
+    _check_streams("reps", m)
     if model.shape == "regular":
         parts = _chunked(_regular_replicates, (model, n, master_seed), m, workers)
         resistance = np.concatenate(parts)
@@ -404,6 +418,7 @@ def sweep(
         if reps_for[n] < 2:
             raise ValidationError(
                 f"reps: moment estimation needs m >= 2, got m={reps_for[n]} at n={n}")
+        _check_streams("reps", reps_for[n])
         model.scales(n)
     reports = []
     for n in ns:

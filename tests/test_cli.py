@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from treeohm import (
+    GuardError,
     RngStream,
     TreeModel,
     ValidationError,
@@ -260,6 +264,16 @@ class TestSampleCommand:
         main(args + ["--workers", "2", "--out", str(tmp_path / "w2")])
         assert read(tmp_path / "w1" / "samples.csv") == read(tmp_path / "w2" / "samples.csv")
 
+    def test_csv_rows_written_from_one_pass(self, tmp_path):
+        from treeohm.cli import _fmt, write_table
+
+        cfg = {"format": "csv", "seed": 1, "out": None}
+        rows = [(j, 0.1 * j, j % 2 == 0) for j in range(5)]
+        path = write_table(str(tmp_path), "t", ["a", "b", "c"], iter(rows), cfg)
+        lines = ['# provenance: {"format":"csv","seed":1}', "a,b,c"]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        assert read(path) == ("\n".join(lines) + "\n").encode()
+
     def test_json_format(self, tmp_path):
         code = main([
             "sample", "--model", "reg:2", "--n", "4", "--dist", "const:1",
@@ -471,6 +485,35 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "3", "--reps", str(2**32 + 1)],
+        ["tails", "--n", "3", "--reps", str(2**40)],
+        ["sweep", "--n", "3,4", "--reps", f"3:5,4:{2**32 + 1}"],
+        ["gw", "--n", "3", "--trees", str(2**32 + 1)],
+        ["flows", "--n", "3", "--instances", str(2**32 + 1)],
+        ["oracle-check", "--n", "2..4", "--instances", str(2**32 + 1)],
+    ], ids=["sample", "tails", "sweep", "gw", "flows", "oracle-check"])
+    def test_stream_index_past_one_word_is_exit_3(self, tmp_path, capsys, monkeypatch, argv):
+        from treeohm import stats
+
+        # the guard must come before the replicate map allocates or draws
+        def no_work(*args, **kwargs):
+            raise AssertionError("reached the replicate map past the stream guard")
+
+        monkeypatch.setattr(stats, "_chunked", no_work)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard: ") and "2**32 - 1" in err
+        assert not out.exists()
+
+    def test_stream_count_at_the_limit_passes_the_guard(self):
+        from treeohm.stats import _check_streams
+
+        _check_streams("reps", 2**32)
+        with pytest.raises(GuardError):
+            _check_streams("reps", 2**32 + 1)
+
     def test_gw_runs_without_model(self, tmp_path):
         assert main(["gw", "--n", "3", "--trees", "5", "--out", str(tmp_path)]) == 0
 
@@ -638,3 +681,13 @@ class TestExitCodes:
             printed = float(ln.split(",")[2])
             exact = resistance_fast(model, 5, RngStream(4, j)).resistance
             assert printed == exact
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # range streams name numpy.random only when the first range is built
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, treeohm.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -47,6 +47,23 @@ class TestRegularEvaluation:
         assert fold == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert abs(fold - dense) <= 1e-12 * dense
 
+    @pytest.mark.parametrize("beta, n", [(2, 1), (2, 2), (2, 9), (3, 5), (5, 4)])
+    def test_regular_layout_is_the_level_sort(self, beta, n):
+        from treeohm.evaluate import _dfs_layout, _level_major, _regular_layout
+
+        level, _, order, offsets = _dfs_layout(beta, n)
+        for got, want in zip(_regular_layout(beta, n), (order, offsets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the reference: pre-order ids stably sorted by level
+        for got, want in zip((order, offsets), _level_major(level, n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_layout_cache_is_bounded(self):
+        from treeohm.evaluate import _dfs_layout
+
+        # oracle-check cycles through n = 2..9
+        assert 8 <= _dfs_layout.cache_info().maxsize < 64
+
     @pytest.mark.parametrize("beta", [2, 3])
     @pytest.mark.parametrize("literal_n", [(1,), (2,), (5,), (8,)])
     def test_three_routes_bit_identical(self, beta, literal_n):

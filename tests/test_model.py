@@ -15,7 +15,7 @@ from treeohm import (
     parse_distribution,
     parse_offspring,
 )
-from treeohm.model import _transform
+from treeohm.model import STREAM_LIMIT, _seed_row_type, _seed_words, _transform, streams
 
 
 class TestDistributions:
@@ -189,6 +189,38 @@ class TestRngStream:
     def test_derive_seed_stable(self):
         assert derive_seed(7, 10) == derive_seed(7, 10)
         assert derive_seed(7, 10) != derive_seed(7, 11)
+
+    def test_range_streams_are_the_lone_streams(self):
+        got = list(streams(42, 3, 6))
+        assert got == [RngStream(42, j) for j in range(3, 6)]
+        assert [rng.uniforms(4).tolist() for rng in got] == \
+            [RngStream(42, j).uniforms(4).tolist() for j in range(3, 6)]
+        assert list(streams(42, 6, 6)) == []
+
+    def test_range_reaches_the_last_one_word_index(self):
+        words = _seed_words(9, STREAM_LIMIT - 2, STREAM_LIMIT)
+        assert words.shape == (2, 4)
+        want = np.random.SeedSequence(9, spawn_key=(STREAM_LIMIT - 1,)).generate_state(4, np.uint64)
+        assert words[-1].tolist() == want.tolist()
+
+    def test_range_past_the_last_index_guarded_before_allocating(self):
+        # a range of 2**32 + 1 streams would take 128 GiB of seed words
+        with pytest.raises(GuardError, match="2\\*\\*32 - 1"):
+            _seed_words(9, 0, STREAM_LIMIT + 1)
+        with pytest.raises(GuardError):
+            streams(9, STREAM_LIMIT, STREAM_LIMIT + 1)
+
+    @pytest.mark.parametrize("args", [(-1, 0, 1), (1, -1, 1), (1, 5, 4)])
+    def test_bad_range_rejected(self, args):
+        with pytest.raises(ValidationError):
+            streams(*args)
+
+    def test_seed_row_serves_only_pcg64(self):
+        row = _seed_words(1, 0, 1)[0]
+        seed_row = _seed_row_type()(row)
+        assert seed_row.generate_state(4, np.uint64) is row
+        with pytest.raises(ValueError):
+            seed_row.generate_state(8, np.uint32)
 
 
 class TestLiterals:

@@ -22,6 +22,7 @@ from treeohm import (
     shorted_resistance_of_tree,
     solve_flow,
 )
+from treeohm.model import STREAM_LIMIT, _seed_words, streams
 from tests.conftest import assert_node_law
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -159,3 +160,24 @@ def test_rayleigh_monotonicity(tree, data):
         assert moved >= base * (1 - 1e-12)
     else:
         assert moved <= base * (1 + 1e-12)
+
+
+# master seeds of one to six 32-bit words, and stream ranges at both ends of
+# the one-word spawn keys
+_MASTER_SEEDS = st.one_of(st.integers(0, 2**32), st.integers(0, 2**128 + 2**20),
+                          st.integers(2**128 - 2**20, 2**192))
+_RANGE_STARTS = st.one_of(st.integers(0, 40), st.integers(STREAM_LIMIT - 40, STREAM_LIMIT - 1))
+
+
+@PROPERTY
+@given(_MASTER_SEEDS, _RANGE_STARTS, st.integers(1, 12))
+def test_range_seeds_match_seed_sequence(master_seed, j0, count):
+    j1 = min(j0 + count, STREAM_LIMIT)
+    words = _seed_words(master_seed, j0, j1)
+    assert words.dtype == np.uint64 and words.shape == (j1 - j0, 4)
+    for j, row in enumerate(words, j0):
+        want = np.random.SeedSequence(master_seed, spawn_key=(j,)).generate_state(4, np.uint64)
+        assert row.tolist() == want.tolist()
+    for j, rng in enumerate(streams(master_seed, j0, j1), j0):
+        assert (rng.master_seed, rng.stream_index) == (master_seed, j)
+        assert rng.uniforms(5).tolist() == RngStream(master_seed, j).uniforms(5).tolist()

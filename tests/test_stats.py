@@ -162,6 +162,23 @@ class TestBlockEvaluation:
         chunk = _regular_replicates(model, 3, 8, 2, 2 + rows + 3)
         assert chunk.tolist() == _streamed(model, 3, 8, 2, 2 + rows + 3)
 
+    def test_chunk_at_the_top_of_the_stream_range(self):
+        from treeohm.evaluate import _regular_replicates
+        from treeohm.model import STREAM_LIMIT
+
+        # one seed derivation spans the chunk's blocks up to the last index
+        model = TreeModel.regular(2, _LAWS["unif"], lam=1.3)
+        j0 = STREAM_LIMIT - _block_rows(2, 4) - 3
+        chunk = _regular_replicates(model, 4, 2**70 + 5, j0, STREAM_LIMIT)
+        assert chunk.tolist() == _streamed(model, 4, 2**70 + 5, j0, STREAM_LIMIT)
+
+    def test_replicates_keep_no_tree_layout(self, binary_twopoint_model):
+        from treeohm.evaluate import _dfs_layout
+
+        _dfs_layout.cache_clear()
+        run_replicates(binary_twopoint_model, 7, 10, 3)
+        assert _dfs_layout.cache_info().currsize == 0
+
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_single_edge_trees_match_streaming(self, law):
         # at n = 1 the whole block is one level of width 1
@@ -426,6 +443,14 @@ class TestMapTrees:
         serial = map_trees(_nodes_and_resistance, model, [4, 2, 3], 9, 5, workers=1)
         pooled = map_trees(_nodes_and_resistance, model, [4, 2, 3], 9, 5, workers=2)
         assert pooled == serial
+
+    def test_offset_chunk_draws_from_the_lone_streams(self, twopoint_half):
+        model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), twopoint_half)
+        got = stats._tree_chunk(_nodes_and_resistance, model, [3, 4], 2**40, 5, 9)
+        want = [_nodes_and_resistance(j, sample_tree_explicit(model, [3, 4][j % 2],
+                                                              RngStream(2**40, j)))
+                for j in range(5, 9)]
+        assert got == want
 
 
 class TestEfronSteinDiagnostic:
