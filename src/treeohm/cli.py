@@ -151,14 +151,14 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
+def _spec(value) -> str:
+    """The %-format of a table value: %d for integers, %.17g (which
+    round-trips a float64) for the rest; a bool prints 1 or 0 either way."""
+    return "%d" if isinstance(value, (int, np.integer)) else "%.17g"
+
+
 def _fmt(value) -> str:
-    if type(value) is float:
-        return format(value, ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return _spec(value) % value
 
 
 def _provenance(cfg: dict) -> dict:
@@ -173,7 +173,9 @@ def _provenance_json(cfg: dict) -> str:
 def write_table(outdir: str, name: str, columns: list[str], rows: Iterable[tuple],
                 cfg: dict) -> str:
     """Write one table artifact in the configured format; returns the path.
-    `rows` is read once, and a CSV table is written a row at a time."""
+    `rows` (tuples whose columns each keep one type) is read once, and a CSV
+    table is written a row at a time, each row by one %-format built from
+    the first row's types."""
     if cfg["format"] == "json":
         path = os.path.join(outdir, f"{name}.json")
         payload = {
@@ -185,7 +187,13 @@ def write_table(outdir: str, name: str, columns: list[str], rows: Iterable[tuple
         return path
     path = os.path.join(outdir, f"{name}.csv")
     header = f"# provenance: {_provenance_json(cfg)}\n{','.join(columns)}\n"
-    _write_lines(path, chain([header], (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        _write_lines(path, [header])
+        return path
+    fmt = ",".join(map(_spec, first)) + "\n"
+    _write_lines(path, chain([header], (fmt % row for row in chain([first], rows))))
     return path
 
 

@@ -10,12 +10,16 @@ summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.
 
-Regular replicates are evaluated in blocks of streams (_regular_rows): row i
-of one draw matrix is filled from stream i, the uniforms are gathered
-level-major once, each level is mapped in place to its resistances, and the
-block is folded in place, in buffers reused from block to block.  Each row
-takes the same arithmetic as a lone tree, so resistance_fast, the one-row
-case, and every row of a block give the same bits.
+Regular replicates are evaluated in row-minor blocks (_regular_block): one
+(edges, columns) array per block, with tree i in column i, so that each level
+is a contiguous run of rows.  Up to _LOCKSTEP_EDGES edges per tree, the
+block's streams draw their uniforms in lockstep, already in that shape
+(model.stream_block); deeper trees draw from one Generator per stream.  The
+uniforms are gathered level-major along axis 0 once, each level is mapped in
+place to its resistances, and the block is folded in place, in buffers
+reused from block to block.  Each column takes the same arithmetic as a lone
+tree, so resistance_fast, the one-column case, and every column of a block
+give the same bits.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .model import (
     _transform,
     dist_sample_block,
     level_scales,
+    stream_block,
     streams,
 )
 
@@ -153,18 +158,16 @@ def _dfs_layout(beta: int, n_levels: int):
     """Pre-order levels and parents of the full beta-ary tree with n_levels
     edge levels, plus its _regular_layout (order, offsets), for explicit
     regular trees and resistance_fast.  The cache holds the last 8 depths,
-    which covers oracle-check's n = 2..9 without keeping every depth alive."""
+    which covers oracle-check's n = 2..9 without keeping every depth alive;
+    uncached, the layouts of flows at n = 12 and oracle-check at n = 2..9
+    would be rebuilt per tree, 20 to 130 us each."""
     order, offsets = _regular_layout(beta, n_levels)
-    # a tree one level deeper is a new root above beta copies of the tree,
-    # laid out one after another in pre-order
-    level = np.ones(1, dtype=np.int64)
-    parent = np.full(1, -1, dtype=np.int64)
-    for _ in range(n_levels - 1):
-        size = level.shape[0]
-        copies = parent + 1 + size * np.arange(beta)[:, None]
-        copies[:, 0] = 0
-        level = np.concatenate(([1], np.tile(level + 1, beta)))
-        parent = np.concatenate(([-1], copies.ravel()))
+    # level-major slot t > 0 has its parent in slot (t - 1) // beta
+    level = np.empty_like(order)
+    level[order] = np.repeat(np.arange(1, n_levels + 1), np.diff(offsets))
+    parent = np.empty_like(order)
+    parent[0] = -1
+    parent[order[1:]] = np.repeat(order[:offsets[-2]], beta)
     return level, parent, order, offsets
 
 
@@ -173,34 +176,34 @@ def _fold(sub: np.ndarray, offsets: np.ndarray, kids, cond: np.ndarray,
     """Series-parallel fold of level-major edge resistances, bottom level
     first, in place.
 
-    sub holds one tree's resistances (1-D) or one tree per row (2-D, regular
-    trees only), already scaled; levels run along the last axis, level l in
-    slots offsets[l-1]:offsets[l].  Each level slice of sub becomes that
+    sub holds one tree's resistances (1-D) or one tree per column (2-D,
+    regular trees only), already scaled; levels run along axis 0, level l in
+    rows offsets[l-1]:offsets[l].  Each level slice of sub becomes that
     level's subtree resistances: a node's children's conductances 1/sub are
     summed left to right and its subtree resistance is r + 1/csum, as in the
     scalar recursion.  The caller owns the scratch: cond, shaped like sub,
     ends with each level's 1/sub from level 2 down; csum, with at least
-    offsets[-2] slots on the last axis, ends with the child conductance sums
-    of each level that has children, in that level's slots.  csum may be
-    cond itself when the sums are not read afterwards: level l's sums are
-    spent before level l - 1 writes into their slots.  `kids` is the int arity
-    of a full regular tree (children summed by reshape) or the parent slots
-    of any tree (summed by np.bincount, in input order from 0).
+    offsets[-2] rows, ends with the child conductance sums of each level
+    that has children, in that level's rows.  csum may be cond itself when
+    the sums are not read afterwards: level l's sums are spent before level
+    l - 1 writes into their rows.  `kids` is the int arity of a full regular
+    tree (children summed by reshape) or the parent slots of any 1-D tree
+    (summed by np.bincount, in input order from 0).
     """
     off = offsets.tolist()
     for l in range(len(off) - 2, 0, -1):
         lo, mid, hi = off[l - 1], off[l], off[l + 1]
-        c = cond[..., mid:hi]
-        np.divide(1.0, sub[..., mid:hi], out=c)
-        sums, recip, res = csum[..., lo:mid], cond[..., lo:mid], sub[..., lo:mid]
+        c = cond[mid:hi]
+        np.divide(1.0, sub[mid:hi], out=c)
+        sums, recip, res = csum[lo:mid], cond[lo:mid], sub[lo:mid]
         if isinstance(kids, int):
-            c = c.reshape(c.shape[:-1] + (-1, kids))
-            np.add(c[..., 0], c[..., 1], out=sums)
+            c = c.reshape((-1, kids) + c.shape[1:])
+            np.add(c[:, 0], c[:, 1], out=sums)
             for j in range(2, kids):
-                np.add(sums, c[..., j], out=sums)
+                np.add(sums, c[:, j], out=sums)
         else:
             sums[:] = np.bincount(kids[mid:hi], weights=c, minlength=mid - lo)
-        # level l's cond slots hold 1/csum until the next level overwrites them
+        # level l's cond rows hold 1/csum until the next level overwrites them
         np.divide(1.0, sums, out=recip)
         np.add(res, recip, out=res)
 
@@ -215,63 +218,82 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sub, cond, csum
 
 
-# draw-matrix budget of a block of regular replicates, in uniforms: a block
-# holds max(1, _BLOCK_UNIFORMS // edges) rows, one row from n = 16 at beta 2
+# draw budget of a block of regular replicates, in uniforms: a block holds
+# max(1, _BLOCK_UNIFORMS // edges) trees, one from n = 16 at beta 2
 _BLOCK_UNIFORMS = 2**16
 
+# trees of at most this many edges draw in lockstep (model.stream_block),
+# deeper ones from a Generator per stream.  A lockstep block costs array
+# ops per draw and a Generator costs its construction per stream; per tree
+# of a whole evaluation at reg:2, lockstep against Generators took 0.5 vs
+# 6.1 us at n = 4, 3.0 vs 5.3 us at n = 6 and 10.4 vs 6.6 us at n = 7
+_LOCKSTEP_EDGES = 63
 
-def _regular_rows(model: TreeModel, n: int, rngs, rows: int, layout=None,
-                  buffers=None) -> np.ndarray:
-    """Root resistances of `rows` depth-n regular trees, one per stream of
-    `rngs`.
 
-    Row i of a (rows, edges) draw matrix takes the i-th stream's next
-    uniforms in pre-order; the uniforms are gathered level-major once, each
-    level is mapped in place to resistances (_transform with the level's
-    scale), and the block is folded in place with the spent draw matrix as
-    scratch.  `layout` is the depth's (order, offsets) (None takes them
-    from the cached _dfs_layout).  `buffers`, two (at least `rows`, edges)
-    arrays for the draw matrix and its gather (None allocates them), may be
-    reused across blocks; only their leading `rows` rows are written and
-    read.  `rngs` may be an iterator, so only the buffers, not `rows` live
-    streams, are held at a time.
+def _regular_block(model: TreeModel, n: int, rngs, cols: int, layout=None,
+                   buffers=None) -> np.ndarray:
+    """Root resistances of `cols` depth-n regular trees, tree i drawn from
+    the i-th stream of `rngs`.
+
+    The block is row-minor: an (edges, cols) array whose column i is tree
+    i.  `rngs` is either a block stream of `cols` streams (stream_block),
+    whose uniforms come in that shape, or an iterable of `cols` streams,
+    each filling a row of a (cols, edges) array that is read transposed.
+    The uniforms are gathered level-major along axis 0 once, each level (a
+    contiguous run of rows) is mapped in place to resistances (_transform
+    with the level's scale), and the block is folded in place with the
+    spent draws as scratch.  `layout` is the depth's (order, offsets,
+    scales) (None takes the first two from the cached _dfs_layout and the
+    scales from the model).  `buffers`, two float64 arrays of at least
+    edges * cols items (None allocates them), may be reused across blocks;
+    only their leading edges * cols items are used.  `rngs` may be an
+    iterator, so only the buffers, not `cols` live streams, are held at a
+    time.
     """
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     _check_depth(n)
     beta = int(model.beta)
-    order, offsets = layout or _dfs_layout(beta, n)[2:]
-    scales = model.scales(n)
+    order, offsets, scales = layout or (*_dfs_layout(beta, n)[2:], model.scales(n))
+    edges = int(offsets[-1])
     if buffers is None:
-        buffers = np.empty((rows, int(offsets[-1]))), np.empty((rows, int(offsets[-1])))
-    u, g = (buf[:rows] for buf in buffers)
-    for rng, row in zip(rngs, u):
-        rng.uniforms(row.shape[0], out=row)
-    np.take(u, order, axis=1, out=g, mode="clip")  # every index is in range
+        buffers = np.empty(edges * cols), np.empty(edges * cols)
+    u, g = (buf[:edges * cols].reshape(edges, cols) for buf in buffers)
+    if hasattr(rngs, "uniforms"):  # one block stream
+        drawn = rngs.uniforms(edges, out=u)
+    else:
+        rows = u.reshape(cols, edges)
+        for rng, row in zip(rngs, rows):
+            rng.uniforms(edges, out=row)
+        drawn = rows.T
+    np.take(drawn, order, axis=0, out=g, mode="clip")  # every index is in range
     for l in range(1, n + 1):
-        _transform(model.weights, g[:, offsets[l - 1]:offsets[l]], scales[l - 1])
+        _transform(model.weights, g[offsets[l - 1]:offsets[l]], scales[l - 1])
     _fold(g, offsets, beta, u, u)
-    return g[:, 0]
+    return g[0]
 
 
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
     stream j), evaluated block by block in one set of buffers, with one
-    seed derivation (streams) and one layout for the whole range."""
+    layout and one set of level scales for the whole range.  A block of
+    trees of at most _LOCKSTEP_EDGES edges draws from one stream_block;
+    deeper trees take their streams from one streams() range."""
     _check_depth(n)
     beta = int(model.beta)
     edges = (beta**n - 1) // (beta - 1)
-    layout = _regular_layout(beta, n)
-    rows = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
+    layout = (*_regular_layout(beta, n), model.scales(n))
+    cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
-    buffers = np.empty((rows, edges)), np.empty((rows, edges))
+    buffers = np.empty(edges * cols), np.empty(edges * cols)
     out = np.empty(j1 - j0, dtype=np.float64)
-    chunk = streams(master_seed, j0, j1)
-    for b0 in range(0, j1 - j0, rows):
-        b1 = min(b0 + rows, j1 - j0)
-        out[b0:b1] = _regular_rows(model, n, islice(chunk, b1 - b0), b1 - b0, layout, buffers)
+    chunk = None if edges <= _LOCKSTEP_EDGES else streams(master_seed, j0, j1)
+    for b0 in range(j0, j1, cols):
+        b1 = min(b0 + cols, j1)
+        rngs = stream_block(master_seed, b0, b1) if chunk is None else islice(chunk, b1 - b0)
+        out[b0 - j0:b1 - j0] = _regular_block(model, n, rngs, b1 - b0, layout, buffers)
     return out
 
 
@@ -320,8 +342,8 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     """Vectorized twin of resistance_streaming: one block draw in the same
     pre-order, reordered level-major, folded level by level.  Bit-identical
     to the recursion on the same stream, at the cost of O(beta^n) memory.
-    This is the one-row case of _regular_rows."""
-    r_total = float(_regular_rows(model, n, (rng,), 1)[0])
+    This is the one-column case of _regular_block."""
+    r_total = float(_regular_block(model, n, (rng,), 1)[0])
     return ResistanceSample(n, rng.stream_index, r_total, 1.0 / r_total)
 
 

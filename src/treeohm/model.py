@@ -2,8 +2,11 @@
 
 Everything downstream (evaluators, flow solver, Monte Carlo engine) builds on
 the three types defined here: WeightDistribution, TreeModel and RngStream.
-A range of streams comes from streams(), which derives the seeds of the
-whole range in one vectorized pass.
+A range of streams comes from streams(), which derives their seeds in
+vectorized passes over pieces of the range (_seed_words), and stream_block()
+gives a range of streams as one RngStream whose PCG64 generators step in
+lockstep as uint64 array ops (_Lockstep), one column per stream.  Both draw
+exactly what the lone RngStream of each index draws.
 Every draw maps a block of a stream's uniforms through array functions
 (_transform, _inverse_cdf), so a uniform's draw does not depend on the block.
 Resistances follow the depth scaling r_e = lam**(level-1) * X_e, where the
@@ -28,6 +31,10 @@ MEMORY_GUARD = 2**25
 
 # streams() seeds from one-word spawn keys, so stream indices stay below this
 STREAM_LIMIT = 2**32
+
+# streams() derives seed words this many streams at a time, which bounds the
+# memory a long range holds to a few hundred KiB
+_SEED_PIECE = 4096
 
 _PROB_TOL = 1e-12
 
@@ -339,7 +346,9 @@ class RngStream:
 
     def uniforms(self, size: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next `size` uniforms; with `out` (a float64 array of that
-        length), they are written into it in place and it is returned."""
+        length), they are written into it in place and it is returned.  A
+        block stream (stream_block) of k streams returns them as a
+        (size, k) array, and `out` has that shape."""
         return self._gen.random(size, out=out)
 
     def integers(self, low: int, high: int, size: int | None = None):
@@ -374,6 +383,15 @@ def _mix(x: int, y):
     return value ^ value >> 16
 
 
+def _check_range(master_seed: int, j0: int, j1: int) -> None:
+    if master_seed < 0 or not 0 <= j0 <= j1:
+        raise ValidationError(f"need a seed >= 0 and 0 <= j0 <= j1, got "
+                              f"{master_seed}, {j0}, {j1}")
+    if j1 > STREAM_LIMIT:
+        raise GuardError(f"stream index {j1 - 1} is past the last index "
+                         f"2**32 - 1 of a range of streams")
+
+
 def _seed_words(master_seed: int, j0: int, j1: int) -> np.ndarray:
     """A (j1 - j0, 4) uint64 array whose row j - j0 is
     SeedSequence(master_seed, spawn_key=(j,)).generate_state(4, np.uint64).
@@ -383,12 +401,7 @@ def _seed_words(master_seed: int, j0: int, j1: int) -> np.ndarray:
     alone and runs once, in Python ints.  The four steps that mix j into the
     pool and the eight output words run as uint64 array ops on 32-bit values.
     """
-    if master_seed < 0 or not 0 <= j0 <= j1:
-        raise ValidationError(f"need a seed >= 0 and 0 <= j0 <= j1, got "
-                              f"{master_seed}, {j0}, {j1}")
-    if j1 > STREAM_LIMIT:
-        raise GuardError(f"stream index {j1 - 1} is past the last index "
-                         f"2**32 - 1 of a range of streams")
+    _check_range(master_seed, j0, j1)
     entropy = [master_seed & _MASK32]
     rest = master_seed >> 32
     while rest:
@@ -450,13 +463,107 @@ def _row_stream(master_seed: int, j: int, seed_row) -> RngStream:
 
 
 def streams(master_seed: int, j0: int, j1: int) -> Iterator[RngStream]:
-    """RngStream j0..j1-1 of master_seed, in order, built lazily from one
-    _seed_words derivation made on this call.  Stream j owns
-    Generator(PCG64(its seed row)) and draws exactly what the lone
-    RngStream(master_seed, j) draws, without a SeedSequence of its own."""
-    words = _seed_words(master_seed, j0, j1)
+    """RngStream j0..j1-1 of master_seed, in order, built lazily, with their
+    seed words derived _SEED_PIECE streams at a time (one _seed_words pass
+    per piece).  Stream j owns Generator(PCG64(its seed row)) and draws
+    exactly what the lone RngStream(master_seed, j) draws, without a
+    SeedSequence of its own.  A bad range is refused on this call."""
+    _check_range(master_seed, j0, j1)
     seed_row = _seed_row_type()
-    return (_row_stream(master_seed, j, seed_row(row)) for j, row in enumerate(words, j0))
+    return (_row_stream(master_seed, j, seed_row(row))
+            for p0 in range(j0, j1, _SEED_PIECE)
+            for j, row in enumerate(_seed_words(master_seed, p0, min(p0 + _SEED_PIECE, j1)), p0))
+
+
+# numpy's PCG64 multiplier (PCG_DEFAULT_MULTIPLIER_128), high and low words
+_PCG_MUL_HI, _PCG_MUL_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+class _Lockstep:
+    """The PCG64 generators of a range of streams, stepped together as
+    uint64 array ops; stream i is column i.  random(size) gives what
+    Generator.random(size) gives on each stream, as a (size, columns) array.
+
+    Each stream's 128-bit state and increment are held as high and low
+    uint64 words; array arithmetic wraps modulo 2**64 without a warning.
+    The seed words (w0, w1, w2, w3) give the initial state w0:w1 and the
+    increment (w2:w3 << 1) | 1, and seeding runs numpy's
+    state = 0; step; state += w0:w1; step.  A draw steps
+    state = state * multiplier + increment, outputs rotr64(hi ^ lo, hi >> 58)
+    (PCG's XSL-RR) and maps it to (out >> 11) * 2**-53.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        w = np.ascontiguousarray(words.T)
+        self.inc_hi = (w[2] << 1) | (w[3] >> 63)
+        self.inc_lo = (w[3] << 1) | 1
+        self.hi = np.zeros(w.shape[1], dtype=np.uint64)
+        self.lo = np.zeros_like(self.hi)
+        self.scratch = [np.empty_like(self.hi) for _ in range(4)]
+        self._step()
+        self.lo += w[1]
+        self.hi += w[0] + (self.lo < w[1])
+        self._step()
+
+    def _step(self) -> None:
+        hi, lo = self.hi, self.lo
+        a, b, t, p = self.scratch
+        # the high word of lo * _PCG_MUL_LO from 32-bit limbs (Hacker's
+        # Delight's mulhu); no partial sum passes 2**64
+        np.bitwise_and(lo, _MASK32, out=a)
+        np.right_shift(lo, 32, out=b)
+        np.multiply(a, _PCG_MUL_LO & _MASK32, out=p)
+        np.right_shift(p, 32, out=p)
+        np.multiply(b, _PCG_MUL_LO & _MASK32, out=t)
+        np.add(t, p, out=t)
+        np.bitwise_and(t, _MASK32, out=p)
+        np.multiply(a, _PCG_MUL_LO >> 32, out=a)
+        np.add(p, a, out=p)
+        np.right_shift(p, 32, out=p)
+        np.right_shift(t, 32, out=t)
+        np.add(p, t, out=p)
+        np.multiply(b, _PCG_MUL_LO >> 32, out=b)
+        np.add(p, b, out=p)
+        # state * multiplier + increment, modulo 2**128
+        np.multiply(hi, _PCG_MUL_LO, out=hi)
+        np.add(hi, p, out=hi)
+        np.multiply(lo, _PCG_MUL_HI, out=a)
+        np.add(hi, a, out=hi)
+        np.add(hi, self.inc_hi, out=hi)
+        np.multiply(lo, _PCG_MUL_LO, out=lo)
+        np.add(lo, self.inc_lo, out=lo)
+        np.less(lo, self.inc_lo, out=a)  # the carry out of the low word
+        np.add(hi, a, out=hi)
+
+    def random(self, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((size, self.hi.shape[0]))
+        x, r, p, _ = self.scratch
+        for row in out:
+            self._step()
+            np.bitwise_xor(self.hi, self.lo, out=x)
+            np.right_shift(self.hi, 58, out=r)
+            np.right_shift(x, r, out=p)
+            np.subtract(64, r, out=r)
+            np.bitwise_and(r, 63, out=r)
+            np.left_shift(x, r, out=x)
+            np.bitwise_or(p, x, out=p)
+            np.right_shift(p, 11, out=p)
+            np.multiply(p, 2.0**-53, out=row)
+        return out
+
+
+def stream_block(master_seed: int, j0: int, j1: int) -> RngStream:
+    """Streams j0..j1-1 of master_seed as one block RngStream: its
+    uniforms(size) returns a (size, j1 - j0) array whose column j - j0 is
+    what RngStream(master_seed, j).uniforms(size) returns.  The streams
+    are seeded by one _seed_words pass and step in lockstep (_Lockstep):
+    no Generator is built per stream, but every draw costs a few dozen
+    array ops, so a block pays off for short draws."""
+    rng = object.__new__(RngStream)
+    rng.master_seed, rng.stream_index = master_seed, j0
+    rng._gen = _Lockstep(_seed_words(master_seed, j0, j1))
+    return rng
 
 
 def derive_seed(master_seed: int, *keys: int) -> int:

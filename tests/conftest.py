@@ -56,6 +56,21 @@ def scalar_gw_tree(model, n, rng):
                        n_levels, model.lam, "gw", None)
 
 
+def tiled_dfs_layout(beta, n_levels):
+    """Reference pre-order levels and parents of the full beta-ary tree with
+    n_levels edge levels, built by tiling: a tree one level deeper is a new
+    root above beta copies of the tree, laid out one after another."""
+    level = np.ones(1, dtype=np.int64)
+    parent = np.full(1, -1, dtype=np.int64)
+    for _ in range(n_levels - 1):
+        size = level.shape[0]
+        copies = parent + 1 + size * np.arange(beta)[:, None]
+        copies[:, 0] = 0
+        level = np.concatenate(([1], np.tile(level + 1, beta)))
+        parent = np.concatenate(([-1], copies.ravel()))
+    return level, parent
+
+
 @pytest.fixture
 def three_edge_tree():
     """Root edge r=1 feeding two branch edges r=2 and r=4; R = 7/3."""

@@ -264,6 +264,18 @@ class TestSampleCommand:
         main(args + ["--workers", "2", "--out", str(tmp_path / "w2")])
         assert read(tmp_path / "w1" / "samples.csv") == read(tmp_path / "w2" / "samples.csv")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["sample", "--n", "6", "--reps", "2100"], "samples.csv"),
+        (["sweep", "--n", "5..7", "--reps", "1100"], "sweep.csv"),
+    ], ids=["sample", "sweep"])
+    def test_workers_byte_identical_across_the_lockstep_cutoff(self, tmp_path, argv, name):
+        # n = 6 is the deepest binary tree that draws in lockstep; its
+        # 2100 replicates fill two blocks and part of a third at one worker
+        args = argv + ["--model", "reg:2", "--dist", "twopoint:0.5,1.5", "--seed", "5"]
+        main(args + ["--workers", "1", "--out", str(tmp_path / "w1")])
+        main(args + ["--workers", "2", "--out", str(tmp_path / "w2")])
+        assert read(tmp_path / "w1" / name) == read(tmp_path / "w2" / name)
+
     def test_csv_rows_written_from_one_pass(self, tmp_path):
         from treeohm.cli import _fmt, write_table
 

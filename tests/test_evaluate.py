@@ -21,7 +21,7 @@ from treeohm import (
     sample_tree_explicit,
     shorted_resistance_of_tree,
 )
-from tests.conftest import scalar_gw_tree
+from tests.conftest import scalar_gw_tree, tiled_dfs_layout
 
 
 class TestRegularEvaluation:
@@ -56,6 +56,15 @@ class TestRegularEvaluation:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # the reference: pre-order ids stably sorted by level
         for got, want in zip((order, offsets), _level_major(level, n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("beta", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_layout_levels_and_parents_are_the_tiled_ones(self, beta, n):
+        from treeohm.evaluate import _dfs_layout
+
+        level, parent = _dfs_layout(beta, n)[:2]
+        for got, want in zip((level, parent), tiled_dfs_layout(beta, n)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_layout_cache_is_bounded(self):

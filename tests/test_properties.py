@@ -22,7 +22,7 @@ from treeohm import (
     shorted_resistance_of_tree,
     solve_flow,
 )
-from treeohm.model import STREAM_LIMIT, _seed_words, streams
+from treeohm.model import STREAM_LIMIT, _seed_words, stream_block, streams
 from tests.conftest import assert_node_law
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -181,3 +181,21 @@ def test_range_seeds_match_seed_sequence(master_seed, j0, count):
     for j, rng in enumerate(streams(master_seed, j0, j1), j0):
         assert (rng.master_seed, rng.stream_index) == (master_seed, j)
         assert rng.uniforms(5).tolist() == RngStream(master_seed, j).uniforms(5).tolist()
+
+
+@PROPERTY
+@given(_MASTER_SEEDS, _RANGE_STARTS, st.integers(1, 12),
+       st.lists(st.integers(0, 9), min_size=1, max_size=4))
+def test_lockstep_draws_match_lone_streams(master_seed, j0, count, sizes):
+    # every warning fails a test, so the uint64 wraparound of the lockstep
+    # arithmetic must pass silently
+    j1 = min(j0 + count, STREAM_LIMIT)
+    block = stream_block(master_seed, j0, j1)
+    assert (block.master_seed, block.stream_index) == (master_seed, j0)
+    got = np.concatenate([block.uniforms(k) for k in sizes])
+    total = sum(sizes)
+    assert got.dtype == np.float64 and got.shape == (total, j1 - j0)
+    # draws split across calls are the draws of one call
+    assert np.array_equal(got, stream_block(master_seed, j0, j1).uniforms(total))
+    for j in range(j0, j1):
+        assert got[:, j - j0].tolist() == RngStream(master_seed, j).uniforms(total).tolist()

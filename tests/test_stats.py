@@ -91,9 +91,37 @@ def _streamed(model, n, seed, j0, j1):
             for j in range(j0, j1)]
 
 
+def _cutoff_depths(beta):
+    """The depths whose trees have the most edges that still draw in
+    lockstep, one level less and one level more."""
+    from treeohm.evaluate import _LOCKSTEP_EDGES
+
+    n = 1
+    while (beta ** (n + 1) - 1) // (beta - 1) <= _LOCKSTEP_EDGES:
+        n += 1
+    return [n - 1, n, n + 1]
+
+
 class TestBlockEvaluation:
-    """Regular replicates are folded in blocks of rows; every row must equal
-    the scalar recursion on its own stream, whatever block it lands in."""
+    """Regular replicates are folded in blocks of columns; every column must
+    equal the scalar recursion on its own stream, whatever block it lands
+    in and whichever draw path fills it."""
+
+    @pytest.mark.parametrize("beta", [2, 3])
+    @pytest.mark.parametrize("step", [0, 1, 2], ids=["below", "top", "above"])
+    def test_columns_across_the_lockstep_cutoff(self, beta, step):
+        from treeohm.evaluate import _LOCKSTEP_EDGES, _regular_replicates
+
+        n = _cutoff_depths(beta)[step]
+        edges = (beta**n - 1) // (beta - 1)
+        assert (edges <= _LOCKSTEP_EDGES) == (step < 2)
+        if beta == 2 and step == 1:  # a binary depth sits at the cutoff
+            assert edges == _LOCKSTEP_EDGES
+        model = TreeModel.regular(beta, _LAWS["twopoint"], lam=1.3)
+        cols = _block_rows(beta, n)
+        j0, j1 = 11, 11 + cols + 7  # a full block, then 7 columns
+        chunk = _regular_replicates(model, n, 2**70 + 3, j0, j1)
+        assert chunk.tolist() == _streamed(model, n, 2**70 + 3, j0, j1)
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     @pytest.mark.parametrize("beta", [2, 3])
