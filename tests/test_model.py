@@ -197,6 +197,14 @@ class TestRngStream:
             [RngStream(42, j).uniforms(4).tolist() for j in range(3, 6)]
         assert list(streams(42, 6, 6)) == []
 
+    def test_range_streams_across_seed_pieces(self, monkeypatch):
+        from treeohm import model
+
+        # pieces of 3 streams: 5..7, 8..10, 11..12
+        monkeypatch.setattr(model, "_SEED_PIECE", 3)
+        got = [rng.uniforms(4).tolist() for rng in streams(42, 5, 13)]
+        assert got == [RngStream(42, j).uniforms(4).tolist() for j in range(5, 13)]
+
     def test_range_reaches_the_last_one_word_index(self):
         words = _seed_words(9, STREAM_LIMIT - 2, STREAM_LIMIT)
         assert words.shape == (2, 4)
