@@ -315,10 +315,9 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
         report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
     except ValidationError as exc:
         raise ValidationError(f"sweep_csv: {cfg['sweep_csv']}: {exc}") from exc
+    var_slope = var_intercept = None
     if "var_C" in table and np.all(table["var_C"] > 0.0):
-        report.var_slope, report.var_intercept = fit_variance_slope(
-            table["n"], table["var_C"]
-        )
+        var_slope, var_intercept = fit_variance_slope(table["n"], table["var_C"])
     payload = {
         "alpha": report.alpha,
         "beta": report.beta,
@@ -329,17 +328,17 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
         "mu": mu,
         "sigma2": sigma2,
         "constrained_range": report.constrained_range,
-        "var_slope": report.var_slope,
-        "var_intercept": report.var_intercept,
+        "var_slope": var_slope,
+        "var_intercept": var_intercept,
         "residual_table": [
             {
-                "n": float(report.ns[i]),
-                "mean_R": report.means[i],
-                "se_R": report.ses[i],
+                "n": float(table["n"][i]),
+                "mean_R": table["mean_R"][i],
+                "se_R": table["se_R"][i],
                 "residual": report.residuals[i],
                 "constrained_residual": report.constrained_residuals[i],
             }
-            for i in range(len(report.ns))
+            for i in range(len(table["n"]))
         ],
     }
     return [write_report(_outdir(cfg), "fit", payload, cfg)]

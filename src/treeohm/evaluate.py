@@ -10,16 +10,16 @@ summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.
 
-Regular replicates are evaluated in row-minor blocks (_regular_block): one
-(edges, columns) array per block, with tree i in column i, so that each level
-is a contiguous run of rows.  Up to _LOCKSTEP_EDGES edges per tree, the
-block's streams draw their uniforms in lockstep, already in that shape
-(model.stream_block); deeper trees draw from one Generator per stream.  The
-uniforms are gathered level-major along axis 0 once, each level is mapped in
-place to its resistances, and the block is folded in place, in buffers
-reused from block to block.  Each column takes the same arithmetic as a lone
-tree, so resistance_fast, the one-column case, and every column of a block
-give the same bits.
+Regular replicates are evaluated in row-minor blocks: one (edges, columns)
+array per block, with tree i in column i, so that each level is a contiguous
+run of rows.  The caller draws each block: the replicate loop
+(_regular_replicates) draws trees of up to _LOCKSTEP_EDGES edges in
+lockstep, already in that shape (model.stream_block), and deeper trees from
+one Generator per stream; resistance_fast draws its tree as one column.  One
+kernel (_regular_block) then gathers the uniforms level-major along axis 0,
+maps each level in place to its resistances and folds the block in place.
+Each column takes the same arithmetic as a lone tree, so resistance_fast,
+the one-column case, and every column of a block give the same bits.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from .model import (
     GuardError,
-    LEVEL_CAP,
     MEMORY_GUARD,
     RngStream,
     TreeModel,
@@ -49,10 +48,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class ResistanceSample:
-    """One evaluated tree: depth parameter, replicate id, R and C = 1/R."""
+    """One evaluated tree: R and C = 1/R."""
 
-    n: int
-    replicate: int
     resistance: float
     conductance: float
 
@@ -230,59 +227,41 @@ _BLOCK_UNIFORMS = 2**16
 _LOCKSTEP_EDGES = 63
 
 
-def _regular_block(model: TreeModel, n: int, rngs, cols: int, layout=None,
-                   buffers=None) -> np.ndarray:
-    """Root resistances of `cols` depth-n regular trees, tree i drawn from
-    the i-th stream of `rngs`.
+def _regular_block(model: TreeModel, layout, drawn: np.ndarray, g: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Root resistances of the regular trees whose pre-order uniforms are the
+    columns of `drawn`, an (edges, cols) array or view; the caller draws
+    them and validates the model and depth.
 
-    The block is row-minor: an (edges, cols) array whose column i is tree
-    i.  `rngs` is either a block stream of `cols` streams (stream_block),
-    whose uniforms come in that shape, or an iterable of `cols` streams,
-    each filling a row of a (cols, edges) array that is read transposed.
-    The uniforms are gathered level-major along axis 0 once, each level (a
-    contiguous run of rows) is mapped in place to resistances (_transform
-    with the level's scale), and the block is folded in place with the
-    spent draws as scratch.  `layout` is the depth's (order, offsets,
-    scales) (None takes the first two from the cached _dfs_layout and the
-    scales from the model).  `buffers`, two float64 arrays of at least
-    edges * cols items (None allocates them), may be reused across blocks;
-    only their leading edges * cols items are used.  `rngs` may be an
-    iterator, so only the buffers, not `cols` live streams, are held at a
-    time.
+    `layout` is the depth's (order, offsets, scales).  The block is
+    row-minor: the uniforms are gathered level-major along axis 0 into g, an
+    (edges, cols) array, so each level is a contiguous run of rows; each
+    level is mapped in place to resistances (_transform with the level's
+    scale), and g is folded in place with `scratch`, shaped like g, as the
+    fold's scratch.  scratch may hold `drawn` itself, which is spent once
+    gathered.
     """
-    if model.shape != "regular":
-        raise ValidationError("fast evaluation requires the regular shape")
-    _check_depth(n)
-    beta = int(model.beta)
-    order, offsets, scales = layout or (*_dfs_layout(beta, n)[2:], model.scales(n))
-    edges = int(offsets[-1])
-    if buffers is None:
-        buffers = np.empty(edges * cols), np.empty(edges * cols)
-    u, g = (buf[:edges * cols].reshape(edges, cols) for buf in buffers)
-    if hasattr(rngs, "uniforms"):  # one block stream
-        drawn = rngs.uniforms(edges, out=u)
-    else:
-        rows = u.reshape(cols, edges)
-        for rng, row in zip(rngs, rows):
-            rng.uniforms(edges, out=row)
-        drawn = rows.T
+    order, offsets, scales = layout
     np.take(drawn, order, axis=0, out=g, mode="clip")  # every index is in range
-    for l in range(1, n + 1):
+    for l in range(1, len(offsets)):
         _transform(model.weights, g[offsets[l - 1]:offsets[l]], scales[l - 1])
-    _fold(g, offsets, beta, u, u)
+    _fold(g, offsets, int(model.beta), scratch, scratch)
     return g[0]
 
 
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
-    stream j), evaluated block by block in one set of buffers, with one
-    layout and one set of level scales for the whole range.  A block of
-    trees of at most _LOCKSTEP_EDGES edges draws from one stream_block;
-    deeper trees take their streams from one streams() range."""
-    _check_depth(n)
-    beta = int(model.beta)
-    edges = (beta**n - 1) // (beta - 1)
-    layout = (*_regular_layout(beta, n), model.scales(n))
+    stream j), evaluated block by block in one pair of buffers, with one
+    layout and one set of level scales for the whole range.
+
+    This loop owns the draw: a block of trees of at most _LOCKSTEP_EDGES
+    edges draws from one stream_block, already (edges, trees); deeper trees
+    take their streams from one streams() range, each filling a row of a
+    (trees, edges) array that _regular_block reads transposed.  The spent
+    draws are the fold's scratch."""
+    scales = model.scales(n)
+    order, offsets = _regular_layout(int(model.beta), n)
+    edges = int(offsets[-1])
     cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
@@ -291,22 +270,22 @@ def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1:
     out = np.empty(j1 - j0, dtype=np.float64)
     chunk = None if edges <= _LOCKSTEP_EDGES else streams(master_seed, j0, j1)
     for b0 in range(j0, j1, cols):
-        b1 = min(b0 + cols, j1)
-        rngs = stream_block(master_seed, b0, b1) if chunk is None else islice(chunk, b1 - b0)
-        out[b0 - j0:b1 - j0] = _regular_block(model, n, rngs, b1 - b0, layout, buffers)
+        k = min(cols, j1 - b0)
+        u, g = (buf[:edges * k].reshape(edges, k) for buf in buffers)
+        if chunk is None:
+            drawn = stream_block(master_seed, b0, b0 + k).uniforms(edges, out=u)
+        else:
+            rows = u.reshape(k, edges)
+            for rng, row in zip(islice(chunk, k), rows):
+                rng.uniforms(edges, out=row)
+            drawn = rows.T
+        out[b0 - j0:b0 - j0 + k] = _regular_block(model, (order, offsets, scales), drawn, g, u)
     return out
 
 
 # ---------------------------------------------------------------------------
 # evaluators
 # ---------------------------------------------------------------------------
-
-
-def _check_depth(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"depth n={n} must be >= 1")
-    if n > LEVEL_CAP:
-        raise GuardError(f"depth n={n} exceeds the level cap {LEVEL_CAP}")
 
 
 def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> ResistanceSample:
@@ -318,7 +297,6 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
     """
     if model.shape != "regular":
         raise ValidationError("streaming evaluation requires the regular shape")
-    _check_depth(n)
     scales = model.scales(n)
     beta = int(model.beta)
     edges = (beta**n - 1) // (beta - 1)
@@ -335,7 +313,7 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
         return r + 1.0 / c
 
     r_total = rec(1)
-    return ResistanceSample(n, rng.stream_index, r_total, 1.0 / r_total)
+    return ResistanceSample(r_total, 1.0 / r_total)
 
 
 def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSample:
@@ -343,8 +321,13 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     pre-order, reordered level-major, folded level by level.  Bit-identical
     to the recursion on the same stream, at the cost of O(beta^n) memory.
     This is the one-column case of _regular_block."""
-    r_total = float(_regular_block(model, n, (rng,), 1)[0])
-    return ResistanceSample(n, rng.stream_index, r_total, 1.0 / r_total)
+    if model.shape != "regular":
+        raise ValidationError("fast evaluation requires the regular shape")
+    scales = model.scales(n)
+    _, _, order, offsets = _dfs_layout(int(model.beta), n)
+    u = rng.uniforms(int(offsets[-1]))[:, None]
+    r_total = float(_regular_block(model, (order, offsets, scales), u, np.empty_like(u), u)[0])
+    return ResistanceSample(r_total, 1.0 / r_total)
 
 
 def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTree:
@@ -357,10 +340,9 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     level l draws at least 2*(n_levels - l) + 1 on its way down to a leaf),
     so it never draws past the tree: nodes + internal nodes in all.
     """
-    _check_depth(n)
+    scales = model.scales(n)
     if model.shape == "regular":
         level, parent, _, offsets = _dfs_layout(int(model.beta), n)
-        scales = model.scales(n)
         weight = dist_sample_block(model.weights, rng, int(offsets[-1]))
         resistance = weight * scales[level - 1]
         return SampledTree(parent.copy(), level.copy(), weight, resistance,
@@ -369,7 +351,6 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
     n_levels = n + 1
-    scales = model.scales(n)
     # refuse before drawing when even the smallest possible tree is too big
     kmin = min(k for k, p in model.offspring if p > 0.0)
     smallest = sum(kmin**l for l in range(n_levels))

@@ -249,10 +249,13 @@ class TreeModel:
 
     def scales(self, n: int) -> np.ndarray:
         """level_scales of a depth-n tree (n edge levels for the regular
-        shape, n + 1 for the branching one), refused before any draw when an
-        edge resistance X * lam**(l-1) could leave the float range: the
-        largest root-to-leaf resistance b * sum(scales) must be finite and
-        the smallest edge resistance a * min(scales) must be > 0."""
+        shape, n + 1 for the branching one), the evaluators' one depth
+        check, run before any layout or draw: it refuses n < 1, more than
+        LEVEL_CAP levels, and an edge resistance X * lam**(l-1) that could
+        leave the float range (b * sum(scales) must be finite and
+        a * min(scales) must be > 0)."""
+        if n < 1:
+            raise ValidationError(f"depth n={n} must be >= 1")
         scales = level_scales(self.lam, n if self.shape == "regular" else n + 1)
         a, b = self.weights.a, self.weights.b
         try:

@@ -68,7 +68,8 @@ def _chunked(task, args: tuple, count: int, workers: int) -> list:
         return [task(*args, 0, count)]
     step = -(-count // (workers * 4))
     bounds = [(j, min(j + step, count)) for j in range(0, count, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forked pool starts all its processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
         return list(pool.map(task, *zip(*(args + b for b in bounds))))
 
 
@@ -321,11 +322,8 @@ def rde_levels(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitReport:
-    ns: np.ndarray
-    means: np.ndarray
-    ses: np.ndarray
     alpha: float
     beta: float
     gamma: float
@@ -335,8 +333,6 @@ class FitReport:
     residuals: np.ndarray
     constrained_residuals: np.ndarray
     constrained_range: float
-    var_slope: float | None = None
-    var_intercept: float | None = None
 
 
 def fit_expectation(
@@ -373,7 +369,6 @@ def fit_expectation(
     residuals = means - design @ coef
     constrained = means - (mu * ns - (sigma2 / mu) * np.log(ns))
     return FitReport(
-        ns, means, ses,
         float(coef[0]), float(coef[1]), float(coef[2]),
         float(se_coef[0]), float(se_coef[1]), float(se_coef[2]),
         residuals, constrained,

@@ -107,6 +107,25 @@ class TestRegularEvaluation:
         with pytest.raises(ValidationError):
             resistance_streaming(gw, 3, RngStream(0))
 
+    @pytest.mark.parametrize("evaluate, branching", [
+        (resistance_streaming, False), (resistance_fast, False),
+        (sample_tree_explicit, False), (sample_tree_explicit, True),
+    ], ids=["streaming", "fast", "explicit-regular", "explicit-branching"])
+    @pytest.mark.parametrize("too_deep", [False, True], ids=["n0", "61-levels"])
+    def test_depth_refused_before_layout_or_draw(self, evaluate, branching, too_deep):
+        from treeohm.evaluate import _dfs_layout
+
+        dist = WeightDistribution.uniform(0.5, 1.5)
+        if branching:  # gw:2:1, whose depth n has n + 1 edge levels
+            model, n = TreeModel.galton_watson([(2, 1.0)], dist), 60
+        else:
+            model, n = TreeModel.regular(2, dist), 61
+        rng, before = RngStream(4, 1), _dfs_layout.cache_info()
+        with pytest.raises(GuardError if too_deep else ValidationError):
+            evaluate(model, n if too_deep else 0, rng)
+        assert rng.uniforms(1)[0] == RngStream(4, 1).uniforms(1)[0]
+        assert _dfs_layout.cache_info() == before
+
 
 class TestExplicitTrees:
     def test_small_shape(self, binary_twopoint_model):

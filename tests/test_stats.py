@@ -47,6 +47,27 @@ class TestRunReplicates:
         parallel = run_replicates(binary_twopoint_model, 6, 40, 7, workers=2)
         assert np.array_equal(serial.resistance, parallel.resistance)
 
+    def test_pool_never_outnumbers_its_chunks(self, binary_twopoint_model, monkeypatch):
+        sizes = []
+
+        class InProcessPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        serial = run_replicates(binary_twopoint_model, 3, 5, 7, workers=1)
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_replicates(binary_twopoint_model, 3, 5, 7, workers=64)
+        assert sizes == [5]  # 5 replicates split into chunks of one
+        assert pooled.resistance.tolist() == serial.resistance.tolist()
+
     def test_envelope_seed7(self, binary_twopoint_model):
         batch = run_replicates(binary_twopoint_model, 10, 10**4, 7)
         assert batch.resistance.min() >= 5.0
