@@ -37,6 +37,7 @@ from .flows import (
     FlowBoundReport,
     FlowSolution,
     concentration_diagnostics,
+    energy,
     flow_bound_report,
     flow_bound_sum,
     perturb_flow,
@@ -57,7 +58,6 @@ from .stats import (
     FitReport,
     GwReport,
     MomentReport,
-    RDEPool,
     ReplicateSet,
     TailReport,
     VarianceBound,
@@ -66,9 +66,7 @@ from .stats import (
     fit_variance_slope,
     gw_experiment,
     map_trees,
-    rde_init,
     rde_levels,
-    rde_step,
     run_replicates,
     sweep,
     tail_profile,

@@ -29,11 +29,13 @@ import numpy as np
 from .flows import (
     concentration_diagnostics,
     flow_bound_report,
+    flow_ceiling,
     require_binary_doubling,
     solve_flow,
     tail_bound_constant,
 )
 from .model import (
+    MEMORY_GUARD,
     GuardError,
     RngStream,
     TreeModel,
@@ -136,7 +138,10 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
             steps = (stop - start) / step if step != 0.0 else math.nan
             if not 0.0 <= steps < math.inf:
                 raise ValidationError(f"t_grid: step {step!r} cannot lead {start!r} to {stop!r}")
-            grid = np.linspace(start, stop, int(round(steps)) + 1)
+            points = int(round(steps)) + 1
+            if points > MEMORY_GUARD:
+                raise GuardError(f"t_grid: {points} points exceed the {MEMORY_GUARD}-point guard")
+            grid = np.linspace(start, stop, points)
         else:
             grid = np.array([float(s) for s in text.split(",")])
     except ValueError as exc:
@@ -362,7 +367,7 @@ def _flow_record(a: float, b: float, i: int, tree) -> tuple[dict, list]:
     if i:
         return report, []
     upper = np.where(
-        np.arange(tree.n_nodes) == 0, flow.voltage_top, flow.voltage[tree.parent],
+        np.arange(tree.n_nodes) == 0, flow.resistance, flow.voltage[tree.parent],
     )
     dump = [
         (j, int(tree.parent[j]), int(tree.level[j]), tree.weight[j],
@@ -379,6 +384,7 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     count = _count(cfg, "instances")
     a, b = _envelope(cfg, model.weights)
+    flow_ceiling(a, b, n)  # refused here, before any tree is drawn
     records = map_trees(partial(_flow_record, a, b), model, [n], count, cfg["seed"], workers)
     outdir = _outdir(cfg)
     columns = ["edge_id", "parent_id", "level", "X", "r", "theta",
@@ -403,10 +409,10 @@ def cmd_rde(cfg: dict, workers: int) -> list[str]:
     max_level = _count(cfg, "levels")
     pools = rde_levels(dist, m, max_level, RngStream(cfg["seed"], 0))
     rows = [
-        (pool.level, len(pool.values), float(np.mean(pool.values)),
-         float(np.var(pool.values, ddof=1)) if len(pool.values) > 1 else 0.0,
-         float(np.min(pool.values)), float(np.max(pool.values)))
-        for pool in pools
+        (level, len(pool), float(np.mean(pool)),
+         float(np.var(pool, ddof=1)) if len(pool) > 1 else 0.0,
+         float(np.min(pool)), float(np.max(pool)))
+        for level, pool in enumerate(pools, 1)
     ]
     columns = ["level", "m", "mean", "var", "min", "max"]
     return [write_table(_outdir(cfg), "rde", columns, rows, cfg)]
@@ -464,8 +470,8 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     m = resolve_reps(cfg, [n])[n]
     t_grid = resolve_t_grid(cfg)
     a, b = _envelope(cfg, model.weights)
-    batch = run_replicates(model, n, m, cfg["seed"], workers)
     constant = tail_bound_constant(a, b)
+    batch = run_replicates(model, n, m, cfg["seed"], workers)
     report = tail_profile(batch, t_grid, constant)
     rows = [
         (report.t[i], int(report.count[i]), report.freq[i],

@@ -25,7 +25,7 @@ the one-column case, and every column of a block give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -71,9 +71,11 @@ class SampledTree:
     Nodes are stored in depth-first pre-order (children left to right), so a
     node's id is always greater than its parent's.  Node 0 sits below the
     unique level-1 root edge; the injection vertex above it is implicit.
-    Leaves are exactly the nodes at level n_levels.
+    Leaves are exactly the nodes at the bottom level.
 
-    Construction derives the level-major layout `order` and `offsets` (see
+    Construction derives the depth `n_levels` (the bottom level), the edge
+    resistances `resistance` = weight * lam**(level-1), read from the
+    level_scales table, the level-major layout `order` and `offsets` (see
     _level_major) and `slot`: per level-major slot, the parent's position
     within its own level (-1 for the root).
     """
@@ -81,21 +83,24 @@ class SampledTree:
     parent: np.ndarray
     level: np.ndarray
     weight: np.ndarray
-    resistance: np.ndarray
-    n_levels: int
     lam: float
     shape: str
     beta: int | None = None
+    n_levels: int = field(init=False)
+    resistance: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        order, offsets = _level_major(self.level, self.n_levels)
+        n_levels = int(self.level.max())
+        resistance = self.weight * level_scales(self.lam, n_levels)[self.level - 1]
+        order, offsets = _level_major(self.level, n_levels)
         pos = np.empty_like(order)
         pos[order] = np.arange(order.shape[0])
         kid = order[1:]
         slot = np.concatenate(([-1], pos[self.parent[kid]] - offsets[self.level[kid] - 2]))
-        for name, arr in (("order", order), ("offsets", offsets), ("slot", slot)):
-            object.__setattr__(self, name, arr)
-        for arr in (self.parent, self.level, self.weight, self.resistance, order, offsets, slot):
+        for name, value in (("n_levels", n_levels), ("resistance", resistance),
+                            ("order", order), ("offsets", offsets), ("slot", slot)):
+            object.__setattr__(self, name, value)
+        for arr in (self.parent, self.level, self.weight, resistance, order, offsets, slot):
             arr.setflags(write=False)
 
     @property
@@ -111,17 +116,14 @@ class SampledTree:
 
 
 def reweighted(tree: SampledTree, node: int, x: float) -> SampledTree:
-    """Copy of the tree with one edge weight replaced (resistance rescaled)."""
+    """Copy of the tree with one edge weight replaced (its resistance follows)."""
     if not (0 <= node < tree.n_nodes):
         raise ValidationError(f"node {node} out of range")
     if not (x > 0.0):
         raise ValidationError(f"edge weight must be > 0, got {x}")
     weight = tree.weight.copy()
-    resistance = tree.resistance.copy()
     weight[node] = x
-    scales = level_scales(tree.lam, tree.n_levels)
-    resistance[node] = scales[tree.level[node] - 1] * x
-    return replace(tree, weight=weight, resistance=resistance)
+    return replace(tree, weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +340,15 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     that node's weight.  The branching walk draws uniforms in blocks of
     exactly the count the pending nodes are certain to consume (a node at
     level l draws at least 2*(n_levels - l) + 1 on its way down to a leaf),
-    so it never draws past the tree: nodes + internal nodes in all.
+    so it never draws past the tree: nodes + internal nodes in all.  The
+    tree derives its resistances; model.scales is only the depth check.
     """
-    scales = model.scales(n)
+    model.scales(n)
     if model.shape == "regular":
         level, parent, _, offsets = _dfs_layout(int(model.beta), n)
         weight = dist_sample_block(model.weights, rng, int(offsets[-1]))
-        resistance = weight * scales[level - 1]
-        return SampledTree(parent.copy(), level.copy(), weight, resistance,
-                           n, model.lam, "regular", int(model.beta))
+        return SampledTree(parent.copy(), level.copy(), weight, model.lam, "regular",
+                           int(model.beta))
 
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
@@ -387,9 +389,7 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     has_kids = level < n_levels
     wpos = np.arange(len(level)) + np.cumsum(has_kids) - has_kids
     weight = _transform(model.weights, np.concatenate(blocks)[wpos])
-    resistance = weight * scales[level - 1]
-    return SampledTree(parent, level, weight, resistance,
-                       n_levels, model.lam, "gw", None)
+    return SampledTree(parent, level, weight, model.lam, "gw")
 
 
 def resistance_of_tree(tree: SampledTree) -> float:

@@ -3,9 +3,9 @@
 The physical current from the injection vertex to the grounded leaves is the
 unique unit flow minimizing the energy sum r_e * theta_e^2, and that minimum
 equals the effective resistance.  This module computes the minimizer on
-explicit trees, builds deliberately non-optimal competitor flows for testing
-that minimality, and evaluates the deterministic per-edge flow bound and the
-derived fourth-power sums that drive the sub-Gaussian tail constant.
+explicit trees, builds deliberately non-optimal competitor currents for
+testing that minimality, and evaluates the deterministic per-edge flow bound
+and the derived fourth-power sums that drive the sub-Gaussian tail constant.
 """
 
 from __future__ import annotations
@@ -16,26 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import SampledTree, _fold_tree
-from .model import ValidationError
+from .model import ValidationError, _bound_constant
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowSolution:
-    """A unit flow on a tree, rootward-to-leafward orientation.
+    """The optimal unit flow on a tree, rootward-to-leafward orientation.
 
-    For the optimal flow, voltage[i] is the potential at node i (lower
-    endpoint of edge i) with leaves at exactly 0, voltage_top the potential
-    at the injection vertex, and energy equals the effective resistance.
-    Perturbed flows keep only theta and energy (voltages are None: they
-    belong to the physical current, not to competitors).
+    voltage[i] is the potential at node i (lower endpoint of edge i) with
+    leaves at exactly 0; the injection vertex sits at the potential of a
+    unit current, the effective resistance.  energy equals it as well.
     """
 
     tree: SampledTree
     theta: np.ndarray
-    voltage: np.ndarray | None
-    voltage_top: float | None
+    voltage: np.ndarray
     resistance: float
-    energy: float
+
+    @property
+    def energy(self) -> float:
+        return energy(self.tree, self.theta)
+
+
+def energy(tree: SampledTree, theta: np.ndarray) -> float:
+    """Energy sum r_e * theta_e^2 of a flow, summed over edges in pre-order."""
+    return float(np.sum(tree.resistance * theta * theta))
 
 
 def solve_flow(tree: SampledTree) -> FlowSolution:
@@ -56,13 +61,7 @@ def solve_flow(tree: SampledTree) -> FlowSolution:
     below = tree.order[:offsets[-2]]
     voltage[below] = theta_lm[:offsets[-2]] * (1.0 / csum)
     theta[tree.order] = theta_lm
-    r_total = float(sub[0])
-    return FlowSolution(tree, theta, voltage, r_total, r_total, _energy(tree, theta))
-
-
-def _energy(tree: SampledTree, theta: np.ndarray) -> float:
-    """Energy sum r_e * theta_e^2 of a flow, summed over edges in pre-order."""
-    return float(np.sum(tree.resistance * theta * theta))
+    return FlowSolution(tree, theta, voltage, float(sub[0]))
 
 
 def _path_to_root(tree: SampledTree, node: int) -> list[int]:
@@ -73,10 +72,11 @@ def _path_to_root(tree: SampledTree, node: int) -> list[int]:
     return path
 
 
-def perturb_flow(flow: FlowSolution, leaf1: int, leaf2: int, eps: float) -> FlowSolution:
-    """Shift eps of current from the route into leaf1 onto the route into
-    leaf2.  Only the symmetric difference of the two root paths changes, so
-    the result is still a unit flow; its energy can only exceed the optimum.
+def perturb_flow(flow: FlowSolution, leaf1: int, leaf2: int, eps: float) -> np.ndarray:
+    """Edge currents of the optimal flow with eps of current shifted from
+    the route into leaf1 onto the route into leaf2.  Only the symmetric
+    difference of the two root paths changes, so the result is still a unit
+    flow; its energy can only exceed the optimum.
     """
     tree = flow.tree
     if leaf1 == leaf2:
@@ -89,7 +89,7 @@ def perturb_flow(flow: FlowSolution, leaf1: int, leaf2: int, eps: float) -> Flow
     theta = flow.theta.copy()
     theta[[v for v in path2 if v not in shared]] += eps
     theta[[v for v in path1 if v not in shared]] -= eps
-    return FlowSolution(tree, theta, None, None, flow.resistance, _energy(tree, theta))
+    return theta
 
 
 # shifts that random_perturbations cycles through
@@ -111,7 +111,7 @@ def random_perturbations(flow: FlowSolution, count: int, rng) -> float:
             j += 1
         eps = _EPS_GRID[k % len(_EPS_GRID)]
         perturbed = perturb_flow(flow, int(leaves[i]), int(leaves[j]), eps)
-        best = min(best, perturbed.energy)
+        best = min(best, energy(flow.tree, perturbed))
     return best
 
 
@@ -185,8 +185,12 @@ def concentration_diagnostics(flow: FlowSolution, a: float, b: float) -> Concent
     t4 = flow.theta**4
     s4_scaled = float(np.sum(4.0**d * t4))
     s4_plain = float(np.sum(t4))
-    b4 = (2.0**4 * b**4 / a**4) * flow_bound_sum(tree.n_levels)
-    return ConcentrationReport(s4_scaled, s4_plain, b4)
+    return ConcentrationReport(s4_scaled, s4_plain, flow_ceiling(a, b, tree.n_levels))
+
+
+def flow_ceiling(a: float, b: float, n: int) -> float:
+    """The ceiling b4 = (2^4 b^4 / a^4) * flow_bound_sum(n) of s4_scaled."""
+    return _bound_constant(a, b, lambda: (2.0**4 * b**4 / a**4) * flow_bound_sum(n))
 
 
 # depths scanned for the sup in tail_bound_constant
@@ -211,4 +215,4 @@ def tail_bound_constant(a: float, b: float) -> float:
     tail = sums[max(arg, _N_SCAN - 50):]
     if any(tail[k] < tail[k + 1] for k in range(len(tail) - 1)):
         raise RuntimeError("flow bound sum not decreasing past its peak")
-    return (2.0**4 * b**4 * (b - a) ** 2 / a**4) * best
+    return _bound_constant(a, b, lambda: (2.0**4 * b**4 * (b - a) ** 2 / a**4) * best)

@@ -29,6 +29,10 @@ LEVEL_CAP = 60
 # hard ceiling on explicitly materialized tree nodes
 MEMORY_GUARD = 2**25
 
+# the least edge resistance a model may reach: no sum of at most MEMORY_GUARD
+# conductances or reciprocal weights can then overflow
+_CONDUCTANCE_FLOOR = MEMORY_GUARD / float(np.finfo(np.float64).max)
+
 # streams() seeds from one-word spawn keys, so stream indices stay below this
 STREAM_LIMIT = 2**32
 
@@ -44,8 +48,20 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """A resource guard tripped: level cap, node count, or population size
-    (maps to CLI exit code 3)."""
+    """A resource guard tripped: level cap, node count, population size, or
+    the float range (maps to CLI exit code 3)."""
+
+
+def _bound_constant(a: float, b: float, formula) -> float:
+    """formula(), a constant of the weight envelope [a, b]; a GuardError that
+    names a and b when it overflows, divides by zero or is not finite."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise GuardError(f"a={a}, b={b}: a bound constant leaves the float range")
+    return value
 
 
 def _check_probability(what: str, p: float) -> None:
@@ -252,8 +268,8 @@ class TreeModel:
         shape, n + 1 for the branching one), the evaluators' one depth
         check, run before any layout or draw: it refuses n < 1, more than
         LEVEL_CAP levels, and an edge resistance X * lam**(l-1) that could
-        leave the float range (b * sum(scales) must be finite and
-        a * min(scales) must be > 0)."""
+        leave the float range (b * sum(scales) must be finite, and
+        a * min(scales) at least _CONDUCTANCE_FLOOR)."""
         if n < 1:
             raise ValidationError(f"depth n={n} must be >= 1")
         scales = level_scales(self.lam, n if self.shape == "regular" else n + 1)
@@ -265,9 +281,9 @@ class TreeModel:
         if not math.isfinite(top):
             raise GuardError(f"lam={self.lam} with dist up to b={b}: a root-to-leaf "
                              f"resistance at depth {n} overflows the working precision")
-        if a * float(scales.min()) == 0.0:
-            raise GuardError(f"lam={self.lam} with dist down to a={a}: an edge "
-                             f"resistance at depth {n} underflows to 0")
+        if a * float(scales.min()) < _CONDUCTANCE_FLOOR:
+            raise GuardError(f"lam={self.lam} with dist down to a={a}: an edge resistance "
+                             f"at depth {n} underflows the floor {_CONDUCTANCE_FLOOR:.3g}")
         return scales
 
     # -- offspring helpers --------------------------------------------------

@@ -37,26 +37,24 @@ class DenseSystem:
 
 def build_dense_system(tree: SampledTree) -> DenseSystem:
     if tree.n_nodes > ORACLE_GUARD:
-        raise GuardError(
-            f"oracle handles at most {ORACLE_GUARD} nodes, got {tree.n_nodes}"
-        )
-    is_leaf = tree.level == tree.n_levels
+        raise GuardError(f"oracle handles at most {ORACLE_GUARD} nodes, got {tree.n_nodes}")
+    interior = np.flatnonzero(tree.level < tree.n_levels)
     unknown_of = np.full(tree.n_nodes, -1, dtype=np.int64)
-    interior = np.flatnonzero(~is_leaf)
     unknown_of[interior] = 1 + np.arange(len(interior))
     m = 1 + len(interior)
     a = np.zeros((m, m), dtype=np.float64)
     rhs = np.zeros(m, dtype=np.float64)
     rhs[0] = 1.0
-    for v in range(tree.n_nodes):
-        g = 1.0 / tree.resistance[v]
-        p = 0 if v == 0 else int(unknown_of[tree.parent[v]])
-        q = int(unknown_of[v])
-        a[p, p] += g
-        if q >= 0:
-            a[q, q] += g
-            a[p, q] -= g
-            a[q, p] -= g
+    g = 1.0 / tree.resistance
+    # the row of each edge's upper end: the injection vertex for the root edge
+    p = np.concatenate(([0], unknown_of[tree.parent[1:]]))
+    q = unknown_of[interior]
+    # a diagonal entry sums its node's own edge, then its children's edges in
+    # pre-order; every off-diagonal entry has one edge
+    a[q, q] = g[interior]
+    np.add.at(a, (p, p), g)
+    a[p[interior], q] = -g[interior]
+    a[q, p[interior]] = -g[interior]
     return DenseSystem(a, rhs, unknown_of)
 
 
@@ -91,13 +89,10 @@ def kirchhoff_solve(tree: SampledTree) -> FlowSolution:
     voltage = np.zeros(tree.n_nodes, dtype=np.float64)
     interior = system.unknown_of >= 0
     voltage[interior] = x[system.unknown_of[interior]]
-    voltage_top = float(x[0])
-    upper = np.where(
-        np.arange(tree.n_nodes) == 0, voltage_top, voltage[tree.parent]
-    )
+    resistance = float(x[0])  # the injection potential of a unit current
+    upper = np.where(np.arange(tree.n_nodes) == 0, resistance, voltage[tree.parent])
     theta = (upper - voltage) / tree.resistance
-    energy = float(np.sum(tree.resistance * theta * theta))
-    return FlowSolution(tree, theta, voltage, voltage_top, voltage_top, energy)
+    return FlowSolution(tree, theta, voltage, resistance)
 
 
 @dataclass(frozen=True)
@@ -114,10 +109,8 @@ def oracle_compare(tree: SampledTree) -> OracleGaps:
     flow = solve_flow(tree)
     r_gap = abs(flow.resistance - dense.resistance) / abs(dense.resistance)
     theta_gap = float(np.max(np.abs(flow.theta - dense.theta)))
-    v_gap = max(
-        float(np.max(np.abs(flow.voltage - dense.voltage))),
-        abs(flow.voltage_top - dense.voltage_top),
-    )
+    v_gap = max(float(np.max(np.abs(flow.voltage - dense.voltage))),
+                abs(flow.resistance - dense.resistance))
     return OracleGaps(r_gap, theta_gap, v_gap)
 
 

@@ -31,6 +31,7 @@ from .model import (
     TreeModel,
     ValidationError,
     WeightDistribution,
+    _bound_constant,
     derive_seed,
     dist_sample_block,
     streams,
@@ -263,10 +264,10 @@ def variance_bound_constants(a: float, b: float, var_recip: float, n: int) -> Va
         raise ValidationError(f"Var[1/X] must be >= 0, got {var_recip}")
     if n < 1:
         raise ValidationError(f"depth n={n} must be >= 1")
-    k0 = 0.5 * (b / a) ** 4 * (1.0 / b - 1.0 / a) ** 2
+    k0 = _bound_constant(a, b, lambda: 0.5 * (b / a) ** 4 * (1.0 / b - 1.0 / a) ** 2)
     k1 = max(k0, var_recip)
-    k = max(b**4, 1.0) * k1
-    return VarianceBound(k0, k1, k, 2.0**10 * k / float(n) ** 4)
+    k = _bound_constant(a, b, lambda: max(b**4, 1.0) * k1)
+    return VarianceBound(k0, k1, k, _bound_constant(a, b, lambda: 2.0**10 * k / float(n) ** 4))
 
 
 # ---------------------------------------------------------------------------
@@ -274,46 +275,22 @@ def variance_bound_constants(a: float, b: float, var_recip: float, n: int) -> Va
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RDEPool:
-    """Sample pool approximating the conductance law at one depth."""
-
-    level: int
-    values: np.ndarray
-
-
-def rde_init(dist: WeightDistribution, m: int, rng: RngStream) -> RDEPool:
-    """Depth-1 pool: the conductance of a single edge is 1/X."""
+def rde_levels(dist: WeightDistribution, m: int, max_level: int,
+               rng: RngStream) -> list[np.ndarray]:
+    """Pools of m samples of the conductance law at depths 1..max_level, from
+    one stream.  Depth 1 is 1/X, one edge's conductance; each step maps
+    C' = S / (1 + X*S), where S is the mean of two pool values resampled with
+    replacement and X is a fresh weight.  Draw order: the depth-1 weights,
+    then per step both index blocks and the weight block."""
     if m < 1:
         raise ValidationError(f"pool size must be >= 1, got {m}")
-    return RDEPool(1, 1.0 / dist_sample_block(dist, rng, m))
-
-
-def rde_step(pool: RDEPool, dist: WeightDistribution, rng: RngStream) -> RDEPool:
-    """One depth step of the distributional recursion
-    C' = S / (1 + X*S) with S the mean of two pool draws.
-
-    Each output entry resamples two pool values with replacement and a fresh
-    weight; the pool size stays fixed.  Draw order: both index blocks, then
-    the weight block.
-    """
-    if len(pool.values) == 0:
-        raise ValidationError("cannot step an empty pool")
-    m = len(pool.values)
-    i = rng.integers(0, m, m)
-    j = rng.integers(0, m, m)
-    x = dist_sample_block(dist, rng, m)
-    s = 0.5 * (pool.values[i] + pool.values[j])
-    return RDEPool(pool.level + 1, s / (1.0 + x * s))
-
-
-def rde_levels(
-    dist: WeightDistribution, m: int, max_level: int, rng: RngStream
-) -> list[RDEPool]:
-    """Pools for depths 1..max_level from one stream."""
-    pools = [rde_init(dist, m, rng)]
+    pools = [1.0 / dist_sample_block(dist, rng, m)]
     for _ in range(1, max_level):
-        pools.append(rde_step(pools[-1], dist, rng))
+        i = rng.integers(0, m, m)
+        j = rng.integers(0, m, m)
+        x = dist_sample_block(dist, rng, m)
+        s = 0.5 * (pools[-1][i] + pools[-1][j])
+        pools.append(s / (1.0 + x * s))
     return pools
 
 
@@ -355,6 +332,10 @@ def fit_expectation(
         raise ValidationError(f"fit needs at least 6 grid points, got {len(ns)}")
     if len(np.unique(ns)) != len(ns):
         raise ValidationError("fit grid has repeated n values")
+    if not np.all(np.isfinite(ns) & (ns >= 1.0) & (ns == np.round(ns))):
+        raise ValidationError(f"fit depths must be integers >= 1, got {ns.tolist()}")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(ses))):
+        raise ValidationError("fit needs finite mean_R and se_R values")
     if np.any(ses <= 0.0):
         raise ValidationError("fit needs strictly positive standard errors")
     design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])

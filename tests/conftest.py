@@ -3,17 +3,12 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from treeohm import SampledTree, TreeModel, WeightDistribution, level_scales
+from treeohm import SampledTree, TreeModel, WeightDistribution
 
 
 def build_tree(parent, level, weight, lam, shape, beta=None):
-    parent = np.asarray(parent, dtype=np.int64)
-    level = np.asarray(level, dtype=np.int64)
-    weight = np.asarray(weight, dtype=np.float64)
-    scales = np.cumprod(np.concatenate(([1.0], np.full(level.max() - 1, float(lam)))))
-    resistance = weight * scales[level - 1]
-    return SampledTree(parent, level, weight, resistance,
-                       int(level.max()), float(lam), shape, beta)
+    return SampledTree(np.asarray(parent, dtype=np.int64), np.asarray(level, dtype=np.int64),
+                       np.asarray(weight, dtype=np.float64), float(lam), shape, beta)
 
 
 def assert_node_law(theta, tree, tol):
@@ -49,11 +44,33 @@ def scalar_gw_tree(model, n, rng):
         if lvl < n_levels:
             b = model.offspring[min(bisect_right(cum, rng.uniforms(1)[0]), len(cum) - 1)][0]
             stack.extend([(lvl + 1, i)] * b)
-    level = np.array(levels, dtype=np.int64)
-    weight = np.array(weights, dtype=np.float64)
-    resistance = weight * level_scales(model.lam, n_levels)[level - 1]
-    return SampledTree(np.array(parents, dtype=np.int64), level, weight, resistance,
-                       n_levels, model.lam, "gw", None)
+    return SampledTree(np.array(parents, dtype=np.int64), np.array(levels, dtype=np.int64),
+                       np.array(weights, dtype=np.float64), model.lam, "gw")
+
+
+def loop_dense_system(tree):
+    """Reference node-law system (matrix, rhs, unknown_of) of a tree, built
+    one edge at a time in pre-order: the root edge joins the injection
+    vertex (row 0) to its lower end, every other edge joins its parent's row
+    to its own, and leaves merge into the grounded sink (no row)."""
+    is_leaf = tree.level == tree.n_levels
+    unknown_of = np.full(tree.n_nodes, -1, dtype=np.int64)
+    interior = np.flatnonzero(~is_leaf)
+    unknown_of[interior] = 1 + np.arange(len(interior))
+    m = 1 + len(interior)
+    a = np.zeros((m, m), dtype=np.float64)
+    rhs = np.zeros(m, dtype=np.float64)
+    rhs[0] = 1.0
+    for v in range(tree.n_nodes):
+        g = 1.0 / tree.resistance[v]
+        p = 0 if v == 0 else int(unknown_of[tree.parent[v]])
+        q = int(unknown_of[v])
+        a[p, p] += g
+        if q >= 0:
+            a[q, q] += g
+            a[p, q] -= g
+            a[q, p] -= g
+    return a, rhs, unknown_of
 
 
 def tiled_dfs_layout(beta, n_levels):

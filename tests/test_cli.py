@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treeohm import (
@@ -588,8 +589,11 @@ class TestExitCodes:
          "underflows"),
         (["oracle-check", "--n", "2,3", "--lam", "1e-200", "--instances", "3"], "underflows"),
         (["gw", "--model", "gw:2:1", "--n", "3", "--lam", "1e300"], "lam**3 overflows"),
+        (["sample", "--n", "3", "--reps", "5", "--dist", "const:1e-320"], "underflows"),
+        (["gw", "--model", "gw:2:1", "--dist", "const:1e-308", "--n", "3", "--trees", "5"],
+         "underflows"),
     ], ids=["sample-overflow", "sample-underflow", "sweep-underflow", "oracle-underflow",
-            "gw-scale-overflow"])
+            "gw-scale-overflow", "sample-conductance-overflow", "gw-conductance-overflow"])
     def test_resistance_range_guarded_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                      argv, message):
         from treeohm import model as model_module
@@ -603,6 +607,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("guard: lam") and message in err
         assert "dist" in err or argv[0] == "gw"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--a", "1e-80", "--b", "1"],
+        ["constants", "--dist", "unif:1e-300,1"],
+        ["tails", "--n", "3", "--reps", "200", "--a", "1e-100", "--b", "1e100"],
+        ["flows", "--n", "3", "--a", "1e-100", "--b", "1e100"],
+        ["tails", "--n", "3", "--reps", "200", "--a", "1e-320", "--b", "1"],
+        ["flows", "--n", "3", "--a", "1e-320", "--b", "1"],
+    ], ids=["constants-overflow", "constants-law", "tails-overflow", "flows-overflow",
+            "tails-zero-division", "flows-zero-division"])
+    def test_bound_constant_out_of_range_is_exit_3(self, tmp_path, capsys, monkeypatch, argv):
+        from treeohm import model as model_module
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew uniforms before the bound constants")
+
+        monkeypatch.setattr(model_module.RngStream, "uniforms", no_draws)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard: a=") and ", b=" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:1e-300:1e-310", "0:1:1e-9", "0:33554432:1"])
+    def test_t_grid_over_guard_is_exit_3(self, tmp_path, capsys, monkeypatch, grid):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("allocated the grid past the guard")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "out"
+        assert main(["tails", "--n", "3", "--reps", "200", "--t-grid", grid,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("guard: t_grid: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", [
+        "0,0.5,0.1", "-1,0.5,0.1", "1.5,2.0,0.1", "nan,2.0,0.1",
+        "1,nan,0.1", "1,inf,0.1", "1,1.5,inf", "1,1.5,nan",
+    ], ids=["n-0", "n-negative", "n-fraction", "n-nan", "mean-nan", "mean-inf",
+            "se-inf", "se-nan"])
+    def test_fit_table_values_validated(self, tmp_path, capsys, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text("n,mean_R,se_R\n" + row + "\n"
+                        + "".join(f"{n},{n}.5,0.1\n" for n in range(2, 8)))
+        out = tmp_path / "out"
+        assert main(["fit", "--sweep-csv", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep_csv:")
         assert not out.exists()
 
     def test_gw_command_needs_gw_model(self, tmp_path):

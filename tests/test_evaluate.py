@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from treeohm import (
     GuardError,
     RngStream,
+    SampledTree,
     TreeModel,
     ValidationError,
     WeightDistribution,
@@ -138,6 +140,35 @@ class TestExplicitTrees:
         tree = sample_tree_explicit(binary_twopoint_model, 6, RngStream(2))
         scale = 2.0 ** (tree.level - 1)
         assert np.array_equal(tree.resistance, tree.weight * scale)
+
+    @pytest.mark.parametrize("model", [
+        TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5)),
+        TreeModel.regular(3, parse_distribution("disc:0.5:0.25,1.0:0.5,1.5:0.25"), lam=1.3),
+        TreeModel.galton_watson(parse_offspring("1:0.3,2:0.4,3:0.3"),
+                                WeightDistribution.uniform(0.5, 1.5)),
+        TreeModel.galton_watson(parse_offspring("1:0.5,4:0.5"),
+                                WeightDistribution.two_point(0.5, 1.5), lam=0.7),
+    ], ids=["reg2", "reg3-lam", "gw123", "gw14-lam"])
+    def test_derived_depth_and_resistances(self, model):
+        for n in (1, 3, 5):
+            for j in range(3):
+                tree = sample_tree_explicit(model, n, RngStream(9, j))
+                assert tree.n_levels == int(tree.level.max())
+                assert tree.n_levels == (n if model.shape == "regular" else n + 1)
+                want = tree.weight * level_scales(model.lam, tree.n_levels)[tree.level - 1]
+                assert tree.resistance.tobytes() == want.tobytes()
+                node = tree.n_nodes // 2
+                bumped = reweighted(tree, node, 2.5)
+                changed = np.flatnonzero(bumped.resistance != tree.resistance)
+                assert changed.tolist() == [node]
+                assert bumped.resistance[node] == 2.5 * level_scales(
+                    model.lam, tree.n_levels)[tree.level[node] - 1]
+                assert bumped.n_levels == tree.n_levels
+                assert tree.weight[node] != 2.5  # the source tree is untouched
+
+    def test_constructor_takes_what_is_not_derived(self):
+        params = list(inspect.signature(SampledTree).parameters)
+        assert params == ["parent", "level", "weight", "lam", "shape", "beta"]
 
     def test_gw_deterministic_offspring(self):
         model = TreeModel.galton_watson([(2, 1.0)], WeightDistribution.constant(1.0))

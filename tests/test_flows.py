@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import treeohm
 from treeohm import (
+    FlowSolution,
     RngStream,
     TreeModel,
     ValidationError,
     WeightDistribution,
     concentration_diagnostics,
+    energy,
     flow_bound_report,
     flow_bound_sum,
     perturb_flow,
@@ -38,10 +43,10 @@ def assert_flow_invariants(flow, tree):
     """Node law, Ohm's law, unit flux, and energy = resistance."""
     scale = max(1.0, float(np.max(np.abs(flow.theta))))
     assert_node_law(flow.theta, tree, 1e-12 * scale)
-    upper = np.where(np.arange(tree.n_nodes) == 0, flow.voltage_top,
+    upper = np.where(np.arange(tree.n_nodes) == 0, flow.resistance,
                      flow.voltage[tree.parent])
     drop = flow.theta * tree.resistance
-    vscale = max(1.0, abs(flow.voltage_top))
+    vscale = max(1.0, abs(flow.resistance))
     assert np.all(np.abs(drop - (upper - flow.voltage)) <= 1e-12 * vscale)
     assert flow.theta[0] == 1.0
     leaf_flux = float(np.sum(flow.theta[tree.leaf_ids()]))
@@ -54,7 +59,7 @@ class TestSolveFlow:
         flow = solve_flow(three_edge_tree)
         assert flow.theta == pytest.approx([1.0, 2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
         assert flow.voltage[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert flow.voltage_top == pytest.approx(7.0 / 3.0, rel=1e-12)
+        assert flow.resistance == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert_flow_invariants(flow, three_edge_tree)
 
     def test_unit_weights_halve_per_level(self, binary_unit_model):
@@ -68,7 +73,7 @@ class TestSolveFlow:
         tree = build_tree([-1], [1], [1.7], 2.0, "regular", 2)
         flow = solve_flow(tree)
         assert flow.theta[0] == 1.0
-        assert flow.voltage_top == pytest.approx(1.7, rel=1e-15)
+        assert flow.resistance == pytest.approx(1.7, rel=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 5, 17])
     def test_invariants_random_instances(self, binary_twopoint_model, seed):
@@ -99,19 +104,41 @@ class TestSolveFlow:
         )
 
 
+class TestFlowSolution:
+    def test_holds_only_the_optimal_current(self, three_edge_tree):
+        names = [f.name for f in dataclasses.fields(FlowSolution)]
+        assert names == ["tree", "theta", "voltage", "resistance"]
+        flow = solve_flow(three_edge_tree)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            flow.resistance = 0.0
+
+    def test_energy_is_the_one_sum(self, binary_twopoint_model):
+        tree = sample_tree_explicit(binary_twopoint_model, 7, RngStream(6))
+        flow = solve_flow(tree)
+        want = float(np.sum(tree.resistance * flow.theta * flow.theta))
+        assert flow.energy == energy(tree, flow.theta) == want
+
+    def test_package_surface(self):
+        assert treeohm.energy is energy
+        assert hasattr(treeohm, "rde_levels")
+        for gone in ("RDEPool", "rde_init", "rde_step"):
+            assert not hasattr(treeohm, gone)
+
+
 class TestPerturbations:
     def test_three_edge_shift(self, three_edge_tree):
         flow = solve_flow(three_edge_tree)
         # push 1/3 from the right branch (leaf 2) onto the left (leaf 1)
         moved = perturb_flow(flow, 2, 1, 1.0 / 3.0)
-        assert moved.theta == pytest.approx([1.0, 1.0, 0.0], abs=1e-15)
-        assert moved.energy == pytest.approx(3.0, rel=1e-12)
-        assert moved.energy >= flow.energy
+        assert moved == pytest.approx([1.0, 1.0, 0.0], abs=1e-15)
+        assert energy(three_edge_tree, moved) == pytest.approx(3.0, rel=1e-12)
+        assert energy(three_edge_tree, moved) >= flow.energy
+        assert flow.theta == pytest.approx([1.0, 2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
 
     def test_zero_shift_keeps_energy(self, three_edge_tree):
         flow = solve_flow(three_edge_tree)
         same = perturb_flow(flow, 1, 2, 0.0)
-        assert same.energy == flow.energy
+        assert energy(three_edge_tree, same) == flow.energy
 
     def test_identical_leaf_rejected(self, three_edge_tree):
         flow = solve_flow(three_edge_tree)
@@ -123,9 +150,9 @@ class TestPerturbations:
         flow = solve_flow(tree)
         leaves = tree.leaf_ids()
         moved = perturb_flow(flow, int(leaves[3]), int(leaves[17]), 0.01)
-        assert_node_law(moved.theta, tree, 1e-12)
-        assert moved.theta[0] == 1.0
-        assert moved.voltage is None
+        assert_node_law(moved, tree, 1e-12)
+        assert moved[0] == 1.0
+        assert np.count_nonzero(moved != flow.theta) > 0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_optimality_under_random_perturbations(self, binary_twopoint_model, seed):
@@ -134,11 +161,25 @@ class TestPerturbations:
         best = random_perturbations(flow, 20, RngStream(1000, seed))
         assert best >= flow.resistance - 1e-12
 
+    def test_random_perturbations_take_the_least_energy(self, binary_twopoint_model):
+        tree = sample_tree_explicit(binary_twopoint_model, 5, RngStream(9))
+        flow = solve_flow(tree)
+        best = random_perturbations(flow, 8, RngStream(77))
+        # the same leaf pairs and shifts, drawn as random_perturbations draws them
+        rng, leaves, want = RngStream(77), tree.leaf_ids(), []
+        for k in range(8):
+            i = int(rng.integers(0, len(leaves)))
+            j = int(rng.integers(0, len(leaves) - 1))
+            j += j >= i
+            eps = (1e-3, -1e-3, 1e-2, -1e-2)[k % 4]
+            want.append(energy(tree, perturb_flow(flow, int(leaves[i]), int(leaves[j]), eps)))
+        assert best == min(want)
+
     def test_quadratic_energy_growth(self, three_edge_tree):
         flow = solve_flow(three_edge_tree)
         for eps in (-1e-2, -1e-3, 1e-3, 1e-2):
             moved = perturb_flow(flow, 1, 2, eps)
-            assert moved.energy >= flow.energy - 1e-12
+            assert energy(three_edge_tree, moved) >= flow.energy - 1e-12
 
 
 class TestFlowBounds:

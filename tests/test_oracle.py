@@ -3,6 +3,7 @@ import pytest
 
 from treeohm import (
     GuardError,
+    ORACLE_GUARD,
     RngStream,
     TreeModel,
     WeightDistribution,
@@ -10,11 +11,12 @@ from treeohm import (
     kirchhoff_solve,
     oracle_compare,
     oracle_gap_table,
+    parse_offspring,
     resistance_of_tree,
     sample_tree_explicit,
     solve_flow,
 )
-from tests.conftest import build_tree
+from tests.conftest import build_tree, loop_dense_system
 
 
 class TestDenseSolve:
@@ -56,6 +58,29 @@ class TestSystemShape:
             assert np.all(diag >= off - 1e-12 * diag)
             # rows touching the merged sink are strictly dominant
             assert np.any(diag > off + 1e-12 * diag)
+
+    @pytest.mark.parametrize("model", [
+        TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5)),
+        TreeModel.regular(3, WeightDistribution.two_point(0.5, 1.5)),
+        TreeModel.galton_watson(parse_offspring("1:0.3,2:0.4,3:0.3"),
+                                WeightDistribution.uniform(0.5, 1.5)),
+        TreeModel.galton_watson(parse_offspring("1:0.5,4:0.5"),
+                                WeightDistribution.uniform(0.5, 1.5)),
+    ], ids=["reg2", "reg3", "gw123", "gw14"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_edge_loop(self, model, n):
+        for seed in range(4):
+            tree = sample_tree_explicit(model, n, RngStream(31, seed))
+            if tree.n_nodes > ORACLE_GUARD:
+                with pytest.raises(GuardError):
+                    build_dense_system(tree)
+                continue
+            system = build_dense_system(tree)
+            want = loop_dense_system(tree)
+            got = (system.matrix, system.rhs, system.unknown_of)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
     def test_residual_small(self, binary_twopoint_model):
         for seed in range(5):

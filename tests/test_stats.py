@@ -16,9 +16,8 @@ from treeohm import (
     fit_variance_slope,
     gw_experiment,
     map_trees,
-    rde_init,
+    dist_sample_block,
     rde_levels,
-    rde_step,
     resistance_of_tree,
     resistance_streaming,
     run_replicates,
@@ -331,45 +330,59 @@ class TestVarianceBoundConstants:
 
 class TestConductanceRecursion:
     def test_init_constant(self):
-        pool = rde_init(WeightDistribution.constant(1.0), 100, RngStream(0))
-        assert np.all(pool.values == 1.0)
-        assert pool.level == 1
+        pools = rde_levels(WeightDistribution.constant(1.0), 100, 1, RngStream(0))
+        assert len(pools) == 1
+        assert np.all(pools[0] == 1.0)
 
     def test_init_twopoint_support(self, twopoint_half):
-        pool = rde_init(twopoint_half, 1000, RngStream(1))
-        assert set(np.unique(pool.values)) == {2.0, 2.0 / 3.0}
+        pool = rde_levels(twopoint_half, 1000, 1, RngStream(1))[0]
+        assert set(np.unique(pool)) == {2.0, 2.0 / 3.0}
 
     def test_init_mean_near_recip_mean(self, twopoint_half):
-        pool = rde_init(twopoint_half, 10**5, RngStream(2))
+        pool = rde_levels(twopoint_half, 10**5, 1, RngStream(2))[0]
         mom = twopoint_half.moments()
-        se = pool.values.std(ddof=1) / math.sqrt(len(pool.values))
-        assert abs(pool.values.mean() - mom.recip_mean) <= 4 * se
+        se = pool.std(ddof=1) / math.sqrt(len(pool))
+        assert abs(pool.mean() - mom.recip_mean) <= 4 * se
 
     def test_degenerate_step(self):
-        dist = WeightDistribution.constant(2.0)
-        pool = rde_init(WeightDistribution.constant(0.5), 50, RngStream(0))
-        # all pool entries are 1/0.5 = 2; the update gives 2 / (1 + 2*2) = 0.4
-        stepped = rde_step(pool, dist, RngStream(3))
-        assert np.all(stepped.values == pytest.approx(0.4, rel=1e-15))
-        assert stepped.level == 2
+        pools = rde_levels(WeightDistribution.constant(0.5), 50, 2, RngStream(0))
+        # all depth-1 entries are 1/0.5 = 2; the update gives 2 / (1 + 0.5*2) = 1
+        assert len(pools) == 2
+        assert np.all(pools[1] == 1.0)
 
     def test_unit_weights_exact_level2(self):
-        dist = WeightDistribution.constant(1.0)
-        pool = rde_init(dist, 64, RngStream(0))
-        stepped = rde_step(pool, dist, RngStream(1))
-        assert np.all(stepped.values == 0.5)
+        pools = rde_levels(WeightDistribution.constant(1.0), 64, 2, RngStream(0))
+        assert np.all(pools[1] == 0.5)
+
+    def test_draw_order(self, twopoint_half):
+        # depth-1 weights, then per step two index blocks and a weight block
+        m = 300
+        got = rde_levels(twopoint_half, m, 4, RngStream(21))
+        rng = RngStream(21)
+        want = [1.0 / dist_sample_block(twopoint_half, rng, m)]
+        for _ in range(3):
+            i, j = rng.integers(0, m, m), rng.integers(0, m, m)
+            x = dist_sample_block(twopoint_half, rng, m)
+            s = 0.5 * (want[-1][i] + want[-1][j])
+            want.append(s / (1.0 + x * s))
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    def test_empty_pool_rejected(self, twopoint_half):
+        with pytest.raises(ValidationError):
+            rde_levels(twopoint_half, 0, 3, RngStream(0))
 
     def test_envelope_propagates(self, twopoint_half):
         pools = rde_levels(twopoint_half, 2000, 8, RngStream(13))
-        for pool in pools:
-            lo = 1.0 / (1.5 * pool.level)
-            hi = 1.0 / (0.5 * pool.level)
-            assert pool.values.min() >= lo - 1e-12
-            assert pool.values.max() <= hi + 1e-12
+        assert len(pools) == 8
+        for level, pool in enumerate(pools, 1):
+            lo = 1.0 / (1.5 * level)
+            hi = 1.0 / (0.5 * level)
+            assert pool.min() >= lo - 1e-12
+            assert pool.max() <= hi + 1e-12
 
     def test_deterministic(self, twopoint_half):
-        a = rde_levels(twopoint_half, 500, 5, RngStream(13))[-1].values
-        b = rde_levels(twopoint_half, 500, 5, RngStream(13))[-1].values
+        a = rde_levels(twopoint_half, 500, 5, RngStream(13))[-1]
+        b = rde_levels(twopoint_half, 500, 5, RngStream(13))[-1]
         assert np.array_equal(a, b)
 
 
