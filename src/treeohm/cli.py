@@ -166,6 +166,9 @@ def _fmt(value) -> str:
     return _spec(value) % value
 
 
+_STAMP = "# provenance: "  # a CSV table's first line: this, then the provenance JSON
+
+
 def _provenance(cfg: dict) -> dict:
     # out is a placement detail, not part of the experiment identity
     return {name: value for name, value in cfg.items() if name != "out"}
@@ -191,7 +194,7 @@ def write_table(outdir: str, name: str, columns: list[str], rows: Iterable[tuple
         _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         return path
     path = os.path.join(outdir, f"{name}.csv")
-    header = f"# provenance: {_provenance_json(cfg)}\n{','.join(columns)}\n"
+    header = f"{_STAMP}{_provenance_json(cfg)}\n{','.join(columns)}\n"
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
@@ -239,16 +242,6 @@ def _count(cfg: dict, name: str) -> int:
     return cfg[name]
 
 
-def _envelope(cfg: dict, dist) -> tuple[float, float]:
-    """(a, b) from the options, else the law; a bad pair names b if b is set and a > 0."""
-    a = dist.a if cfg["a"] is None else cfg["a"]
-    b = dist.b if cfg["b"] is None else cfg["b"]
-    if not 0.0 < a <= b:
-        name = "a" if cfg["b"] is None or not a > 0.0 else "b"
-        raise ValidationError(f"{name}: need 0 < a <= b, got a={a}, b={b}")
-    return a, b
-
-
 def _single_n(cfg: dict) -> int:
     ns = resolve_ns(cfg)
     if len(ns) != 1:
@@ -282,12 +275,22 @@ def cmd_sweep(cfg: dict, workers: int) -> list[str]:
     return [write_table(outdir, "sweep", columns, rows, cfg)]
 
 
-def read_sweep_csv(path: str) -> dict[str, np.ndarray]:
+def read_sweep_csv(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """A sweep table's columns, and the provenance stamped on its first line
+    ({} for a table without one)."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ValidationError(f"sweep_csv: cannot read {path}: {exc}") from exc
+    stamp = {}
+    if lines and lines[0].startswith(_STAMP):
+        try:
+            stamp = dict(json.loads(lines[0][len(_STAMP):]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sweep_csv: {path} has a malformed provenance "
+                                  f"line: {exc}") from exc
+    lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise ValidationError(f"sweep_csv: {path} is empty")
     header = lines[0].split(",")
@@ -302,20 +305,19 @@ def read_sweep_csv(path: str) -> dict[str, np.ndarray]:
     missing = [name for name in ("n", "mean_R", "se_R") if name not in header]
     if missing:
         raise ValidationError(f"sweep_csv: {path} lacks the columns {missing}")
-    return {name: data[:, i] for i, name in enumerate(header)}
+    return {name: data[:, i] for i, name in enumerate(header)}, stamp
 
 
 def cmd_fit(cfg: dict, workers: int) -> list[str]:
     if cfg["sweep_csv"] is None:
         raise ValidationError("sweep_csv: fit needs --sweep-csv pointing at a sweep table")
-    table = read_sweep_csv(cfg["sweep_csv"])
-    moments = parse_distribution(cfg["dist"]).moments()
-    mu = moments.mean if cfg["mu"] is None else cfg["mu"]
-    sigma2 = moments.variance if cfg["sigma2"] is None else cfg["sigma2"]
-    if not mu > 0.0:
-        raise ValidationError(f"mu: must be > 0, got {mu}")
-    if not sigma2 >= 0.0:
-        raise ValidationError(f"sigma2: must be >= 0, got {sigma2}")
+    table, stamp = read_sweep_csv(cfg["sweep_csv"])
+    dist = parse_distribution(cfg["dist"])
+    if "dist" in stamp and parse_distribution(str(stamp["dist"])) != dist:
+        raise ValidationError(f"dist: {cfg['dist']} is not the law {stamp['dist']} "
+                              f"that {cfg['sweep_csv']} was sampled under")
+    moments = dist.moments()
+    mu, sigma2 = moments.mean, moments.variance
     try:
         report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
     except ValidationError as exc:
@@ -383,7 +385,7 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     require_binary_doubling(model)
     n = _single_n(cfg)
     count = _count(cfg, "instances")
-    a, b = _envelope(cfg, model.weights)
+    a, b = model.weights.a, model.weights.b
     flow_ceiling(a, b, n)  # refused here, before any tree is drawn
     records = map_trees(partial(_flow_record, a, b), model, [n], count, cfg["seed"], workers)
     outdir = _outdir(cfg)
@@ -444,7 +446,7 @@ def cmd_gw(cfg: dict, workers: int) -> list[str]:
 
 def cmd_constants(cfg: dict, workers: int) -> list[str]:
     dist = parse_distribution(cfg["dist"])
-    a, b = _envelope(cfg, dist)
+    a, b = dist.a, dist.b
     var_recip = dist.moments().recip_variance
     ns = resolve_ns(cfg)
     chain = variance_bound_constants(a, b, var_recip, ns[0])
@@ -469,8 +471,7 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     t_grid = resolve_t_grid(cfg)
-    a, b = _envelope(cfg, model.weights)
-    constant = tail_bound_constant(a, b)
+    constant = tail_bound_constant(model.weights.a, model.weights.b)
     batch = run_replicates(model, n, m, cfg["seed"], workers)
     report = tail_profile(batch, t_grid, constant)
     rows = [
@@ -518,18 +519,14 @@ _FLAGS = {
     "levels": (int, "recursion depth"),
     "trees": (int, "branching sample count"),
     "instances": (int, "instance count"),
-    "a": (real, "lower weight bound override"),
-    "b": (real, "upper weight bound override"),
-    "mu": (real, "weight mean override for fits"),
-    "sigma2": (real, "weight variance override for fits"),
     "sweep_csv": (str, "sweep table to fit"),
     "format": (table_format, "table format: csv or json"),
     "out": (str, f"output directory (default ${OUTDIR_ENV} or .)"),
 }
 
 # subcommand -> (handler, help, {option: default}); every subcommand also
-# takes out.  A None default is derived from the model or the weight law,
-# except sweep_csv, which fit requires.
+# takes out.  A None default is derived when unset (lam from the model,
+# t_grid as the default grid), except sweep_csv, which fit requires.
 _COMMANDS = {
     "sample": (cmd_sample, "replicate table of R and C at one depth", {
         "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
@@ -538,10 +535,10 @@ _COMMANDS = {
         "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
         "reps": "100", "seed": 1, "format": "csv"}),
     "fit": (cmd_fit, "asymptotic fit report from a sweep table", {
-        "sweep_csv": None, "dist": "unif:0.5,1.5", "mu": None, "sigma2": None}),
+        "sweep_csv": None, "dist": "unif:0.5,1.5"}),
     "flows": (cmd_flows, "optimal-flow dump plus flow-bound diagnostics", {
         "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
-        "instances": 1, "seed": 1, "a": None, "b": None, "format": "csv"}),
+        "instances": 1, "seed": 1, "format": "csv"}),
     "oracle-check": (cmd_oracle_check, "gap table between evaluators and the dense solver", {
         "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
         "instances": 100, "seed": 1, "format": "csv"}),
@@ -552,11 +549,10 @@ _COMMANDS = {
         "model": "gw:1:0.5,2:0.5", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
         "trees": 1000, "seed": 1, "format": "csv"}),
     "constants": (cmd_constants, "explicit variance/tail bound constants", {
-        "dist": "unif:0.5,1.5", "a": None, "b": None, "n": "1..20"}),
+        "dist": "unif:0.5,1.5", "n": "1..20"}),
     "tails": (cmd_tails, "empirical deviation tail with the sub-Gaussian reference", {
         "model": "reg:2", "dist": "unif:0.5,1.5", "lam": None, "n": "10",
-        "reps": "100", "seed": 1, "t_grid": None, "a": None, "b": None,
-        "format": "csv"}),
+        "reps": "100", "seed": 1, "t_grid": None, "format": "csv"}),
 }
 
 

@@ -94,18 +94,15 @@ class Moments:
 class WeightDistribution:
     """Law of the i.i.d. edge weight X, supported on [a, b] with 0 < a <= b.
 
-    kind is one of 'constant', 'uniform', 'twopoint', 'discrete'.  Atom-based
-    kinds carry their (value, probability) pairs; 'uniform' has no atoms.
+    A law with no atoms is uniform on [a, b]; otherwise X takes the value of
+    each (value, probability) atom with its probability.
     """
 
-    kind: str
     a: float
     b: float
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "uniform", "twopoint", "discrete"):
-            raise ValidationError(f"dist: unknown kind {self.kind!r}")
         if not (self.a > 0.0 and math.isfinite(self.b)):
             raise ValidationError(
                 f"dist: support bounds a={self.a}, b={self.b} must be finite with a > 0"
@@ -114,45 +111,43 @@ class WeightDistribution:
             raise ValidationError(
                 f"dist: support bounds inverted (a={self.a} > b={self.b})"
             )
-        if self.kind != "uniform":
-            if not self.atoms:
-                raise ValidationError(f"dist: kind {self.kind} needs atoms")
-            for v, p in self.atoms:
-                _check_probability("dist: atom", p)
-                if not (self.a <= v <= self.b):
-                    raise ValidationError(
-                        f"dist: atom {v} outside support [{self.a}, {self.b}]"
-                    )
+        for v, p in self.atoms:
+            _check_probability("dist: atom", p)
+            if not (self.a <= v <= self.b):
+                raise ValidationError(
+                    f"dist: atom {v} outside support [{self.a}, {self.b}]"
+                )
+        if self.atoms:
             _check_total("dist: atom", math.fsum(p for _, p in self.atoms))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(value: float) -> "WeightDistribution":
-        return WeightDistribution("constant", value, value, ((value, 1.0),))
+        return WeightDistribution(value, value, ((value, 1.0),))
 
     @staticmethod
     def uniform(a: float, b: float) -> "WeightDistribution":
-        return WeightDistribution("uniform", a, b)
+        return WeightDistribution(a, b)
 
     @staticmethod
     def two_point(a: float, b: float, p: float = 0.5) -> "WeightDistribution":
         if not (0.0 <= p <= 1.0):
             raise ValidationError(f"dist: twopoint probability p={p} not in [0,1]")
-        return WeightDistribution("twopoint", a, b, ((a, p), (b, 1.0 - p)))
+        return WeightDistribution(a, b, ((a, p), (b, 1.0 - p)))
 
     @staticmethod
     def discrete(atoms: Iterable[tuple[float, float]]) -> "WeightDistribution":
         pairs = tuple(sorted((float(v), float(p)) for v, p in atoms))
         if not pairs:
             raise ValidationError("dist: discrete law needs at least one atom")
-        return WeightDistribution("discrete", pairs[0][0], pairs[-1][0], pairs)
+        return WeightDistribution(pairs[0][0], pairs[-1][0], pairs)
 
     # -- moments ------------------------------------------------------------
 
     def moments(self) -> Moments:
         """Exact closed-form mean/variance of X and of 1/X."""
-        if self.kind == "uniform":
+        if not self.atoms:
             a, b = self.a, self.b
             mean = 0.5 * (a + b)
             var = (b - a) ** 2 / 12.0
@@ -190,17 +185,18 @@ def _transform(dist: WeightDistribution, u: np.ndarray, scale: float = 1.0) -> n
     The map is elementwise, so a uniform gives the same bits wherever a
     block split puts it.
 
-    Two-point laws select between lo*scale and hi*scale without a branch:
-    the mask u < p, written over u as int64 0/1, times bits(lo) ^ bits(hi),
-    xor bits(hi), is bits(lo) where u < p and bits(hi) elsewhere.
+    No atoms: affine onto [a, b].  One or two atoms: the inverse CDF's pick
+    by a branch-free select; the mask u < p (p the first atom's probability)
+    as int64 0/1, times bits(first) ^ bits(last), xor bits(last), is
+    bits(first*scale) where u < p and bits(last*scale) elsewhere.
     """
-    if dist.kind in ("uniform", "constant"):  # a constant law has a == b
+    if not dist.atoms:
         np.multiply(u, dist.b - dist.a, out=u)
         np.add(u, dist.a, out=u)
         if scale != 1.0:
             np.multiply(u, scale, out=u)
-    elif dist.kind == "twopoint":
-        (lo, p), (hi, _) = dist.atoms
+    elif len(dist.atoms) <= 2:
+        (lo, p), (hi, _) = dist.atoms[0], dist.atoms[-1]
         lo_bits, hi_bits = np.array([lo * scale, hi * scale]).view(np.int64).tolist()
         mask = u.view(np.int64)
         np.less(u, p, out=mask)

@@ -223,7 +223,8 @@ def tail_profile(
     mean = float(np.mean(x))
     sd = float(np.std(x, ddof=1))
     dev = np.abs(x - mean)
-    count = np.array([int(np.sum(dev > tt)) for tt in t], dtype=np.int64)
+    # the deviations above t: all m less those at most t, in one sorted pass
+    count = m - np.searchsorted(np.sort(dev), t, side="right")
     p = count / m
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / m
@@ -281,9 +282,12 @@ def rde_levels(dist: WeightDistribution, m: int, max_level: int,
     one stream.  Depth 1 is 1/X, one edge's conductance; each step maps
     C' = S / (1 + X*S), where S is the mean of two pool values resampled with
     replacement and X is a fresh weight.  Draw order: the depth-1 weights,
-    then per step both index blocks and the weight block."""
+    then per step both index blocks and the weight block.  Pool values lie in
+    (0, 1/a], so a law whose b/a (the largest X*S) or m/a**2 (the largest sum
+    of squared deviations) overflows is refused before any draw."""
     if m < 1:
         raise ValidationError(f"pool size must be >= 1, got {m}")
+    _bound_constant(dist.a, dist.b, lambda: dist.b / dist.a + m / dist.a / dist.a)
     pools = [1.0 / dist_sample_block(dist, rng, m)]
     for _ in range(1, max_level):
         i = rng.integers(0, m, m)

@@ -20,8 +20,9 @@ def assert_node_law(theta, tree, tol):
 
 
 def _scalar_weight(dist, u):
-    """One weight from one uniform, by the per-kind scalar rule."""
-    if dist.kind in ("constant", "uniform"):
+    """One weight from one uniform, by the scalar rule: affine onto [a, b]
+    for a law without atoms, else the inverse CDF of the atoms."""
+    if not dist.atoms:
         return dist.a + (dist.b - dist.a) * u
     cum = np.cumsum([p for _, p in dist.atoms]).tolist()
     return dist.atoms[min(bisect_right(cum, u), len(cum) - 1)][0]

@@ -35,15 +35,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 DECLARED = {
     "sample": {"model", "dist", "lam", "n", "reps", "seed", "format"},
     "sweep": {"model", "dist", "lam", "n", "reps", "seed", "format"},
-    "fit": {"sweep_csv", "dist", "mu", "sigma2"},
-    "flows": {"model", "dist", "lam", "n", "instances", "seed", "a", "b", "format"},
+    "fit": {"sweep_csv", "dist"},
+    "flows": {"model", "dist", "lam", "n", "instances", "seed", "format"},
     "oracle-check": {"model", "dist", "lam", "n", "instances", "seed", "format"},
     "rde": {"dist", "pool_size", "levels", "seed", "format"},
     "gw": {"model", "dist", "lam", "n", "trees", "seed", "format"},
-    "constants": {"dist", "a", "b", "n"},
-    "tails": {"model", "dist", "lam", "n", "reps", "seed", "t_grid", "a", "b", "format"},
+    "constants": {"dist", "n"},
+    "tails": {"model", "dist", "lam", "n", "reps", "seed", "t_grid", "format"},
 }
-ALL_OPTIONS = set().union(*DECLARED.values())
+# constants of the weight law, which every command reads from --dist alone
+LAW_CONSTANTS = ("a", "b", "mu", "sigma2")
+ALL_OPTIONS = set().union(*DECLARED.values(), LAW_CONSTANTS)
 UNDECLARED = [(c, o) for c in DECLARED for o in sorted(ALL_OPTIONS - DECLARED[c])]
 
 # one non-default value per option, and the matching flag spelling
@@ -51,8 +53,7 @@ FULL = {
     "model": "gw:1:0.5,2:0.5", "dist": "twopoint:0.5,1.5", "lam": 1.5,
     "n": "2..18", "reps": "default:20000,15:5000", "seed": 7,
     "t_grid": "0.1:3.0:0.1", "pool_size": 1000, "levels": 12, "trees": 2000,
-    "instances": 500, "a": 0.5, "b": 1.5, "mu": 1.0, "sigma2": 0.25,
-    "sweep_csv": "sweep.csv", "format": "json", "out": "results",
+    "instances": 500, "sweep_csv": "sweep.csv", "format": "json", "out": "results",
 }
 
 
@@ -141,9 +142,9 @@ class TestOptionDeclarations:
         }
         assert counts == {
             "sample": 10, "sweep": 10, "oracle-check": 10, "gw": 10,
-            "fit": 7, "constants": 7, "rde": 8, "flows": 12, "tails": 13,
+            "fit": 5, "constants": 5, "rde": 8, "flows": 10, "tails": 11,
         }
-        assert sum(counts.values()) == 87
+        assert sum(counts.values()) == 79
 
     @pytest.mark.parametrize("command, option", UNDECLARED,
                              ids=[f"{c}-{o}" for c, o in UNDECLARED])
@@ -152,6 +153,16 @@ class TestOptionDeclarations:
             main([command, flag(option), "1", "--out", str(tmp_path / "out")])
         assert err.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option", [(c, o) for c in DECLARED for o in LAW_CONSTANTS],
+                             ids=[f"{c}-{o}" for c in DECLARED for o in LAW_CONSTANTS])
+    def test_law_constants_are_not_options(self, tmp_path, capsys, command, option):
+        # a provenance stamp that still holds a law constant is refused as a config
+        path = write_config(tmp_path / "conf.json", {**resolve([command]), option: None})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {option}: not an option of {command}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text, option", [
         ("sample", '{"seed": "abc"}', "seed"),
@@ -187,7 +198,7 @@ class TestOptionDeclarations:
 
     @pytest.mark.parametrize("argv, name", [
         (["tails", "--model", "reg:2", "--n", "4", "--dist", "twopoint:0.5,1.5",
-          "--reps", "300", "--seed", "5", "--t-grid", "0:1:0.25", "--a", "0.4"],
+          "--reps", "300", "--seed", "5", "--t-grid", "0:1:0.25", "--lam", "1.7"],
          "tails.csv"),
         (["constants", "--dist", "twopoint:1,2", "--n", "3,5"], "constants.json"),
     ], ids=["tails", "constants"])
@@ -214,6 +225,23 @@ class TestOptionDeclarations:
             args = parser.parse_args(argv[1:])
             seen.add(args.command)
         assert seen == set(DECLARED)
+
+    def test_readme_table_lists_each_commands_options(self):
+        # rows "| `sample`, `sweep` | `--model` (`reg:2`), `--lam`, ... |"
+        rows = re.findall(r"^\| (`[a-z-]+`(?:, `[a-z-]+`)*) \| (.*) \|$", README.read_text(), re.M)
+        listed = {}
+        for commands, cell in rows:
+            options = []
+            for name, note in re.findall(r"`--([a-z-]+)`(?: \(([^)]*)\))?", cell):
+                default = re.match(r"`([^`]*)`", note)  # none for "(required)" or no note
+                options.append((name.replace("-", "_"), default and default.group(1)))
+            for command in re.findall(r"`([a-z-]+)`", commands):
+                assert command not in listed
+                listed[command] = options
+        declared = {name: [(option, None if default is None else str(default))
+                           for option, default in entry[2].items()]
+                    for name, entry in _COMMANDS.items()}
+        assert listed == declared
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
@@ -331,24 +359,45 @@ class TestSweepAndFit:
     def test_fit_requires_input(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("option, value", [("mu", 3.0), ("sigma2", 0.5)])
-    def test_fit_keeps_a_lone_override(self, tmp_path, option, value):
+    def test_fit_takes_the_law_its_sweep_was_sampled_under(self, tmp_path, capsys):
+        assert main(["sweep", "--model", "reg:2", "--n", "2..9", "--dist", "twopoint:0.5,1.5",
+                     "--reps", "300", "--out", str(tmp_path)]) == 0
+        table = str(tmp_path / "sweep.csv")
+        # no --dist means the default uniform law, which the table was not sampled under
+        for argv in ([], ["--dist", "unif:0.5,1.5"], ["--dist", "twopoint:0.5,1.5,0.4"]):
+            out = tmp_path / "wrong"
+            assert main(["fit", "--sweep-csv", table, *argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: dist: ")
+            assert not out.exists()
+        # another spelling of the same law
+        for i, law in enumerate(["twopoint:0.5,1.5,0.5", "disc:1.5:0.5,0.5:0.5"]):
+            out = tmp_path / f"same{i}"
+            assert main(["fit", "--sweep-csv", table, "--dist", law, "--out", str(out)]) == 0
+            fit = json.loads((out / "fit.json").read_text())
+            assert (fit["mu"], fit["sigma2"]) == (1.0, 0.25)
+
+    def test_fit_reads_a_table_without_a_stamp_under_any_law(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("n,mean_R,se_R\n" + "".join(f"{n},{n - 0.3},0.1\n" for n in range(2, 10)))
-        code = main(["fit", "--sweep-csv", str(path), "--dist", "twopoint:0.5,1.5",
-                     flag(option), str(value), "--out", str(tmp_path)])
-        assert code == 0
+        assert main(["fit", "--sweep-csv", str(path), "--dist", "unif:1,3",
+                     "--out", str(tmp_path)]) == 0
         fit = json.loads((tmp_path / "fit.json").read_text())
-        law = {"mu": 1.0, "sigma2": 0.25}  # twopoint:0.5,1.5 at p = 1/2
-        law[option] = value
-        assert {"mu": fit["mu"], "sigma2": fit["sigma2"]} == law
-        assert fit["provenance"][option] == value
+        assert (fit["mu"], fit["sigma2"]) == (2.0, 1.0 / 3.0)
+
+    def test_fit_refuses_a_malformed_stamp(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("# provenance: [1, 2]\nn,mean_R,se_R\n"
+                        + "".join(f"{n},{n - 0.3},0.1\n" for n in range(2, 10)))
+        out = tmp_path / "out"
+        assert main(["fit", "--sweep-csv", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep_csv: ")
+        assert not out.exists()
 
 
 class TestOtherCommands:
     def test_constants_table(self, tmp_path):
         code = main([
-            "constants", "--a", "1", "--b", "2", "--dist", "twopoint:1,2",
+            "constants", "--dist", "twopoint:1,2",
             "--out", str(tmp_path),
         ])
         assert code == 0
@@ -544,38 +593,23 @@ class TestExitCodes:
         (["sample", "--n", "3", "--dist", "disc:1:0.5,nan:0.25,2:0.25"], "dist"),
         (["gw", "--model", "gw:2:nan", "--lam", "2", "--n", "3", "--trees", "5"], "model"),
         (["oracle-check", "--dist", "const:inf", "--n", "2", "--instances", "1"], "dist"),
-        (["constants", "--b", "inf"], "b"),
-        (["flows", "--n", "3", "--a", "nan"], "a"),
         (["tails", "--n", "3", "--t-grid", "0.5,nan"], "t_grid"),
         (["sample", "--n", "3", "--lam", "0"], "lam"),
         (["sample", "--n", "3", "--lam", "-0.0"], "lam"),
         (["sample", "--n", "3", "--lam", "inf"], "lam"),
-        (["fit", "--mu", "0"], "mu"),
-        (["fit", "--mu", "nan"], "mu"),
-        (["fit", "--sigma2", "-1"], "sigma2"),
         (["sample", "--n", "3", "--reps", "0"], "reps"),
         (["sweep", "--n", "3,4", "--reps", "3:0,4:5"], "reps"),
         (["sweep", "--n", "4", "--reps", "1"], "reps"),
         (["tails", "--n", "4", "--reps", "50"], "reps"),
-        (["flows", "--n", "3", "--a", "2", "--b", "1"], "b"),
-        (["constants", "--a", "2", "--b", "1"], "b"),
-        (["constants", "--a", "3"], "a"),
-        (["tails", "--n", "4", "--reps", "200", "--a", "2", "--b", "1"], "b"),
         (["sample", "--seed", "-1"], "seed"),
         (["rde", "--seed", "-1"], "seed"),
         (["flows", "--model", "reg:3", "--n", "3"], "model"),
         (["flows", "--n", "3", "--lam", "1.5"], "lam"),
     ], ids=["unif-inf", "disc-inf", "disc-nan-prob", "disc-nan-value", "gw-nan-prob",
-            "const-inf", "b-inf", "a-nan", "t-grid-nan", "lam-0", "lam-minus-0",
-            "lam-inf", "mu-0", "mu-nan", "sigma2-negative", "sample-reps-0",
-            "sweep-reps-0", "sweep-reps-1", "tails-reps-50", "flows-a-above-b",
-            "constants-a-above-b", "constants-a-above-law", "tails-a-above-b",
-            "sample-seed-negative", "rde-seed-negative", "flows-ternary", "flows-lam"])
+            "const-inf", "t-grid-nan", "lam-0", "lam-minus-0", "lam-inf", "sample-reps-0",
+            "sweep-reps-0", "sweep-reps-1", "tails-reps-50", "sample-seed-negative",
+            "rde-seed-negative", "flows-ternary", "flows-lam"])
     def test_out_of_domain_number_rejected(self, tmp_path, capsys, argv, option):
-        if argv[0] == "fit":
-            table = tmp_path / "sweep.csv"
-            table.write_text("n,mean_R,se_R\n" + "".join(f"{n},{n}.5,0.1\n" for n in range(2, 10)))
-            argv = argv + ["--sweep-csv", str(table)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {option}:")
@@ -610,14 +644,17 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["constants", "--a", "1e-80", "--b", "1"],
+        ["constants", "--dist", "unif:1e-80,1"],
         ["constants", "--dist", "unif:1e-300,1"],
-        ["tails", "--n", "3", "--reps", "200", "--a", "1e-100", "--b", "1e100"],
-        ["flows", "--n", "3", "--a", "1e-100", "--b", "1e100"],
-        ["tails", "--n", "3", "--reps", "200", "--a", "1e-320", "--b", "1"],
-        ["flows", "--n", "3", "--a", "1e-320", "--b", "1"],
+        ["tails", "--n", "3", "--reps", "200", "--dist", "unif:1e-100,1e100"],
+        ["flows", "--n", "3", "--dist", "unif:1e-100,1e100"],
+        ["tails", "--n", "3", "--reps", "200", "--dist", "unif:1e-320,1"],
+        ["flows", "--n", "3", "--dist", "unif:1e-320,1"],
+        ["rde", "--dist", "twopoint:1e-300,1e300", "--pool-size", "1000", "--levels", "3"],
+        ["rde", "--dist", "twopoint:1e-160,1", "--pool-size", "1000", "--levels", "2"],
     ], ids=["constants-overflow", "constants-law", "tails-overflow", "flows-overflow",
-            "tails-zero-division", "flows-zero-division"])
+            "tails-zero-division", "flows-zero-division", "rde-overflow",
+            "rde-sum-of-squares"])
     def test_bound_constant_out_of_range_is_exit_3(self, tmp_path, capsys, monkeypatch, argv):
         from treeohm import model as model_module
 
@@ -630,6 +667,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("guard: a=") and ", b=" in err
         assert not out.exists()
+
+    def test_rde_near_the_guard_runs(self, tmp_path):
+        # 1000 / a**2 = 1e303 is still finite: every moment is finite and positive
+        assert main(["rde", "--dist", "twopoint:1e-150,1", "--pool-size", "1000",
+                     "--levels", "3", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "rde.csv").read_text().strip().split("\n")[2:]
+        values = np.array([[float(v) for v in row.split(",")[2:]] for row in rows])
+        assert values.shape == (3, 4) and np.all(np.isfinite(values)) and np.all(values > 0)
 
     @pytest.mark.parametrize("grid", ["0:1e-300:1e-310", "0:1:1e-9", "0:33554432:1"])
     def test_t_grid_over_guard_is_exit_3(self, tmp_path, capsys, monkeypatch, grid):

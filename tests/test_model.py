@@ -44,17 +44,18 @@ class TestDistributions:
     @pytest.mark.parametrize(
         "literal",
         ["const:1.3", "unif:0.5,2", "twopoint:1,3,0.3", "twopoint:0.5,1.5,0",
-         "twopoint:0.5,1.5,1", "disc:0.5:0.2,1:0.5,2.5:0.3"],
+         "twopoint:0.5,1.5,1", "disc:0.5:0.2,1:0.5,2.5:0.3", "disc:1.3:1",
+         "disc:0.7:0.35,1.9:0.65"],
     )
     def test_block_weights_keep_their_formula(self, literal):
-        # each kind's out-of-place map, written out, against the in-place one
+        # each law's out-of-place map, written out, against the in-place one
         dist = parse_distribution(literal)
 
         def expected(u):
-            if dist.kind in ("uniform", "constant"):
+            if not dist.atoms:
                 return dist.a + (dist.b - dist.a) * u
-            if dist.kind == "twopoint":
-                (lo, p), (hi, _) = dist.atoms
+            if len(dist.atoms) <= 2:
+                (lo, p), (hi, _) = dist.atoms[0], dist.atoms[-1]
                 return np.where(u < p, lo, hi)
             cum = np.cumsum([p for _, p in dist.atoms])
             vals = np.array([v for v, _ in dist.atoms])
@@ -104,6 +105,14 @@ class TestDistributions:
         mom = WeightDistribution.uniform(0.5, 1.5).moments()
         assert mom.recip_mean == pytest.approx(math.log(3.0), rel=1e-12)
         assert mom.recip_variance == pytest.approx(1 / 0.75 - math.log(3.0) ** 2, rel=1e-12)
+
+    def test_atoms_fix_the_draws(self):
+        # an atom inside a wider support draws only itself
+        draws = dist_sample_block(WeightDistribution(0.5, 1.5, ((1.0, 1.0),)), RngStream(3), 1000)
+        assert np.all(draws == 1.0)
+        atoms = ((0.5, 0.2), (1.0, 0.5), (1.5, 0.3))
+        draws = dist_sample_block(WeightDistribution(0.5, 1.5, atoms), RngStream(3), 1000)
+        assert set(np.unique(draws)) == {0.5, 1.0, 1.5}
 
     def test_invalid_support_rejected(self):
         with pytest.raises(ValidationError):
@@ -233,13 +242,18 @@ class TestRngStream:
 
 class TestLiterals:
     @pytest.mark.parametrize(
-        "literal,kind",
-        [("const:2", "constant"), ("unif:0.5,1.5", "uniform"),
-         ("twopoint:0.5,1.5", "twopoint"), ("twopoint:0.5,1.5,0.3", "twopoint"),
-         ("disc:1:0.5,2:0.5", "discrete")],
+        "literal, law",
+        [("const:2", (2.0, 2.0, ((2.0, 1.0),))),
+         ("unif:0.5,1.5", (0.5, 1.5, ())),
+         ("twopoint:0.5,1.5", (0.5, 1.5, ((0.5, 0.5), (1.5, 0.5)))),
+         ("twopoint:0.5,1.5,0.3", (0.5, 1.5, ((0.5, 0.3), (1.5, 0.7)))),
+         ("disc:1:0.5,2:0.5", (1.0, 2.0, ((1.0, 0.5), (2.0, 0.5))))],
+        ids=["const:2-constant", "unif:0.5,1.5-uniform", "twopoint:0.5,1.5-twopoint",
+             "twopoint:0.5,1.5,0.3-twopoint", "disc:1:0.5,2:0.5-discrete"],
     )
-    def test_parse_kinds(self, literal, kind):
-        assert parse_distribution(literal).kind == kind
+    def test_parse_kinds(self, literal, law):
+        dist = parse_distribution(literal)
+        assert (dist.a, dist.b, dist.atoms) == law
 
     @pytest.mark.parametrize(
         "literal",

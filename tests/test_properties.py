@@ -22,7 +22,14 @@ from treeohm import (
     shorted_resistance_of_tree,
     solve_flow,
 )
-from treeohm.model import STREAM_LIMIT, _seed_words, stream_block, streams
+from treeohm.model import (
+    STREAM_LIMIT,
+    _inverse_cdf,
+    _seed_words,
+    _transform,
+    stream_block,
+    streams,
+)
 from tests.conftest import assert_node_law
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -113,6 +120,19 @@ def test_regular_envelope(case):
     r = resistance_fast(model, n, RngStream(seed, 1)).resistance
     dist = model.weights
     assert dist.a * n * (1 - TOL) <= r <= dist.b * n * (1 + TOL)
+
+
+@PROPERTY
+@given(weight_laws().filter(lambda dist: 1 <= len(dist.atoms) <= 2),
+       st.integers(0, 2**20), st.one_of(st.just(1.0), st.floats(0.5, 2.5)))
+def test_atom_select_is_the_inverse_cdf(dist, seed, scale):
+    # the branch-free select of a law of at most two atoms, on draws and on
+    # the uniforms at and just below the first atom's probability
+    p = dist.atoms[0][1]
+    edges = [u for u in (0.0, p, np.nextafter(p, 0.0)) if u < 1.0]
+    u = np.concatenate((edges, RngStream(seed).uniforms(256)))
+    want = _inverse_cdf(*dist._cdf, u) * scale
+    assert _transform(dist, u, scale).tobytes() == want.tobytes()
 
 
 @PROPERTY

@@ -290,6 +290,16 @@ class TestTailProfile:
         rep = tail_profile(ReplicateSet.from_values(1, x), t_grid=np.array([0.0]))
         assert rep.freq[0] == 1.0
 
+    def test_counts_match_the_per_point_loop(self):
+        # t = 0, t at every sample deviation (ties), t past the largest one,
+        # and a grid in no order
+        x = np.tile([1.0, 2.0, 2.0, 3.0, 5.0, 1.5], 40)
+        dev = np.abs(x - float(np.mean(x)))
+        t = np.concatenate(([0.0], np.unique(dev), [dev.max() * 2.0],
+                            np.linspace(3.0, 0.0, 31)))
+        rep = tail_profile(ReplicateSet.from_values(1, x), t_grid=t)
+        assert rep.count.tolist() == [int(np.sum(dev > tt)) for tt in t]
+
     def test_monotone_and_bounded(self, binary_twopoint_model):
         batch = run_replicates(binary_twopoint_model, 8, 2000, 11)
         rep = tail_profile(batch, tail_constant=100.0)
