@@ -71,16 +71,21 @@ class SampledTree:
     Nodes are stored in depth-first pre-order (children left to right), so a
     node's id is always greater than its parent's.  Node 0 sits below the
     unique level-1 root edge; the injection vertex above it is implicit.
-    Leaves are exactly the nodes at the bottom level.
+    Leaves are exactly the nodes at the bottom level, so the pre-order
+    levels fix the tree; construction refuses (`level: ...`) levels that do
+    not start at 1, return to 1, go down more than one level from a node to
+    the next or leave a node above the bottom without a child.
 
     Construction derives the depth `n_levels` (the bottom level), the edge
     resistances `resistance` = weight * lam**(level-1), read from the
     level_scales table, the level-major layout `order` and `offsets` (see
-    _level_major) and `slot`: per level-major slot, the parent's position
-    within its own level (-1 for the root).
+    _level_major), `parent` and `slot`: per level-major slot, the parent's
+    position within its own level (both -1 for the root).  A level lists
+    its children grouped by parent, in the parents' order, and a first
+    child directly follows its parent, so counting first children along the
+    level-major order gives each child's parent slot.
     """
 
-    parent: np.ndarray
     level: np.ndarray
     weight: np.ndarray
     lam: float
@@ -88,24 +93,36 @@ class SampledTree:
     beta: int | None = None
     n_levels: int = field(init=False)
     resistance: np.ndarray = field(init=False)
+    parent: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n_levels = int(self.level.max())
-        resistance = self.weight * level_scales(self.lam, n_levels)[self.level - 1]
-        order, offsets = _level_major(self.level, n_levels)
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.shape[0])
+        level = self.level
+        step = np.diff(level)
+        first = step == 1  # first[i]: node i + 1 is the first child of node i
+        if not (level[:1].tolist() == [1] and level[1:].min(initial=2) >= 2
+                and step.max(initial=0) <= 1):
+            raise ValidationError("level: pre-order levels must start at 1, stay at 2 or "
+                                  "more after it and go down at most one level per node")
+        n_levels = int(level.max())
+        order, offsets = _level_major(level, n_levels)
+        if np.count_nonzero(first) != offsets[-2]:
+            raise ValidationError("level: every node above the bottom level must have a child")
+        resistance = self.weight * level_scales(self.lam, n_levels)[level - 1]
         kid = order[1:]
-        slot = np.concatenate(([-1], pos[self.parent[kid]] - offsets[self.level[kid] - 2]))
+        up = np.cumsum(first[kid - 1]) - 1  # each child's parent, as a level-major slot
+        parent = np.empty_like(order)
+        parent[order] = np.concatenate(([-1], order[up]))
+        slot = np.concatenate(([-1], up - offsets[level[kid] - 2]))
         for name, value in (("n_levels", n_levels), ("resistance", resistance),
-                            ("order", order), ("offsets", offsets), ("slot", slot)):
+                            ("parent", parent), ("order", order), ("offsets", offsets),
+                            ("slot", slot)):
             object.__setattr__(self, name, value)
-        for arr in (self.parent, self.level, self.weight, resistance, order, offsets, slot):
+        for arr in (level, self.weight, resistance, parent, order, offsets, slot):
             arr.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
-        return int(self.parent.shape[0])
+        return int(self.level.shape[0])
 
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.level == self.n_levels)
@@ -119,8 +136,8 @@ def reweighted(tree: SampledTree, node: int, x: float) -> SampledTree:
     """Copy of the tree with one edge weight replaced (its resistance follows)."""
     if not (0 <= node < tree.n_nodes):
         raise ValidationError(f"node {node} out of range")
-    if not (x > 0.0):
-        raise ValidationError(f"edge weight must be > 0, got {x}")
+    if not (0.0 < x < math.inf):
+        raise ValidationError(f"edge weight must be finite and > 0, got {x}")
     weight = tree.weight.copy()
     weight[node] = x
     return replace(tree, weight=weight)
@@ -154,20 +171,16 @@ def _regular_layout(beta: int, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _dfs_layout(beta: int, n_levels: int):
-    """Pre-order levels and parents of the full beta-ary tree with n_levels
-    edge levels, plus its _regular_layout (order, offsets), for explicit
-    regular trees and resistance_fast.  The cache holds the last 8 depths,
-    which covers oracle-check's n = 2..9 without keeping every depth alive;
-    uncached, the layouts of flows at n = 12 and oracle-check at n = 2..9
-    would be rebuilt per tree, 20 to 130 us each."""
+    """Pre-order levels of the full beta-ary tree with n_levels edge levels,
+    plus its _regular_layout (order, offsets), for explicit regular trees
+    and resistance_fast.  The cache holds the last 8 depths, which covers
+    oracle-check's n = 2..9 without keeping every depth alive; uncached,
+    the layouts of flows at n = 12 and oracle-check at n = 2..9 would be
+    rebuilt per tree, 20 to 130 us each."""
     order, offsets = _regular_layout(beta, n_levels)
-    # level-major slot t > 0 has its parent in slot (t - 1) // beta
     level = np.empty_like(order)
     level[order] = np.repeat(np.arange(1, n_levels + 1), np.diff(offsets))
-    parent = np.empty_like(order)
-    parent[0] = -1
-    parent[order[1:]] = np.repeat(order[:offsets[-2]], beta)
-    return level, parent, order, offsets
+    return level, order, offsets
 
 
 def _fold(sub: np.ndarray, offsets: np.ndarray, kids, cond: np.ndarray,
@@ -326,7 +339,7 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     scales = model.scales(n)
-    _, _, order, offsets = _dfs_layout(int(model.beta), n)
+    _, order, offsets = _dfs_layout(int(model.beta), n)
     u = rng.uniforms(int(offsets[-1]))[:, None]
     r_total = float(_regular_block(model, (order, offsets, scales), u, np.empty_like(u), u)[0])
     return ResistanceSample(r_total, 1.0 / r_total)
@@ -345,10 +358,9 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     """
     model.scales(n)
     if model.shape == "regular":
-        level, parent, _, offsets = _dfs_layout(int(model.beta), n)
+        level, _, offsets = _dfs_layout(int(model.beta), n)
         weight = dist_sample_block(model.weights, rng, int(offsets[-1]))
-        return SampledTree(parent.copy(), level.copy(), weight, model.lam, "regular",
-                           int(model.beta))
+        return SampledTree(level.copy(), weight, model.lam, "regular", int(model.beta))
 
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
@@ -359,37 +371,33 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     if smallest > MEMORY_GUARD:
         raise GuardError(f"branching tree has at least {smallest} nodes, over the "
                          f"{MEMORY_GUARD}-node guard")
-    parents: list[int] = []
     levels: list[int] = []
     blocks: list[np.ndarray] = []
     kids: list[int] = []  # the offspring count each drawn uniform would give
     pos = 0  # next unread uniform
-    stack = [(1, -1)]
+    stack = [1]  # the levels of the nodes still to visit
     while stack:
-        lvl, par = stack.pop()
+        lvl = stack.pop()
         internal = lvl < n_levels
         if pos + internal >= len(kids):
             # the pending nodes and this one are certain to draw this many
-            due = sum(2 * (n_levels - l) + 1 for l, _ in stack) + 2 * (n_levels - lvl) + 1
+            due = sum(2 * (n_levels - l) + 1 for l in stack) + 2 * (n_levels - lvl) + 1
             u = rng.uniforms(due - (len(kids) - pos))
             blocks.append(u)
             kids += _inverse_cdf(*model._offspring_cdf, u).tolist()
-        i = len(parents)
-        if i >= MEMORY_GUARD:
+        if len(levels) >= MEMORY_GUARD:
             raise GuardError(f"branching tree exceeded the {MEMORY_GUARD}-node guard "
-                             f"(realized {i} nodes)")
-        parents.append(par)
+                             f"(realized {len(levels)} nodes)")
         levels.append(lvl)
-        stack += [(lvl + 1, i)] * (kids[pos + 1] if internal else 0)
+        stack += [lvl + 1] * (kids[pos + 1] if internal else 0)
         pos += 1 + internal
-    parent = np.array(parents, dtype=np.int64)
     level = np.array(levels, dtype=np.int64)
     # node i's weight uniform comes after i weights and the offspring draws
     # of the internal nodes before it
     has_kids = level < n_levels
     wpos = np.arange(len(level)) + np.cumsum(has_kids) - has_kids
     weight = _transform(model.weights, np.concatenate(blocks)[wpos])
-    return SampledTree(parent, level, weight, model.lam, "gw")
+    return SampledTree(level, weight, model.lam, "gw")
 
 
 def resistance_of_tree(tree: SampledTree) -> float:

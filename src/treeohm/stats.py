@@ -235,6 +235,8 @@ def tail_profile(
     hi = np.maximum(np.minimum((center + half) / denom, 1.0), p)
     if tail_constant is None:
         bound = np.full_like(t, np.nan)
+    elif tail_constant == 0.0:  # a constant law: R never deviates
+        bound = np.where(t == 0.0, 2.0, 0.0)
     else:
         bound = 2.0 * np.exp(-(t * t) / (4.0 * tail_constant))
     return TailReport(t, count, p, lo, hi, bound, mean, sd)
@@ -408,13 +410,13 @@ def sweep(
     return reports
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
     sy = float(np.sqrt(np.sum(dy * dy)))
     if sx == 0.0 or sy == 0.0:
-        return float("nan")  # degenerate samples have no defined correlation
+        return None  # degenerate samples have no defined correlation
     return float(np.sum(dx * dy)) / (sx * sy)
 
 
@@ -428,7 +430,7 @@ class GwReport:
     w_hat: np.ndarray
     n_times_c: np.ndarray
     cond_mean_nc: dict[int, float]
-    corr_scaled_r_vs_inv_w: float
+    corr_scaled_r_vs_inv_w: float | None
     median_scaled_product: float
 
 

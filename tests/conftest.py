@@ -7,8 +7,12 @@ from treeohm import SampledTree, TreeModel, WeightDistribution
 
 
 def build_tree(parent, level, weight, lam, shape, beta=None):
-    return SampledTree(np.asarray(parent, dtype=np.int64), np.asarray(level, dtype=np.int64),
-                       np.asarray(weight, dtype=np.float64), float(lam), shape, beta)
+    """The tree of these pre-order levels; `parent`, the caller's own
+    parents, must equal the derived ones byte for byte."""
+    tree = SampledTree(np.asarray(level, dtype=np.int64), np.asarray(weight, dtype=np.float64),
+                       float(lam), shape, beta)
+    assert tree.parent.tobytes() == np.asarray(parent, dtype=np.int64).tobytes()
+    return tree
 
 
 def assert_node_law(theta, tree, tol):
@@ -31,7 +35,9 @@ def _scalar_weight(dist, u):
 def scalar_gw_tree(model, n, rng):
     """Reference branching sampler: the per-node loop that draws one uniform
     at a time, a node's weight first, then, at an internal node, its
-    offspring count, found by bisection on the cumulative probabilities."""
+    offspring count, found by bisection on the cumulative probabilities.
+    Its parent list, tracked on the stack, is the reference that build_tree
+    holds the derived parents to."""
     n_levels = n + 1
     cum = np.cumsum([p for _, p in model.offspring]).tolist()
     parents, levels, weights = [], [], []
@@ -45,8 +51,7 @@ def scalar_gw_tree(model, n, rng):
         if lvl < n_levels:
             b = model.offspring[min(bisect_right(cum, rng.uniforms(1)[0]), len(cum) - 1)][0]
             stack.extend([(lvl + 1, i)] * b)
-    return SampledTree(np.array(parents, dtype=np.int64), np.array(levels, dtype=np.int64),
-                       np.array(weights, dtype=np.float64), model.lam, "gw")
+    return build_tree(parents, levels, weights, model.lam, "gw")
 
 
 def loop_dense_system(tree):

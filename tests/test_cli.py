@@ -534,6 +534,50 @@ class TestOtherCommands:
         assert lines[1] == "t,count,freq,wilson_lo,wilson_hi,bound"
         assert len(lines) == 2 + 30
 
+    def test_tails_on_a_constant_law(self, tmp_path):
+        code = main(["tails", "--n", "3", "--reps", "100", "--dist", "const:1",
+                     "--t-grid", "0,0.5", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "tails.csv").read_text().strip().split("\n")
+        assert [ln.split(",")[-1] for ln in lines[2:]] == ["2", "0"]
+
+
+def strict_json(text):
+    """JSON as RFC 8259 defines it: NaN, Infinity and -Infinity fail."""
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_artifacts_hold_only_standard_json(tmp_path):
+    sweep_csv = tmp_path / "sweep" / "sweep.csv"
+    calls = {
+        "sweep": ["sweep", "--n", "2..7", "--reps", "50"],
+        "fit": ["fit", "--sweep-csv", str(sweep_csv)],
+        "flows": ["flows", "--n", "3", "--instances", "2"],
+        "gw": ["gw", "--n", "4", "--trees", "20"],
+        "gw-constant-trees": ["gw", "--model", "gw:2:1", "--n", "3", "--trees", "5",
+                              "--dist", "const:1"],
+        "gw-one-tree": ["gw", "--trees", "1"],
+        "constants": ["constants"],
+        "constants-constant-law": ["constants", "--dist", "const:1"],
+        "tails-json": ["tails", "--n", "3", "--reps", "100", "--dist", "const:1",
+                       "--t-grid", "0,0.5", "--format", "json"],
+    }
+    for name, argv in calls.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    docs = {f"{p.parent.name}/{p.name}": strict_json(p.read_text())
+            for p in tmp_path.glob("*/*.json")}
+    assert sorted(docs) == sorted([
+        "constants/constants.json", "constants-constant-law/constants.json",
+        "fit/fit.json", "flows/flow_report.json", "gw/gw_summary.json",
+        "gw-constant-trees/gw_summary.json", "gw-one-tree/gw_summary.json",
+        "tails-json/tails.json"])
+    # a sample without spread has no correlation
+    for name in ("gw-constant-trees", "gw-one-tree"):
+        assert docs[name + "/gw_summary.json"]["corr_scaled_R_vs_inv_W"] is None
+    assert -1.0 <= docs["gw/gw_summary.json"]["corr_scaled_R_vs_inv_W"] <= 1.0
+
 
 class TestExitCodes:
     def test_malformed_dist_is_validation_failure(self, tmp_path, capsys):

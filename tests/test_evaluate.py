@@ -23,7 +23,7 @@ from treeohm import (
     sample_tree_explicit,
     shorted_resistance_of_tree,
 )
-from tests.conftest import scalar_gw_tree, tiled_dfs_layout
+from tests.conftest import build_tree, scalar_gw_tree, tiled_dfs_layout
 
 
 class TestRegularEvaluation:
@@ -53,7 +53,7 @@ class TestRegularEvaluation:
     def test_regular_layout_is_the_level_sort(self, beta, n):
         from treeohm.evaluate import _dfs_layout, _level_major, _regular_layout
 
-        level, _, order, offsets = _dfs_layout(beta, n)
+        level, order, offsets = _dfs_layout(beta, n)
         for got, want in zip(_regular_layout(beta, n), (order, offsets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # the reference: pre-order ids stably sorted by level
@@ -65,8 +65,9 @@ class TestRegularEvaluation:
     def test_layout_levels_and_parents_are_the_tiled_ones(self, beta, n):
         from treeohm.evaluate import _dfs_layout
 
-        level, parent = _dfs_layout(beta, n)[:2]
-        for got, want in zip((level, parent), tiled_dfs_layout(beta, n)):
+        model = TreeModel.regular(beta, WeightDistribution.uniform(0.5, 1.5))
+        parent = sample_tree_explicit(model, n, RngStream(0)).parent
+        for got, want in zip((_dfs_layout(beta, n)[0], parent), tiled_dfs_layout(beta, n)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_layout_cache_is_bounded(self):
@@ -168,7 +169,30 @@ class TestExplicitTrees:
 
     def test_constructor_takes_what_is_not_derived(self):
         params = list(inspect.signature(SampledTree).parameters)
-        assert params == ["parent", "level", "weight", "lam", "shape", "beta"]
+        assert params == ["level", "weight", "lam", "shape", "beta"]
+
+    @pytest.mark.parametrize("level", [[1, 2, 2, 3], [1, 1], [1, 3], [2], [1, 2, 3, 2]],
+                             ids=["leaf-above-bottom", "second-root", "skipped-level",
+                                  "no-root", "last-node-above-bottom"])
+    def test_levels_of_no_tree_are_refused(self, level):
+        with pytest.raises(ValidationError, match="^level: "):
+            SampledTree(np.array(level, dtype=np.int64), np.ones(len(level)), 2.0, "gw")
+
+    @pytest.mark.parametrize("parent, level, r", [
+        ([-1, 0, 1, 1], [1, 2, 3, 3], 5.0),
+        ([-1, 0, 1, 0, 3], [1, 2, 3, 2, 3], 4.0),
+    ], ids=["one-pair", "two-chains"])
+    def test_levels_fix_the_parents(self, parent, level, r):
+        # unit weights at lam = 2: levels 1, 2 and 3 carry r = 1, 2 and 4
+        tree = build_tree(parent, level, np.ones(len(level)), 2.0, "gw")
+        assert resistance_of_tree(tree) == r
+        assert kirchhoff_solve(tree).resistance == pytest.approx(r, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -1.0])
+    def test_reweighted_refuses_a_weight_out_of_range(self, binary_twopoint_model, x):
+        tree = sample_tree_explicit(binary_twopoint_model, 3, RngStream(1))
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            reweighted(tree, 3, x)
 
     def test_gw_deterministic_offspring(self):
         model = TreeModel.galton_watson([(2, 1.0)], WeightDistribution.constant(1.0))

@@ -112,6 +112,15 @@ def test_explicit_tree_draw_contract(case, j):
 
 
 @PROPERTY
+@given(trees())
+def test_parent_is_the_last_node_one_level_up(tree):
+    level = tree.level.tolist()
+    want = [-1] + [max(j for j in range(i) if level[j] == level[i] - 1)
+                   for i in range(1, len(level))]
+    assert tree.parent.tolist() == want
+
+
+@PROPERTY
 @given(regular_cases())
 def test_regular_envelope(case):
     # a*n <= R <= b*n whenever the depth scaling matches the arity

@@ -285,6 +285,13 @@ class TestTailProfile:
         rep = tail_profile(batch)
         assert np.all(rep.freq == 0.0)
 
+    def test_zero_constant_bounds_every_deviation_but_none(self):
+        # a == b makes the constant 0: R never deviates, so the bound is 2
+        # at t = 0 (a deviation above 0 has probability 0 <= 2) and 0 beyond
+        rep = tail_profile(ReplicateSet.from_values(3, np.full(100, 3.0)),
+                           t_grid=np.array([0.0, 0.5, 2.0]), tail_constant=0.0)
+        assert rep.bound.tolist() == [2.0, 0.0, 0.0]
+
     def test_zero_threshold_counts_everything_off_mean(self):
         x = np.concatenate([np.full(100, 1.0), np.full(100, 2.0)])
         rep = tail_profile(ReplicateSet.from_values(1, x), t_grid=np.array([0.0]))
