@@ -33,10 +33,8 @@ from .evaluate import (
     shorted_resistance_of_tree,
 )
 from .flows import (
-    ConcentrationReport,
     FlowBoundReport,
     FlowSolution,
-    concentration_diagnostics,
     energy,
     flow_bound_report,
     flow_bound_sum,

@@ -27,7 +27,6 @@ from typing import Iterable
 import numpy as np
 
 from .flows import (
-    concentration_diagnostics,
     flow_bound_report,
     flow_ceiling,
     require_binary_doubling,
@@ -40,6 +39,7 @@ from .model import (
     RngStream,
     TreeModel,
     ValidationError,
+    WeightDistribution,
     parse_distribution,
     parse_offspring,
 )
@@ -148,6 +148,8 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
         raise ValidationError(f"t_grid: malformed literal {text!r}") from exc
     if not np.all(np.isfinite(grid)):
         raise ValidationError(f"t_grid: entries must be finite, got {text!r}")
+    if np.any(grid < 0.0):
+        raise ValidationError(f"t_grid: deviation sizes must be >= 0, got {text!r}")
     return grid
 
 
@@ -351,20 +353,19 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
     return [write_report(_outdir(cfg), "fit", payload, cfg)]
 
 
-def _flow_record(a: float, b: float, i: int, tree) -> tuple[dict, list]:
+def _flow_record(dist: WeightDistribution, i: int, tree) -> tuple[dict, list]:
     """One instance's flow_report entry; instance 0 also gives the
     per-edge flow_dump rows."""
     flow = solve_flow(tree)
-    bounds = flow_bound_report(flow, a, b)
-    conc = concentration_diagnostics(flow, a, b)
+    bounds = flow_bound_report(flow, dist)
     report = {
         "instance": i,
         "resistance": flow.resistance,
         "energy": flow.energy,
         "min_margin": bounds.min_margin,
-        "s4_scaled": conc.s4_scaled,
-        "s4_plain": conc.s4_plain,
-        "b4": conc.b4,
+        "s4_scaled": bounds.s4_scaled,
+        "s4_plain": bounds.s4_plain,
+        "b4": bounds.b4,
     }
     if i:
         return report, []
@@ -385,9 +386,9 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     require_binary_doubling(model)
     n = _single_n(cfg)
     count = _count(cfg, "instances")
-    a, b = model.weights.a, model.weights.b
-    flow_ceiling(a, b, n)  # refused here, before any tree is drawn
-    records = map_trees(partial(_flow_record, a, b), model, [n], count, cfg["seed"], workers)
+    dist = model.weights
+    flow_ceiling(dist, n)  # refused here, before any tree is drawn
+    records = map_trees(partial(_flow_record, dist), model, [n], count, cfg["seed"], workers)
     outdir = _outdir(cfg)
     columns = ["edge_id", "parent_id", "level", "X", "r", "theta",
                "voltage_top", "voltage_bottom", "flow_bound", "margin"]
@@ -446,20 +447,18 @@ def cmd_gw(cfg: dict, workers: int) -> list[str]:
 
 def cmd_constants(cfg: dict, workers: int) -> list[str]:
     dist = parse_distribution(cfg["dist"])
-    a, b = dist.a, dist.b
-    var_recip = dist.moments().recip_variance
     ns = resolve_ns(cfg)
-    chain = variance_bound_constants(a, b, var_recip, ns[0])
+    chain = variance_bound_constants(dist, ns[0])
     payload = {
-        "a": a,
-        "b": b,
-        "var_recip": var_recip,
+        "a": dist.a,
+        "b": dist.b,
+        "var_recip": dist.moments().recip_variance,
         "K0": chain.k0,
         "K1": chain.k1,
         "K": chain.k,
-        "tail_constant": tail_bound_constant(a, b),
+        "tail_constant": tail_bound_constant(dist),
         "variance_bounds": [
-            {"n": n, "bound": variance_bound_constants(a, b, var_recip, n).bound}
+            {"n": n, "bound": variance_bound_constants(dist, n).bound}
             for n in ns
         ],
     }
@@ -471,7 +470,7 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     t_grid = resolve_t_grid(cfg)
-    constant = tail_bound_constant(model.weights.a, model.weights.b)
+    constant = tail_bound_constant(model.weights)
     batch = run_replicates(model, n, m, cfg["seed"], workers)
     report = tail_profile(batch, t_grid, constant)
     rows = [

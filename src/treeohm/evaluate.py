@@ -74,7 +74,8 @@ class SampledTree:
     Leaves are exactly the nodes at the bottom level, so the pre-order
     levels fix the tree; construction refuses (`level: ...`) levels that do
     not start at 1, return to 1, go down more than one level from a node to
-    the next or leave a node above the bottom without a child.
+    the next or leave a node above the bottom without a child, and
+    (`weight: ...`) weights that are not one per node.
 
     Construction derives the depth `n_levels` (the bottom level), the edge
     resistances `resistance` = weight * lam**(level-1), read from the
@@ -97,6 +98,9 @@ class SampledTree:
 
     def __post_init__(self) -> None:
         level = self.level
+        if self.weight.shape != level.shape:
+            raise ValidationError(f"weight: shape {self.weight.shape} is not the levels' "
+                                  f"{level.shape}; a tree takes one weight per node")
         step = np.diff(level)
         first = step == 1  # first[i]: node i + 1 is the first child of node i
         if not (level[:1].tolist() == [1] and level[1:].min(initial=2) >= 2

@@ -1,11 +1,11 @@
-"""Optimal unit flow, node voltages, and flow-based concentration diagnostics.
+"""Optimal unit flow, node voltages, and the flow bounds of a weight law.
 
 The physical current from the injection vertex to the grounded leaves is the
 unique unit flow minimizing the energy sum r_e * theta_e^2, and that minimum
 equals the effective resistance.  This module computes the minimizer on
-explicit trees, builds deliberately non-optimal competitor currents for
-testing that minimality, and evaluates the deterministic per-edge flow bound
-and the derived fourth-power sums that drive the sub-Gaussian tail constant.
+explicit trees, competitor currents that test its minimality, and the bounds
+that the weight law's envelope [a, b] fixes: flow_bound_report (one tree's
+per-edge flow bound and fourth-power flow sums) and tail_bound_constant.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import SampledTree, _fold_tree
-from .model import ValidationError, _bound_constant
+from .model import ValidationError, WeightDistribution, _bound_constant
 
 
 @dataclass(frozen=True)
@@ -130,29 +130,40 @@ def require_binary_doubling(tree) -> None:
 
 @dataclass(frozen=True)
 class FlowBoundReport:
-    """Per-edge check of theta_e <= b*n / (a*(n-d+1)*2**(d-1))."""
+    """Per-edge check of theta_e <= b*n / (a*(n-d+1)*2**(d-1)), and the
+    fourth-power flow sums against their deterministic ceiling.
+
+    s4_scaled = sum_e 2**(2d) theta_e^4 and s4_plain = sum_e theta_e^4; the
+    scaled sum times (b-a)^2 bounds the downward-resampling variance proxy,
+    and s4_scaled <= b4 always (a consequence of the per-edge flow bound).
+    """
 
     bound: np.ndarray
     margin: np.ndarray
     min_margin: float
+    s4_scaled: float
+    s4_plain: float
+    b4: float
 
 
-def flow_bound_report(flow: FlowSolution, a: float, b: float) -> FlowBoundReport:
-    """Evaluate the deterministic per-edge bound on the optimal unit flow.
+def flow_bound_report(flow: FlowSolution, dist: WeightDistribution) -> FlowBoundReport:
+    """Evaluate the deterministic per-edge bound on the optimal unit flow,
+    and the fourth-power sums that drive the sub-Gaussian tail constant.
 
-    The bound needs only the weight envelope [a, b]: the voltage drop across
+    The bound needs only the law's envelope [a, b]: the voltage drop across
     the subtree under an edge is at most the total resistance b*n, while that
     subtree's resistance is at least a*(n-d+1)*2**(d-1) for an edge at level d.
     """
     tree = flow.tree
     require_binary_doubling(tree)
-    if not (0.0 < a <= b):
-        raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
+    a, b = dist.a, dist.b
     n = tree.n_levels
     d = tree.level.astype(np.float64)
     bound = (b * n) / (a * (n - d + 1.0) * 2.0 ** (d - 1.0))
     margin = bound - flow.theta
-    return FlowBoundReport(bound, margin, float(margin.min()))
+    t4 = flow.theta**4
+    return FlowBoundReport(bound, margin, float(margin.min()), float(np.sum(4.0**d * t4)),
+                           float(np.sum(t4)), flow_ceiling(dist, n))
 
 
 def flow_bound_sum(n: int) -> float:
@@ -162,34 +173,9 @@ def flow_bound_sum(n: int) -> float:
     return float(np.sum((n / (n + 1.0 - i)) ** 4 * 2.0 ** (-i)))
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Fourth-power flow sums against their deterministic ceiling.
-
-    s4_scaled = sum_e 2**(2d) theta_e^4 and s4_plain = sum_e theta_e^4; the
-    scaled sum times (b-a)^2 bounds the downward-resampling variance proxy,
-    and s4_scaled <= b4 always (a consequence of the per-edge flow bound).
-    """
-
-    s4_scaled: float
-    s4_plain: float
-    b4: float
-
-
-def concentration_diagnostics(flow: FlowSolution, a: float, b: float) -> ConcentrationReport:
-    tree = flow.tree
-    require_binary_doubling(tree)
-    if not (0.0 < a <= b):
-        raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
-    d = tree.level.astype(np.float64)
-    t4 = flow.theta**4
-    s4_scaled = float(np.sum(4.0**d * t4))
-    s4_plain = float(np.sum(t4))
-    return ConcentrationReport(s4_scaled, s4_plain, flow_ceiling(a, b, tree.n_levels))
-
-
-def flow_ceiling(a: float, b: float, n: int) -> float:
+def flow_ceiling(dist: WeightDistribution, n: int) -> float:
     """The ceiling b4 = (2^4 b^4 / a^4) * flow_bound_sum(n) of s4_scaled."""
+    a, b = dist.a, dist.b
     return _bound_constant(a, b, lambda: (2.0**4 * b**4 / a**4) * flow_bound_sum(n))
 
 
@@ -197,16 +183,15 @@ def flow_ceiling(a: float, b: float, n: int) -> float:
 _N_SCAN = 200
 
 
-def tail_bound_constant(a: float, b: float) -> float:
-    """Constant C(a, b) for the sub-Gaussian deviation bound 2*exp(-t^2/(4C)).
+def tail_bound_constant(dist: WeightDistribution) -> float:
+    """Constant C(a, b) of the law's envelope [a, b] for the sub-Gaussian
+    deviation bound 2*exp(-t^2/(4C)).
 
     C = (2^4 b^4 (b-a)^2 / a^4) * sup_n flow_bound_sum(n).  The sup is taken
     numerically over n <= _N_SCAN; the scan asserts the sequence is decreasing
     well before the cutoff (it rises to a single hump near n = 6 and falls
     back toward 1), so truncation is safe.
     """
-    if not (0.0 < a <= b):
-        raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
     sums = [flow_bound_sum(n) for n in range(1, _N_SCAN + 1)]
     best = max(sums)
     arg = sums.index(best)
@@ -215,4 +200,5 @@ def tail_bound_constant(a: float, b: float) -> float:
     tail = sums[max(arg, _N_SCAN - 50):]
     if any(tail[k] < tail[k + 1] for k in range(len(tail) - 1)):
         raise RuntimeError("flow bound sum not decreasing past its peak")
+    a, b = dist.a, dist.b
     return _bound_constant(a, b, lambda: (2.0**4 * b**4 * (b - a) ** 2 / a**4) * best)

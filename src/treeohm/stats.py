@@ -25,6 +25,7 @@ from .evaluate import (
     shorted_resistance_of_tree,
 )
 from .model import (
+    MEMORY_GUARD,
     STREAM_LIMIT,
     GuardError,
     RngStream,
@@ -82,6 +83,14 @@ def _check_streams(what: str, count: int) -> None:
                          f"{count - 1}, past the last stream index 2**32 - 1")
 
 
+def _check_reps(m: int) -> None:
+    """Refuse, before anything is allocated or drawn, a replicate count
+    past the stream limit or too large for its result arrays."""
+    _check_streams("reps", m)
+    if m > MEMORY_GUARD:
+        raise GuardError(f"reps: {m} replicates exceed the {MEMORY_GUARD}-replicate guard")
+
+
 def _tree_chunk(record, model: TreeModel, ns: list[int], master_seed: int,
                 j0: int, j1: int) -> list:
     return [
@@ -115,7 +124,7 @@ def run_replicates(
     splits the replicate range but cannot change any value."""
     if m < 1:
         raise ValidationError(f"reps: need at least one replicate, got m={m}")
-    _check_streams("reps", m)
+    _check_reps(m)
     if model.shape == "regular":
         parts = _chunked(_regular_replicates, (model, n, master_seed), m, workers)
         resistance = np.concatenate(parts)
@@ -257,18 +266,16 @@ class VarianceBound:
     bound: float
 
 
-def variance_bound_constants(a: float, b: float, var_recip: float, n: int) -> VarianceBound:
+def variance_bound_constants(dist: WeightDistribution, n: int) -> VarianceBound:
     """K0 = (1/2)(b/a)^4 (1/b - 1/a)^2 from the single-resample step,
     K1 = max(K0, Var[1/X]) seeds the recursion, K = max(b^4, 1) * K1 carries
-    the bound over to the resistance; the ceiling is 2^10 K / n^4."""
-    if not (0.0 < a <= b):
-        raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
-    if var_recip < 0.0:
-        raise ValidationError(f"Var[1/X] must be >= 0, got {var_recip}")
+    the bound over to the resistance; the ceiling is 2^10 K / n^4.  The
+    envelope [a, b] and Var[1/X] are the law's."""
     if n < 1:
         raise ValidationError(f"depth n={n} must be >= 1")
+    a, b = dist.a, dist.b
     k0 = _bound_constant(a, b, lambda: 0.5 * (b / a) ** 4 * (1.0 / b - 1.0 / a) ** 2)
-    k1 = max(k0, var_recip)
+    k1 = max(k0, dist.moments().recip_variance)
     k = _bound_constant(a, b, lambda: max(b**4, 1.0) * k1)
     return VarianceBound(k0, k1, k, _bound_constant(a, b, lambda: 2.0**10 * k / float(n) ** 4))
 
@@ -286,9 +293,13 @@ def rde_levels(dist: WeightDistribution, m: int, max_level: int,
     replacement and X is a fresh weight.  Draw order: the depth-1 weights,
     then per step both index blocks and the weight block.  Pool values lie in
     (0, 1/a], so a law whose b/a (the largest X*S) or m/a**2 (the largest sum
-    of squared deviations) overflows is refused before any draw."""
+    of squared deviations) overflows is refused before any draw, as are
+    pools of more than MEMORY_GUARD values in all."""
     if m < 1:
         raise ValidationError(f"pool size must be >= 1, got {m}")
+    if m * max_level > MEMORY_GUARD:
+        raise GuardError(f"pool_size: {max_level} levels of {m} values exceed the "
+                         f"{MEMORY_GUARD}-value guard")
     _bound_constant(dist.a, dist.b, lambda: dist.b / dist.a + m / dist.a / dist.a)
     pools = [1.0 / dist_sample_block(dist, rng, m)]
     for _ in range(1, max_level):
@@ -400,7 +411,7 @@ def sweep(
         if reps_for[n] < 2:
             raise ValidationError(
                 f"reps: moment estimation needs m >= 2, got m={reps_for[n]} at n={n}")
-        _check_streams("reps", reps_for[n])
+        _check_reps(reps_for[n])
         model.scales(n)
     reports = []
     for n in ns:

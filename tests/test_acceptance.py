@@ -172,10 +172,10 @@ def test_criterion_5_variance_decay(art, c5_moments):
     ns = [4, 6, 8, 11, 16]
     var_c = np.array([c5_moments[n].c.variance for n in ns])
     slope, _ = T.fit_variance_slope(np.array(ns, float), var_c)
-    mom = T.parse_distribution(TWOPOINT).moments()
+    law = T.parse_distribution(TWOPOINT)
     bounds_ok = all(
         c5_moments[n].c.variance
-        <= T.variance_bound_constants(0.5, 1.5, mom.recip_variance, n).bound
+        <= T.variance_bound_constants(law, n).bound
         for n in ns
     )
     r8, r16 = c5_moments[8].r, c5_moments[16].r
@@ -190,7 +190,7 @@ def test_criterion_5_variance_decay(art, c5_moments):
 def test_criterion_6_tail_bound(art, c5_moments):
     r, _ = _sample_values(art["out"]["c6_sample"] / "samples.csv")
     batch = T.ReplicateSet.from_values(10, r)
-    constant = T.tail_bound_constant(0.5, 1.5)
+    constant = T.tail_bound_constant(T.parse_distribution(TWOPOINT))
     tails = T.tail_profile(batch, tail_constant=constant)
     under_bound = bool(np.all(tails.freq <= tails.bound))
     three_sd = float(np.mean(np.abs(r - tails.sample_mean) > 3.0 * tails.sample_sd))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from treeohm import (
+    MEMORY_GUARD,
     GuardError,
     RngStream,
     TreeModel,
@@ -620,6 +621,38 @@ class TestExitCodes:
         with pytest.raises(GuardError):
             _check_streams("reps", 2**32 + 1)
 
+    @pytest.mark.parametrize("argv, option", [
+        (["sample", "--n", "1", "--reps", str(2**32)], "reps"),
+        (["tails", "--n", "3", "--reps", str(MEMORY_GUARD + 1)], "reps"),
+        (["sweep", "--n", "3,4", "--reps", f"3:5,4:{MEMORY_GUARD + 1}"], "reps"),
+        (["rde", "--pool-size", str(2**40), "--levels", "1"], "pool_size"),
+        (["rde", "--pool-size", str(MEMORY_GUARD // 4 + 1), "--levels", "4"], "pool_size"),
+    ], ids=["sample", "tails", "sweep-later-depth", "rde-pool", "rde-levels"])
+    def test_count_past_the_memory_guard_is_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                  argv, option):
+        from treeohm import model as model_module
+        from treeohm import stats
+
+        # the guard must come before any result array is allocated or drawn into
+        def no_work(*args, **kwargs):
+            raise AssertionError("allocated or drew past the memory guard")
+
+        monkeypatch.setattr(model_module.RngStream, "uniforms", no_work)
+        monkeypatch.setattr(stats, "_chunked", no_work)
+        monkeypatch.setattr(stats, "dist_sample_block", no_work)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"guard: {option}: ") and str(MEMORY_GUARD) in err
+        assert not out.exists()
+
+    def test_replicate_count_at_the_memory_guard_passes(self):
+        from treeohm.stats import _check_reps
+
+        _check_reps(MEMORY_GUARD)
+        with pytest.raises(GuardError, match="replicate guard"):
+            _check_reps(MEMORY_GUARD + 1)
+
     def test_gw_runs_without_model(self, tmp_path):
         assert main(["gw", "--n", "3", "--trees", "5", "--out", str(tmp_path)]) == 0
 
@@ -802,6 +835,24 @@ class TestExitCodes:
                      "--reps", "100", "--t-grid", grid, "--out", str(tmp_path)])
         assert code == 2
         assert "t_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["-1,0.5", "0,-0.5", "-1:1:0.5", "-0.5:-0.1:0.1"],
+                             ids=["list", "list-later-entry", "range", "range-all-negative"])
+    def test_negative_t_grid_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                    grid):
+        from treeohm import model as model_module
+        from treeohm import stats
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew replicates before the t_grid check")
+
+        monkeypatch.setattr(model_module.RngStream, "uniforms", no_draws)
+        monkeypatch.setattr(stats, "_chunked", no_draws)
+        out = tmp_path / "out"
+        assert main(["tails", "--n", "3", "--reps", "100", "--dist", "const:1",
+                     f"--t-grid={grid}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: t_grid: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("table", [
         "n,mean_R,se_R\n2,1.5,abc\n",

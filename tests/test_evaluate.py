@@ -178,6 +178,11 @@ class TestExplicitTrees:
         with pytest.raises(ValidationError, match="^level: "):
             SampledTree(np.array(level, dtype=np.int64), np.ones(len(level)), 2.0, "gw")
 
+    @pytest.mark.parametrize("count", [1, 2, 4], ids=["broadcast", "short", "long"])
+    def test_weights_not_one_per_node_are_refused(self, count):
+        with pytest.raises(ValidationError, match="^weight: "):
+            SampledTree(np.array([1, 2, 2]), np.ones(count), 2.0, "gw")
+
     @pytest.mark.parametrize("parent, level, r", [
         ([-1, 0, 1, 1], [1, 2, 3, 3], 5.0),
         ([-1, 0, 1, 0, 3], [1, 2, 3, 2, 3], 4.0),

@@ -10,7 +10,6 @@ from treeohm import (
     TreeModel,
     ValidationError,
     WeightDistribution,
-    concentration_diagnostics,
     energy,
     flow_bound_report,
     flow_bound_sum,
@@ -22,6 +21,9 @@ from treeohm import (
     tail_bound_constant,
 )
 from tests.conftest import assert_node_law, build_tree
+
+# the law [1, 2] whose envelope the three-edge tree's weights span
+UNIT_DOUBLE = WeightDistribution.two_point(1.0, 2.0)
 
 
 def subtree_sums(tree):
@@ -185,35 +187,35 @@ class TestPerturbations:
 class TestFlowBounds:
     def test_three_edge_bounds(self, three_edge_tree):
         flow = solve_flow(three_edge_tree)
-        report = flow_bound_report(flow, 1.0, 2.0)
+        report = flow_bound_report(flow, UNIT_DOUBLE)
         assert report.bound == pytest.approx([2.0, 2.0, 2.0], rel=1e-15)
         assert report.min_margin == pytest.approx(1.0, rel=1e-12)
 
     def test_unit_weight_bounds_hold_algebraically(self, binary_unit_model):
         tree = sample_tree_explicit(binary_unit_model, 10, RngStream(0))
-        report = flow_bound_report(solve_flow(tree), 1.0, 1.0)
+        report = flow_bound_report(solve_flow(tree), binary_unit_model.weights)
         assert report.min_margin >= -1e-12
 
     def test_seeded_twopoint_margins_nonnegative(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 10, RngStream(3))
-        report = flow_bound_report(solve_flow(tree), 0.5, 1.5)
+        report = flow_bound_report(solve_flow(tree), binary_twopoint_model.weights)
         assert report.min_margin >= -1e-12
 
     def test_requires_binary_doubling(self):
         model = TreeModel.regular(3, WeightDistribution.constant(1.0))
         tree = sample_tree_explicit(model, 3, RngStream(0))
         with pytest.raises(ValidationError):
-            flow_bound_report(solve_flow(tree), 1.0, 1.0)
+            flow_bound_report(solve_flow(tree), model.weights)
 
 
 class TestConcentrationDiagnostics:
     def test_unit_weight_closed_form(self, binary_unit_model):
         tree = sample_tree_explicit(binary_unit_model, 4, RngStream(0))
-        report = concentration_diagnostics(solve_flow(tree), 1.0, 1.0)
+        report = flow_bound_report(solve_flow(tree), binary_unit_model.weights)
         assert report.s4_scaled == pytest.approx(7.5, rel=1e-12)
 
     def test_three_edge_values(self, three_edge_tree):
-        report = concentration_diagnostics(solve_flow(three_edge_tree), 1.0, 2.0)
+        report = flow_bound_report(solve_flow(three_edge_tree), UNIT_DOUBLE)
         assert report.s4_scaled == pytest.approx(4.0 + 272.0 / 81.0, rel=1e-12)
         assert report.s4_plain == pytest.approx(
             1.0 + (2.0 / 3.0) ** 4 + (1.0 / 3.0) ** 4, rel=1e-12
@@ -222,13 +224,13 @@ class TestConcentrationDiagnostics:
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_scaled_sum_below_ceiling(self, binary_twopoint_model, seed):
         tree = sample_tree_explicit(binary_twopoint_model, 9, RngStream(seed))
-        report = concentration_diagnostics(solve_flow(tree), 0.5, 1.5)
+        report = flow_bound_report(solve_flow(tree), binary_twopoint_model.weights)
         assert report.s4_scaled <= report.b4 + 1e-12
 
 
 class TestTailBoundConstant:
     def test_degenerate_zero(self):
-        assert tail_bound_constant(1.0, 1.0) == 0.0
+        assert tail_bound_constant(WeightDistribution.constant(1.0)) == 0.0
 
     def test_unit_double_value(self):
         # independent recomputation of the inner sup
@@ -239,7 +241,7 @@ class TestTailBoundConstant:
                 total += (n / (n + 1 - i)) ** 4 * 2.0 ** (-i)
             sums.append(total)
         want = (2.0**4 * 2.0**4 / 1.0) * max(sums)
-        got = tail_bound_constant(1.0, 2.0)
+        got = tail_bound_constant(UNIT_DOUBLE)
         assert got == pytest.approx(want, rel=1e-12)
         assert 6.4e3 < got < 6.6e3
         assert max(sums) == pytest.approx(25.43, abs=0.01)
@@ -249,11 +251,6 @@ class TestTailBoundConstant:
         assert sums.index(max(sums)) + 1 == 6
 
     def test_monotone_in_upper_bound(self):
-        values = [tail_bound_constant(1.0, b) for b in (1.5, 2.0, 2.5, 3.0)]
+        values = [tail_bound_constant(WeightDistribution.uniform(1.0, b))
+                  for b in (1.5, 2.0, 2.5, 3.0)]
         assert all(x < y for x, y in zip(values, values[1:]))
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValidationError):
-            tail_bound_constant(0.0, 1.0)
-        with pytest.raises(ValidationError):
-            tail_bound_constant(2.0, 1.0)

@@ -12,6 +12,7 @@ from treeohm import (
     RngStream,
     TreeModel,
     WeightDistribution,
+    flow_bound_report,
     oracle_compare,
     resistance_fast,
     resistance_of_tree,
@@ -151,6 +152,17 @@ def test_flow_matches_fold_and_energy(tree):
     r = resistance_of_tree(tree)
     assert flow.resistance == r
     assert abs(flow.energy - r) <= TOL * r
+
+
+@PROPERTY
+@given(weight_laws(), st.integers(1, 9), st.integers(0, 2**20))
+def test_flow_bound_report_holds(dist, n, seed):
+    # the optimal flow under the per-edge bound, and the scaled fourth-power
+    # sum under its ceiling; a constant law at n = 1 meets the bound exactly
+    tree = sample_tree_explicit(TreeModel.regular(2, dist), n, RngStream(seed, 1))
+    report = flow_bound_report(solve_flow(tree), dist)
+    assert report.min_margin >= -TOL * report.bound.max()
+    assert report.s4_scaled <= report.b4 * (1 + TOL)
 
 
 @PROPERTY

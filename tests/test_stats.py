@@ -10,7 +10,7 @@ from treeohm import (
     TreeModel,
     ValidationError,
     WeightDistribution,
-    concentration_diagnostics,
+    flow_bound_report,
     estimate_moments,
     fit_expectation,
     fit_variance_slope,
@@ -322,27 +322,25 @@ class TestTailProfile:
 
 class TestVarianceBoundConstants:
     def test_chain_for_unit_double(self):
-        mom = WeightDistribution.two_point(1.0, 2.0).moments()
-        vb = variance_bound_constants(1.0, 2.0, mom.recip_variance, 4)
+        vb = variance_bound_constants(WeightDistribution.two_point(1.0, 2.0), 4)
         assert vb.k0 == 2.0
         assert vb.k1 == 2.0
         assert vb.k == 32.0
         assert vb.bound == pytest.approx(32768.0 / 4**4, rel=1e-15)
 
     def test_degenerate(self):
-        vb = variance_bound_constants(1.0, 1.0, 0.0, 7)
+        vb = variance_bound_constants(WeightDistribution.constant(1.0), 7)
         assert vb.k0 == 0.0 and vb.bound == 0.0
 
     def test_quartic_decay(self):
-        b1 = variance_bound_constants(0.5, 1.5, 4 / 9, 5).bound
-        b2 = variance_bound_constants(0.5, 1.5, 4 / 9, 10).bound
+        law = WeightDistribution.two_point(0.5, 1.5)
+        b1 = variance_bound_constants(law, 5).bound
+        b2 = variance_bound_constants(law, 10).bound
         assert b2 / b1 == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            variance_bound_constants(0.0, 1.0, 0.0, 3)
-        with pytest.raises(ValidationError):
-            variance_bound_constants(1.0, 2.0, -0.1, 3)
+            variance_bound_constants(WeightDistribution.two_point(1.0, 2.0), 0)
 
 
 class TestConductanceRecursion:
@@ -535,11 +533,12 @@ class TestMapTrees:
 class TestEfronSteinDiagnostic:
     def test_variance_below_scaled_bound(self, binary_twopoint_model):
         # Var[R] <= (b-a)^2 * E[sum_e 2^(2d) theta_e^4], up to sampling error
-        a, b = binary_twopoint_model.weights.a, binary_twopoint_model.weights.b
+        law = binary_twopoint_model.weights
+        a, b = law.a, law.b
 
         def record(j, tree):
             flow = solve_flow(tree)
-            return flow.resistance, concentration_diagnostics(flow, a, b).s4_scaled
+            return flow.resistance, flow_bound_report(flow, law).s4_scaled
 
         res, s4 = zip(*map_trees(record, binary_twopoint_model, [8], 300, 21))
         r = estimate_moments(ReplicateSet.from_values(8, res)).r
