@@ -28,7 +28,6 @@ from .evaluate import (
     resistance_fast,
     resistance_of_tree,
     resistance_streaming,
-    reweighted,
     sample_tree_explicit,
     shorted_resistance_of_tree,
 )

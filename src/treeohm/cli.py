@@ -81,51 +81,48 @@ def resolve_model(cfg: dict) -> TreeModel:
 
 
 def resolve_ns(cfg: dict) -> list[int]:
+    """The sorted distinct depths of the n literal; a range is counted
+    before its depths are built."""
     text = cfg["n"]
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            ns = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split(".."))
+            ns, count = range(lo, hi + 1), max(0, hi - lo + 1)
         else:
-            ns = [int(s) for s in text.split(",")]
+            ns = sorted({int(s) for s in text.split(",")})
+            count = len(ns)
     except ValueError as exc:
         raise ValidationError(f"n: malformed literal {text!r}") from exc
-    if not ns or any(v < 1 for v in ns):
+    if not count or ns[0] < 1:
         raise ValidationError(f"n: depths must be >= 1, got {text!r}")
-    return sorted(set(ns))
+    if count > MEMORY_GUARD:
+        raise GuardError(f"n: {count} depths exceed the {MEMORY_GUARD}-depth guard")
+    return list(ns)
 
 
 def resolve_reps(cfg: dict, ns: list[int]) -> dict[int, int]:
+    """Each depth's replicate count from a `default:V,n:V,...` map, where a
+    bare count V reads as `default:V`.  A key given twice, or a depth that
+    is not in ns, is refused."""
     text = cfg["reps"]
-    if ":" not in text:
+    counts: dict = {}
+    for item in (text if ":" in text else f"default:{text}").split(","):
+        key, _, val = item.partition(":")
         try:
-            m = int(text)
+            key = key if key == "default" else int(key)
+            count = int(val)  # int("") refuses an entry without ':'
         except ValueError as exc:
-            raise ValidationError(f"reps: malformed literal {text!r}") from exc
-        return {n: m for n in ns}
-    default = None
-    per_n: dict[int, int] = {}
-    for item in text.split(","):
-        key, sep, val = item.partition(":")
-        if not sep:
-            raise ValidationError(f"reps: bad entry {item!r} (want n:count)")
-        try:
-            count = int(val)
-            if key == "default":
-                default = count
-            else:
-                per_n[int(key)] = count
-        except ValueError as exc:
-            raise ValidationError(f"reps: bad entry {item!r}") from exc
-    out = {}
+            raise ValidationError(f"reps: bad entry {item!r} (want n:count)") from exc
+        if key in counts:
+            raise ValidationError(f"reps: {key} is given more than one count in {text!r}")
+        if key != "default" and key not in ns:
+            raise ValidationError(f"reps: n={key} is not a depth of the grid")
+        counts[key] = count
+    default = counts.get("default")
     for n in ns:
-        if n in per_n:
-            out[n] = per_n[n]
-        elif default is not None:
-            out[n] = default
-        else:
+        if n not in counts and default is None:
             raise ValidationError(f"reps: no count for n={n} and no default")
-    return out
+    return {n: counts.get(n, default) for n in ns}
 
 
 def resolve_t_grid(cfg: dict) -> np.ndarray | None:
@@ -372,12 +369,9 @@ def _flow_record(dist: WeightDistribution, i: int, tree) -> tuple[dict, list]:
     upper = np.where(
         np.arange(tree.n_nodes) == 0, flow.resistance, flow.voltage[tree.parent],
     )
-    dump = [
-        (j, int(tree.parent[j]), int(tree.level[j]), tree.weight[j],
-         tree.resistance[j], flow.theta[j], upper[j], flow.voltage[j],
-         bounds.bound[j], bounds.margin[j])
-        for j in range(tree.n_nodes)
-    ]
+    columns = (tree.parent, tree.level, tree.weight, tree.resistance, flow.theta, upper,
+               flow.voltage, bounds.bound, bounds.margin)
+    dump = list(zip(range(tree.n_nodes), *(column.tolist() for column in columns)))
     return report, dump
 
 

@@ -25,8 +25,7 @@ the one-column case, and every column of a block give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -136,55 +135,29 @@ class SampledTree:
         return np.diff(self.offsets)
 
 
-def reweighted(tree: SampledTree, node: int, x: float) -> SampledTree:
-    """Copy of the tree with one edge weight replaced (its resistance follows)."""
-    if not (0 <= node < tree.n_nodes):
-        raise ValidationError(f"node {node} out of range")
-    if not (0.0 < x < math.inf):
-        raise ValidationError(f"edge weight must be finite and > 0, got {x}")
-    weight = tree.weight.copy()
-    weight[node] = x
-    return replace(tree, weight=weight)
-
-
 # ---------------------------------------------------------------------------
-# regular-tree layout (cached) and the level fold
+# regular-tree levels and the level fold
 # ---------------------------------------------------------------------------
 
 
-def _regular_layout(beta: int, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level-major order and level offsets (see _level_major) of the full
-    beta-ary tree with n_levels edge levels, built level by level without
-    its pre-order levels and parents: the children of the pre-order node p
-    at level l are p + 1 + i * size for i < beta, where size is the node
-    count of a subtree rooted at level l + 1."""
+def _dfs_layout(beta: int, n_levels: int) -> np.ndarray:
+    """Pre-order levels of the full beta-ary tree with n_levels edge levels,
+    tiled in place from the bottom up: the last nodes in pre-order are the
+    last subtree of each height, and a subtree is its root followed by beta
+    copies of its child's subtree.  _level_major gives its layout."""
     n = (beta**n_levels - 1) // (beta - 1)
     if n > MEMORY_GUARD:
         raise GuardError(
             f"regular tree with {n} nodes exceeds the {MEMORY_GUARD}-node guard"
         )
-    offsets = np.concatenate(([0], np.cumsum(beta ** np.arange(n_levels))))
-    order = np.zeros(n, dtype=np.int64)
-    off = offsets.tolist()
-    for l in range(1, n_levels):
-        size = (beta ** (n_levels - l) - 1) // (beta - 1)
-        kids = order[off[l]:off[l + 1]].reshape(-1, beta)
-        np.add(order[off[l - 1]:off[l], None], 1 + size * np.arange(beta), out=kids)
-    return order, offsets
-
-
-@lru_cache(maxsize=8)
-def _dfs_layout(beta: int, n_levels: int):
-    """Pre-order levels of the full beta-ary tree with n_levels edge levels,
-    plus its _regular_layout (order, offsets), for explicit regular trees
-    and resistance_fast.  The cache holds the last 8 depths, which covers
-    oracle-check's n = 2..9 without keeping every depth alive; uncached,
-    the layouts of flows at n = 12 and oracle-check at n = 2..9 would be
-    rebuilt per tree, 20 to 130 us each."""
-    order, offsets = _regular_layout(beta, n_levels)
-    level = np.empty_like(order)
-    level[order] = np.repeat(np.arange(1, n_levels + 1), np.diff(offsets))
-    return level, order, offsets
+    level = np.empty(n, dtype=np.int64)
+    size = 0  # node count of the subtree tiled so far, at the end of level
+    for l in range(n_levels, 0, -1):
+        start = n - 1 - beta * size
+        level[start] = l
+        level[start + 1:n - size].reshape(beta - 1, size)[:] = level[n - size:]
+        size = 1 + beta * size
+    return level
 
 
 def _fold(sub: np.ndarray, offsets: np.ndarray, kids, cond: np.ndarray,
@@ -279,7 +252,7 @@ def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1:
     (trees, edges) array that _regular_block reads transposed.  The spent
     draws are the fold's scratch."""
     scales = model.scales(n)
-    order, offsets = _regular_layout(int(model.beta), n)
+    order, offsets = _level_major(_dfs_layout(int(model.beta), n), n)
     edges = int(offsets[-1])
     cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
     # two arrays rather than one of twice the size: the allocator can then
@@ -343,7 +316,7 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     scales = model.scales(n)
-    _, order, offsets = _dfs_layout(int(model.beta), n)
+    order, offsets = _level_major(_dfs_layout(int(model.beta), n), n)
     u = rng.uniforms(int(offsets[-1]))[:, None]
     r_total = float(_regular_block(model, (order, offsets, scales), u, np.empty_like(u), u)[0])
     return ResistanceSample(r_total, 1.0 / r_total)
@@ -362,9 +335,9 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     """
     model.scales(n)
     if model.shape == "regular":
-        level, _, offsets = _dfs_layout(int(model.beta), n)
-        weight = dist_sample_block(model.weights, rng, int(offsets[-1]))
-        return SampledTree(level.copy(), weight, model.lam, "regular", int(model.beta))
+        level = _dfs_layout(int(model.beta), n)
+        weight = dist_sample_block(model.weights, rng, len(level))
+        return SampledTree(level, weight, model.lam, "regular", int(model.beta))
 
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)

@@ -1,9 +1,11 @@
+import math
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from treeohm import SampledTree, TreeModel, WeightDistribution
+from treeohm import SampledTree, TreeModel, ValidationError, WeightDistribution
 
 
 def build_tree(parent, level, weight, lam, shape, beta=None):
@@ -13,6 +15,17 @@ def build_tree(parent, level, weight, lam, shape, beta=None):
                        float(lam), shape, beta)
     assert tree.parent.tobytes() == np.asarray(parent, dtype=np.int64).tobytes()
     return tree
+
+
+def reweighted(tree, node, x):
+    """Copy of the tree with one edge weight replaced (its resistance follows)."""
+    if not (0 <= node < tree.n_nodes):
+        raise ValidationError(f"node {node} out of range")
+    if not (0.0 < x < math.inf):
+        raise ValidationError(f"edge weight must be finite and > 0, got {x}")
+    weight = tree.weight.copy()
+    weight[node] = x
+    return replace(tree, weight=weight)
 
 
 def assert_node_law(theta, tree, tol):

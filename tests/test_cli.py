@@ -692,6 +692,48 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {option}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--n", "1..1000000000"],
+        ["sweep", "--n", "1..1000000000", "--reps", "2"],
+    ], ids=["constants", "sweep"])
+    def test_depth_range_counted_before_it_is_built(self, tmp_path, capsys, argv):
+        import tracemalloc
+
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(out)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("guard: n: 1000000000 depths") and str(MEMORY_GUARD) in err
+        assert not out.exists()
+
+    def test_depth_range_at_the_guard_is_counted(self):
+        lo = 10**12
+        assert resolve_ns({"n": f"{lo}..{lo + 2}"}) == [lo, lo + 1, lo + 2]
+        with pytest.raises(GuardError, match="n: "):
+            resolve_ns({"n": f"{lo}..{lo + MEMORY_GUARD}"})
+        with pytest.raises(ValidationError, match="n: depths must be >= 1"):
+            resolve_ns({"n": f"0..{10**30}"})
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "4", "--reps", "4:100,4:7"],
+        ["sweep", "--n", "4,5", "--reps", "default:10,default:20"],
+        ["sweep", "--n", "4,5", "--reps", "default:10,5:20,05:30"],
+        ["sample", "--n", "4", "--reps", "4:100,7:50"],
+        ["sweep", "--n", "4..6", "--reps", "default:10,3:20"],
+        ["sample", "--n", "4", "--reps", "4:100,7"],
+    ], ids=["key-twice", "default-twice", "depth-spelled-twice", "depth-off-grid",
+            "range-off-grid", "entry-without-count"])
+    def test_reps_map_never_drops_a_count(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: reps: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["sample", "--model", "reg:2", "--n", "3", "--dist", "twopoint:0.5,1e308",
           "--lam", "10", "--reps", "3"], "overflows"),

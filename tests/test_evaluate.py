@@ -19,11 +19,10 @@ from treeohm import (
     resistance_fast,
     resistance_of_tree,
     resistance_streaming,
-    reweighted,
     sample_tree_explicit,
     shorted_resistance_of_tree,
 )
-from tests.conftest import build_tree, scalar_gw_tree, tiled_dfs_layout
+from tests.conftest import build_tree, reweighted, scalar_gw_tree, tiled_dfs_layout
 
 
 class TestRegularEvaluation:
@@ -51,14 +50,19 @@ class TestRegularEvaluation:
 
     @pytest.mark.parametrize("beta, n", [(2, 1), (2, 2), (2, 9), (3, 5), (5, 4)])
     def test_regular_layout_is_the_level_sort(self, beta, n):
-        from treeohm.evaluate import _dfs_layout, _level_major, _regular_layout
+        from treeohm.evaluate import _dfs_layout, _level_major
 
-        level, order, offsets = _dfs_layout(beta, n)
-        for got, want in zip(_regular_layout(beta, n), (order, offsets)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        # the reference: pre-order ids stably sorted by level
-        for got, want in zip((order, offsets), _level_major(level, n)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        order, offsets = _level_major(_dfs_layout(beta, n), n)
+        # the reference: level l holds beta**(l-1) nodes, and the children of
+        # the pre-order node p at level l are p + 1 + i * size for i < beta,
+        # where size is the node count of a subtree rooted at level l + 1
+        want = np.concatenate(([0], np.cumsum(beta ** np.arange(n))))
+        assert offsets.dtype == want.dtype and np.array_equal(offsets, want)
+        assert order.dtype == np.int64 and order[0] == 0
+        for l in range(1, n):
+            size = (beta ** (n - l) - 1) // (beta - 1)
+            kids = order[want[l - 1]:want[l], None] + 1 + size * np.arange(beta)
+            assert np.array_equal(order[want[l]:want[l + 1]], kids.ravel())
 
     @pytest.mark.parametrize("beta", [2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -67,14 +71,8 @@ class TestRegularEvaluation:
 
         model = TreeModel.regular(beta, WeightDistribution.uniform(0.5, 1.5))
         parent = sample_tree_explicit(model, n, RngStream(0)).parent
-        for got, want in zip((_dfs_layout(beta, n)[0], parent), tiled_dfs_layout(beta, n)):
+        for got, want in zip((_dfs_layout(beta, n), parent), tiled_dfs_layout(beta, n)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    def test_layout_cache_is_bounded(self):
-        from treeohm.evaluate import _dfs_layout
-
-        # oracle-check cycles through n = 2..9
-        assert 8 <= _dfs_layout.cache_info().maxsize < 64
 
     @pytest.mark.parametrize("beta", [2, 3])
     @pytest.mark.parametrize("literal_n", [(1,), (2,), (5,), (8,)])
@@ -115,19 +113,23 @@ class TestRegularEvaluation:
         (sample_tree_explicit, False), (sample_tree_explicit, True),
     ], ids=["streaming", "fast", "explicit-regular", "explicit-branching"])
     @pytest.mark.parametrize("too_deep", [False, True], ids=["n0", "61-levels"])
-    def test_depth_refused_before_layout_or_draw(self, evaluate, branching, too_deep):
-        from treeohm.evaluate import _dfs_layout
+    def test_depth_refused_before_layout_or_draw(self, evaluate, branching, too_deep,
+                                                 monkeypatch):
+        import treeohm.evaluate
 
+        def no_layout(*args):
+            raise AssertionError("layout built before the depth check")
+
+        monkeypatch.setattr(treeohm.evaluate, "_dfs_layout", no_layout)
         dist = WeightDistribution.uniform(0.5, 1.5)
         if branching:  # gw:2:1, whose depth n has n + 1 edge levels
             model, n = TreeModel.galton_watson([(2, 1.0)], dist), 60
         else:
             model, n = TreeModel.regular(2, dist), 61
-        rng, before = RngStream(4, 1), _dfs_layout.cache_info()
+        rng = RngStream(4, 1)
         with pytest.raises(GuardError if too_deep else ValidationError):
             evaluate(model, n if too_deep else 0, rng)
         assert rng.uniforms(1)[0] == RngStream(4, 1).uniforms(1)[0]
-        assert _dfs_layout.cache_info() == before
 
 
 class TestExplicitTrees:

@@ -17,7 +17,6 @@ from treeohm import (
     resistance_fast,
     resistance_of_tree,
     resistance_streaming,
-    reweighted,
     run_replicates,
     sample_tree_explicit,
     shorted_resistance_of_tree,
@@ -31,7 +30,7 @@ from treeohm.model import (
     stream_block,
     streams,
 )
-from tests.conftest import assert_node_law
+from tests.conftest import assert_node_law, reweighted
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 TOL = 1e-9

@@ -220,13 +220,6 @@ class TestBlockEvaluation:
         chunk = _regular_replicates(model, 4, 2**70 + 5, j0, STREAM_LIMIT)
         assert chunk.tolist() == _streamed(model, 4, 2**70 + 5, j0, STREAM_LIMIT)
 
-    def test_replicates_keep_no_tree_layout(self, binary_twopoint_model):
-        from treeohm.evaluate import _dfs_layout
-
-        _dfs_layout.cache_clear()
-        run_replicates(binary_twopoint_model, 7, 10, 3)
-        assert _dfs_layout.cache_info().currsize == 0
-
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_single_edge_trees_match_streaming(self, law):
         # at n = 1 the whole block is one level of width 1
