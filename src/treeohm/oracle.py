@@ -6,6 +6,16 @@ edge, and the resulting linear system (node law plus Ohm's law) is solved by
 Gaussian elimination with partial pivoting on a dense matrix.  Nothing here
 reuses the series-parallel or flow-splitting code paths; agreement between
 the routes is the point.
+
+The elimination updates only the rows below the pivot whose entry in the
+pivot column is nonzero.  On a tree's matrix those are the elimination
+front (the eliminated node's children and the pending siblings of its
+ancestors), so a step touches a few rows, not all of them.  The solver reads
+no tree structure: it skips the zeros it finds.  With finite entries a
+skipped row would only have subtracted 0*x, so the solution keeps the bits
+of the full update; that is why build_dense_system refuses an edge
+resistance that is not positive with a finite reciprocal, and a matrix
+whose diagonal sums of conductances overflow.
 """
 
 from __future__ import annotations
@@ -42,24 +52,45 @@ def build_dense_system(tree: SampledTree) -> DenseSystem:
     unknown_of = np.full(tree.n_nodes, -1, dtype=np.int64)
     unknown_of[interior] = 1 + np.arange(len(interior))
     m = 1 + len(interior)
+    r = tree.resistance
+    with np.errstate(divide="ignore", over="ignore"):
+        g = 1.0 / r
+    bad = np.flatnonzero(~((r > 0.0) & (r < np.inf) & (g < np.inf)))
+    if len(bad):
+        v = int(bad[0])
+        raise GuardError(f"oracle needs every edge resistance finite and > 0 with a finite "
+                         f"reciprocal; node {v} has resistance {float(r[v])!r}")
     a = np.zeros((m, m), dtype=np.float64)
     rhs = np.zeros(m, dtype=np.float64)
     rhs[0] = 1.0
-    g = 1.0 / tree.resistance
     # the row of each edge's upper end: the injection vertex for the root edge
     p = np.concatenate(([0], unknown_of[tree.parent[1:]]))
     q = unknown_of[interior]
     # a diagonal entry sums its node's own edge, then its children's edges in
     # pre-order; every off-diagonal entry has one edge
     a[q, q] = g[interior]
-    np.add.at(a, (p, p), g)
+    with np.errstate(over="ignore"):  # an overflowed sum is refused just below
+        np.add.at(a, (p, p), g)
     a[p[interior], q] = -g[interior]
     a[q, p[interior]] = -g[interior]
+    # an off-diagonal entry is one finite g, but a diagonal sum can overflow
+    diag = a[q, q]
+    over = np.flatnonzero(~np.isfinite(diag))
+    if len(over):
+        i = int(over[0])
+        raise GuardError(f"oracle needs a finite node-law matrix; the conductances at "
+                         f"node {int(interior[i])} sum to {float(diag[i])!r}")
     return DenseSystem(a, rhs, unknown_of)
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; row updates vectorized."""
+    """Gaussian elimination with partial pivoting and dense back substitution.
+
+    The pivot is searched over the whole column.  Only the rows below it with
+    a nonzero entry in the pivot column are updated: any other row would
+    only subtract 0*x from each entry, which for finite x leaves a nonzero
+    entry as it is and can flip only the sign of a zero (ignored by the
+    pivot's abs), so the result is bit for bit that of the full update."""
     a = a.copy()
     b = b.copy()
     m = len(b)
@@ -70,9 +101,10 @@ def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
             b[k], b[piv] = b[piv], b[k]
-        mult = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(mult, a[k, k:])
-        b[k + 1:] -= mult * b[k]
+        rows = k + 1 + np.flatnonzero(a[k + 1:, k])
+        mult = a[rows, k] / a[k, k]
+        a[rows, k:] -= np.outer(mult, a[k, k:])
+        b[rows] -= mult * b[k]
     x = np.empty(m, dtype=np.float64)
     for k in range(m - 1, -1, -1):
         x[k] = (b[k] - np.dot(a[k, k + 1:], x[k + 1:])) / a[k, k]
@@ -84,7 +116,7 @@ def kirchhoff_solve(tree: SampledTree) -> FlowSolution:
     system = build_dense_system(tree)
     x = _gauss_solve(system.matrix, system.rhs)
     residual = float(np.max(np.abs(system.matrix @ x - system.rhs)))
-    if residual > 1e-10 * float(np.max(np.abs(system.rhs))):
+    if not residual <= 1e-10 * float(np.max(np.abs(system.rhs))):  # NaN fails too
         raise RuntimeError(f"node-law solve residual too large: {residual}")
     voltage = np.zeros(tree.n_nodes, dtype=np.float64)
     interior = system.unknown_of >= 0

@@ -92,6 +92,28 @@ def loop_dense_system(tree):
     return a, rhs, unknown_of
 
 
+def dense_gauss_solve(a, b):
+    """Reference elimination: Gaussian elimination with partial pivoting that
+    updates every row below the pivot, then dense back substitution."""
+    a = a.copy()
+    b = b.copy()
+    m = len(b)
+    for k in range(m):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[piv, k] == 0.0:
+            raise RuntimeError("singular node-law system")
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            b[k], b[piv] = b[piv], b[k]
+        mult = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k:] -= np.outer(mult, a[k, k:])
+        b[k + 1:] -= mult * b[k]
+    x = np.empty(m, dtype=np.float64)
+    for k in range(m - 1, -1, -1):
+        x[k] = (b[k] - np.dot(a[k, k + 1:], x[k + 1:])) / a[k, k]
+    return x
+
+
 def tiled_dfs_layout(beta, n_levels):
     """Reference pre-order levels and parents of the full beta-ary tree with
     n_levels edge levels, built by tiling: a tree one level deeper is a new

@@ -5,6 +5,7 @@ from treeohm import (
     GuardError,
     ORACLE_GUARD,
     RngStream,
+    SampledTree,
     TreeModel,
     WeightDistribution,
     build_dense_system,
@@ -16,7 +17,8 @@ from treeohm import (
     sample_tree_explicit,
     solve_flow,
 )
-from tests.conftest import build_tree, loop_dense_system
+from treeohm.oracle import _gauss_solve
+from tests.conftest import build_tree, dense_gauss_solve, loop_dense_system
 
 
 class TestDenseSolve:
@@ -38,6 +40,30 @@ class TestDenseSolve:
         assert kirchhoff_solve(bushy_tree).resistance == pytest.approx(
             22.0 / 7.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("weight", [1e-320, 0.0])
+    def test_refuses_edges_it_cannot_solve(self, weight):
+        # 1 / 2e-320 overflows and 1 / 0 divides by zero: either way the
+        # node-law matrix would carry inf, so the tree is refused
+        tree = SampledTree(np.array([1, 2, 2]), np.array([1.0, weight, 1.0]), 2.0, "gw")
+        with pytest.raises(GuardError, match="node 1 "):
+            build_dense_system(tree)
+        with pytest.raises(GuardError, match="node 1 "):
+            oracle_compare(tree)
+
+    def test_refuses_an_overflowed_conductance_sum(self):
+        # each child edge has g = 1e308, finite, but node 0's diagonal sums
+        # three of them and overflows
+        tree = SampledTree(np.array([1, 2, 2, 2]), np.array([1.0, 1e-308, 1e-308, 1e-308]),
+                           1.0, "gw")
+        with pytest.raises(GuardError, match="node 0 sum to inf"):
+            build_dense_system(tree)
+
+    def test_nan_residual_fails(self, three_edge_tree, monkeypatch):
+        monkeypatch.setattr("treeohm.oracle._gauss_solve",
+                            lambda a, b: np.full(len(b), np.nan))
+        with pytest.raises(RuntimeError, match="residual"):
+            kirchhoff_solve(three_edge_tree)
 
     def test_size_guard(self):
         model = TreeModel.regular(2, WeightDistribution.constant(1.0))
@@ -86,11 +112,40 @@ class TestSystemShape:
         for seed in range(5):
             tree = sample_tree_explicit(binary_twopoint_model, 7, RngStream(seed))
             system = build_dense_system(tree)
-            from treeohm.oracle import _gauss_solve
-
             x = _gauss_solve(system.matrix, system.rhs)
             res = np.max(np.abs(system.matrix @ x - system.rhs))
             assert res <= 1e-10 * np.max(np.abs(system.rhs))
+
+
+class TestEliminationBits:
+    """Skipping rows with a zero multiplier keeps the full update's bits."""
+
+    @pytest.mark.parametrize("model, ns", [
+        (TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5)), range(1, 10)),
+        (TreeModel.regular(3, WeightDistribution.uniform(0.5, 1.5)), range(1, 8)),
+        (TreeModel.galton_watson(parse_offspring("1:0.5,2:0.5"),
+                                 WeightDistribution.uniform(0.5, 1.5)), range(1, 11)),
+        (TreeModel.galton_watson(parse_offspring("1:0.3,2:0.4,3:0.3"),
+                                 WeightDistribution.uniform(0.5, 1.5)), range(1, 8)),
+    ], ids=["reg2", "reg3", "gw12", "gw123"])
+    def test_matches_full_update(self, model, ns):
+        for n in ns:
+            for seed in range(6):
+                tree = sample_tree_explicit(model, n, RngStream(18, seed))
+                if tree.n_nodes > ORACLE_GUARD:
+                    continue
+                system = build_dense_system(tree)
+                got = _gauss_solve(system.matrix, system.rhs)
+                want = dense_gauss_solve(system.matrix, system.rhs)
+                assert got.tobytes() == want.tobytes()
+
+    def test_pivot_swap_matches_full_update(self):
+        # a matrix that is no tree's: zeros on the diagonal force row swaps
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.15)
+        a[np.arange(40), np.arange(40)[::-1]] += 3.0
+        b = rng.standard_normal(40)
+        assert _gauss_solve(a, b).tobytes() == dense_gauss_solve(a, b).tobytes()
 
 
 class TestAgreement:

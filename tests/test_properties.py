@@ -9,9 +9,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from treeohm import (
+    ORACLE_GUARD,
     RngStream,
     TreeModel,
     WeightDistribution,
+    build_dense_system,
     flow_bound_report,
     oracle_compare,
     resistance_fast,
@@ -30,7 +32,8 @@ from treeohm.model import (
     stream_block,
     streams,
 )
-from tests.conftest import assert_node_law, reweighted
+from treeohm.oracle import _gauss_solve
+from tests.conftest import assert_node_law, dense_gauss_solve, reweighted
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 TOL = 1e-9
@@ -61,19 +64,20 @@ _LAMS = st.one_of(st.just(None), st.floats(0.5, 2.5))  # None = the model's defa
 
 
 @st.composite
-def regular_cases(draw):
-    beta = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 6 if beta == 2 else 4))
+def regular_cases(draw, depths=((2, 1, 6), (3, 1, 4))):
+    """A regular model, depth and seed; depths lists (beta, n_min, n_max)."""
+    beta, n_min, n_max = draw(st.sampled_from(depths))
+    n = draw(st.integers(n_min, n_max))
     model = TreeModel.regular(beta, draw(weight_laws()), lam=draw(_LAMS))
     return model, n, draw(st.integers(0, 2**20))
 
 
 @st.composite
-def gw_cases(draw):
+def gw_cases(draw, n_min=1, n_max=4):
     counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
     masses = draw(st.lists(st.integers(1, 4), min_size=len(counts), max_size=len(counts)))
     offspring = [(k, m / sum(masses)) for k, m in zip(counts, masses)]
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(n_min, n_max))
     model = TreeModel.galton_watson(offspring, draw(weight_laws()), lam=draw(_LAMS))
     return model, n, draw(st.integers(0, 2**20))
 
@@ -187,6 +191,24 @@ def test_dense_oracle_agrees(tree):
     assert gaps.resistance_rel_gap <= TOL
     assert gaps.max_theta_gap <= TOL
     assert gaps.max_voltage_gap <= TOL
+
+
+@PROPERTY
+@given(st.one_of(regular_cases(((3, 5, 7),)), gw_cases(5, 9)))
+def test_dense_oracle_agrees_near_guard(case):
+    """Trees up to the oracle's node guard: reg:3 at n = 5..7 and branching
+    laws with offspring counts of at most 3 at n = 5..9."""
+    model, n, seed = case
+    tree = sample_tree_explicit(model, n, RngStream(seed, 1))
+    if tree.n_nodes > ORACLE_GUARD:
+        return
+    gaps = oracle_compare(tree)
+    assert gaps.resistance_rel_gap <= TOL
+    assert gaps.max_theta_gap <= TOL
+    assert gaps.max_voltage_gap <= TOL
+    system = build_dense_system(tree)
+    assert (_gauss_solve(system.matrix, system.rhs).tobytes()
+            == dense_gauss_solve(system.matrix, system.rhs).tobytes())
 
 
 @PROPERTY
