@@ -74,7 +74,9 @@ class SampledTree:
     levels fix the tree; construction refuses (`level: ...`) levels that do
     not start at 1, return to 1, go down more than one level from a node to
     the next or leave a node above the bottom without a child, and
-    (`weight: ...`) weights that are not one per node.
+    (`weight: ...`) weights that are not one per node or not finite and > 0.
+    A GuardError refuses an edge resistance that is not finite and > 0 (a
+    weight times lam**(level-1) that overflows or underflows).
 
     Construction derives the depth `n_levels` (the bottom level), the edge
     resistances `resistance` = weight * lam**(level-1), read from the
@@ -110,7 +112,20 @@ class SampledTree:
         order, offsets = _level_major(level, n_levels)
         if np.count_nonzero(first) != offsets[-2]:
             raise ValidationError("level: every node above the bottom level must have a child")
-        resistance = self.weight * level_scales(self.lam, n_levels)[level - 1]
+        weight = self.weight
+        bad = np.flatnonzero(~((weight > 0.0) & (weight < np.inf)))
+        if len(bad):
+            v = int(bad[0])
+            raise ValidationError(f"weight: edge weight must be finite and > 0; node {v} "
+                                  f"has {float(weight[v])!r}")
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            resistance = weight * level_scales(self.lam, n_levels)[level - 1]
+        bad = np.flatnonzero(~((resistance > 0.0) & (resistance < np.inf)))
+        if len(bad):
+            v = int(bad[0])
+            raise GuardError(f"edge resistance must be finite and > 0; node {v} has weight "
+                             f"{float(weight[v])!r} * lam**{int(level[v]) - 1} = "
+                             f"{float(resistance[v])!r}")
         kid = order[1:]
         up = np.cumsum(first[kid - 1]) - 1  # each child's parent, as a level-major slot
         parent = np.empty_like(order)

@@ -7,15 +7,17 @@ Gaussian elimination with partial pivoting on a dense matrix.  Nothing here
 reuses the series-parallel or flow-splitting code paths; agreement between
 the routes is the point.
 
-The elimination updates only the rows below the pivot whose entry in the
-pivot column is nonzero.  On a tree's matrix those are the elimination
-front (the eliminated node's children and the pending siblings of its
-ancestors), so a step touches a few rows, not all of them.  The solver reads
-no tree structure: it skips the zeros it finds.  With finite entries a
-skipped row would only have subtracted 0*x, so the solution keeps the bits
-of the full update; that is why build_dense_system refuses an edge
-resistance that is not positive with a finite reciprocal, and a matrix
-whose diagonal sums of conductances overflow.
+The elimination works on the matrix's nonzeros only: each row is a
+{column: value} dict, and each column keeps the rows below the diagonal
+that hold an entry there.  On a tree's matrix the rows a step updates are
+the elimination front (the eliminated node's children and the pending
+siblings of its ancestors), so a step touches a few entries, not whole
+rows, and makes no numpy call.  The solver reads no tree structure: it
+skips the zeros it finds.  With finite entries a skipped entry would only
+have subtracted 0*x, so the solution keeps the bits of the full dense
+update; that is why build_dense_system refuses an edge resistance whose
+reciprocal overflows, and a matrix whose diagonal sums of conductances
+overflow.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ def build_dense_system(tree: SampledTree) -> DenseSystem:
     unknown_of = np.full(tree.n_nodes, -1, dtype=np.int64)
     unknown_of[interior] = 1 + np.arange(len(interior))
     m = 1 + len(interior)
-    r = tree.resistance
-    with np.errstate(divide="ignore", over="ignore"):
+    r = tree.resistance  # finite and > 0, as SampledTree guarantees
+    with np.errstate(over="ignore"):
         g = 1.0 / r
-    bad = np.flatnonzero(~((r > 0.0) & (r < np.inf) & (g < np.inf)))
+    bad = np.flatnonzero(g == np.inf)
     if len(bad):
         v = int(bad[0])
-        raise GuardError(f"oracle needs every edge resistance finite and > 0 with a finite "
-                         f"reciprocal; node {v} has resistance {float(r[v])!r}")
+        raise GuardError(f"oracle needs every edge resistance to have a finite reciprocal; "
+                         f"node {v} has resistance {float(r[v])!r}")
     a = np.zeros((m, m), dtype=np.float64)
     rhs = np.zeros(m, dtype=np.float64)
     rhs[0] = 1.0
@@ -84,30 +86,83 @@ def build_dense_system(tree: SampledTree) -> DenseSystem:
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting and dense back substitution.
+    """Gaussian elimination with partial pivoting on the nonzeros of `a`,
+    then dense back substitution.
 
-    The pivot is searched over the whole column.  Only the rows below it with
-    a nonzero entry in the pivot column are updated: any other row would
-    only subtract 0*x from each entry, which for finite x leaves a nonzero
-    entry as it is and can flip only the sign of a zero (ignored by the
-    pivot's abs), so the result is bit for bit that of the full update."""
-    a = a.copy()
-    b = b.copy()
+    The entries are read once into one {column: value} dict per row, and
+    `below[c]` lists the rows under the diagonal that hold an entry in
+    column c.  The pivot is that of np.argmax(np.abs(a[k:, k])): the largest
+    abs over the diagonal and column k's rows, the lowest row on a tie.  A
+    swap exchanges two row dicts and rebuilds the column lists from column
+    k on.  A row with a nonzero entry in the pivot column (a cancelled 0.0
+    counts as zero) loses that entry and takes `row[c] - mult * v` at every
+    pivot-row entry (c, v) right of the diagonal; no other entry changes.
+
+    Each stored value is the same IEEE operation on the same operands as
+    the dense update `a[rows, k:] -= outer(mult, a[k, k:])`, `b[rows] -=
+    mult * b[k]`.  A skipped entry would be x - mult*0, which keeps a
+    nonzero x, and keeps a +0 as +0.  The contract is that `a` holds no -0
+    entry (build_dense_system guarantees it: zeros start as +0 and an exact
+    cancellation rounds to +0), so the triangle handed to the dense back
+    substitution, whose np.dot grouping pins the bits, is that of the full
+    dense update entry for entry.  Entries left of the diagonal are never
+    read again in either version."""
     m = len(b)
+    nz_row, nz_col = np.nonzero(a)
+    rows: list[dict[int, float]] = [{} for _ in range(m)]
+    below: list[list[int]] = [[] for _ in range(m)]
+    for r, c, v in zip(nz_row.tolist(), nz_col.tolist(), a[nz_row, nz_col].tolist()):
+        rows[r][c] = v
+        if r > c:
+            below[c].append(r)
+    b = b.tolist()
     for k in range(m):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
+        best, piv = abs(rows[k].get(k, 0.0)), k
+        for r in below[k]:
+            v = abs(rows[r][k])
+            if v > best or (v == best and r < piv):
+                best, piv = v, r
+        if best == 0.0:
             raise RuntimeError("singular node-law system (internal failure)")
         if piv != k:
-            a[[k, piv]] = a[[piv, k]]
+            rows[k], rows[piv] = rows[piv], rows[k]
             b[k], b[piv] = b[piv], b[k]
-        rows = k + 1 + np.flatnonzero(a[k + 1:, k])
-        mult = a[rows, k] / a[k, k]
-        a[rows, k:] -= np.outer(mult, a[k, k:])
-        b[rows] -= mult * b[k]
+            # rows from k on hold entries in columns k and up only
+            below[k:] = [[] for _ in range(k, m)]
+            for r in range(k + 1, m):
+                for c in rows[r]:
+                    if c < r:
+                        below[c].append(r)
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        tail = [(c, v) for c, v in pivot_row.items() if c != k]
+        bk = b[k]
+        for r in below[k]:
+            row = rows[r]
+            lead = row.pop(k)
+            if lead == 0.0:
+                continue
+            mult = lead / pivot
+            for c, v in tail:
+                if c in row:
+                    row[c] -= mult * v
+                else:
+                    row[c] = 0.0 - mult * v
+                    if r > c:
+                        below[c].append(r)
+            b[r] -= mult * bk
+    at_row: list[int] = []
+    at_col: list[int] = []
+    values: list[float] = []
+    for k, row in enumerate(rows):  # the diagonal and the entries right of it
+        at_row.extend([k] * len(row))
+        at_col.extend(row)
+        values.extend(row.values())
+    u = np.zeros((m, m), dtype=np.float64)
+    u[at_row, at_col] = values
     x = np.empty(m, dtype=np.float64)
     for k in range(m - 1, -1, -1):
-        x[k] = (b[k] - np.dot(a[k, k + 1:], x[k + 1:])) / a[k, k]
+        x[k] = (b[k] - np.dot(u[k, k + 1:], x[k + 1:])) / u[k, k]
     return x
 
 

@@ -11,7 +11,6 @@ result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -70,6 +69,10 @@ def _chunked(task, args: tuple, count: int, workers: int) -> list:
         return [task(*args, 0, count)]
     step = -(-count // (workers * 4))
     bounds = [(j, min(j + step, count)) for j in range(0, count, step)]
+    # imported here: the pool brings in multiprocessing, which a serial
+    # call should not pay for at startup
+    from concurrent.futures import ProcessPoolExecutor
+
     # a forked pool starts all its processes at the first submit
     with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
         return list(pool.map(task, *zip(*(args + b for b in bounds))))

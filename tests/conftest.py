@@ -1,4 +1,3 @@
-import math
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -18,11 +17,10 @@ def build_tree(parent, level, weight, lam, shape, beta=None):
 
 
 def reweighted(tree, node, x):
-    """Copy of the tree with one edge weight replaced (its resistance follows)."""
+    """Copy of the tree with one edge weight replaced (its resistance follows;
+    the constructor refuses a weight that is not finite and > 0)."""
     if not (0 <= node < tree.n_nodes):
         raise ValidationError(f"node {node} out of range")
-    if not (0.0 < x < math.inf):
-        raise ValidationError(f"edge weight must be finite and > 0, got {x}")
     weight = tree.weight.copy()
     weight[node] = x
     return replace(tree, weight=weight)
@@ -92,14 +90,17 @@ def loop_dense_system(tree):
     return a, rhs, unknown_of
 
 
-def dense_gauss_solve(a, b):
+def dense_gauss_solve(a, b, pivots=None):
     """Reference elimination: Gaussian elimination with partial pivoting that
-    updates every row below the pivot, then dense back substitution."""
+    updates every row below the pivot, then dense back substitution.  The
+    pivot row of each step is appended to `pivots` when a list is given."""
     a = a.copy()
     b = b.copy()
     m = len(b)
     for k in range(m):
         piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if pivots is not None:
+            pivots.append(piv)
         if a[piv, k] == 0.0:
             raise RuntimeError("singular node-law system")
         if piv != k:

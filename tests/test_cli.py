@@ -929,11 +929,21 @@ class TestExitCodes:
             assert printed == exact
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # range streams name numpy.random only when the first range is built
+def _loaded_by_import(module):
+    """Whether a fresh `import treeohm.cli` loads the named module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, treeohm.cli; print('numpy.random' in sys.modules)"
+    code = f"import sys, treeohm.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # range streams name numpy.random only when the first range is built
+    assert not _loaded_by_import("numpy.random")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a pooled _chunked call imports the pool and multiprocessing
+    assert not _loaded_by_import("multiprocessing")

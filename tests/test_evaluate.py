@@ -185,6 +185,17 @@ class TestExplicitTrees:
         with pytest.raises(ValidationError, match="^weight: "):
             SampledTree(np.array([1, 2, 2]), np.ones(count), 2.0, "gw")
 
+    @pytest.mark.parametrize("w", [0.0, math.nan, -1.0, math.inf])
+    def test_weights_out_of_range_are_refused(self, w):
+        with pytest.raises(ValidationError, match="^weight: .*finite and > 0; node 1 "):
+            SampledTree(np.array([1, 2, 2]), np.array([1.0, w, 1.0]), 2.0, "gw")
+
+    @pytest.mark.parametrize("w, lam, r", [(1e308, 1e10, "inf"), (1e-300, 1e-30, "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_resistances_out_of_range_are_refused(self, w, lam, r):
+        with pytest.raises(GuardError, match=f"node 1 .* = {r}$"):
+            SampledTree(np.array([1, 2, 2]), np.array([1.0, w, 1.0]), lam, "gw")
+
     @pytest.mark.parametrize("parent, level, r", [
         ([-1, 0, 1, 1], [1, 2, 3, 3], 5.0),
         ([-1, 0, 1, 0, 3], [1, 2, 3, 2, 3], 4.0),

@@ -41,10 +41,10 @@ class TestDenseSolve:
             22.0 / 7.0, rel=1e-12
         )
 
-    @pytest.mark.parametrize("weight", [1e-320, 0.0])
+    @pytest.mark.parametrize("weight", [1e-320])
     def test_refuses_edges_it_cannot_solve(self, weight):
-        # 1 / 2e-320 overflows and 1 / 0 divides by zero: either way the
-        # node-law matrix would carry inf, so the tree is refused
+        # the tree takes resistance 2e-320, but 1 / 2e-320 overflows and the
+        # node-law matrix would carry inf, so the oracle refuses it
         tree = SampledTree(np.array([1, 2, 2]), np.array([1.0, weight, 1.0]), 2.0, "gw")
         with pytest.raises(GuardError, match="node 1 "):
             build_dense_system(tree)
@@ -118,7 +118,7 @@ class TestSystemShape:
 
 
 class TestEliminationBits:
-    """Skipping rows with a zero multiplier keeps the full update's bits."""
+    """Eliminating on the nonzeros keeps the full dense update's bits."""
 
     @pytest.mark.parametrize("model, ns", [
         (TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5)), range(1, 10)),
@@ -146,6 +146,37 @@ class TestEliminationBits:
         a[np.arange(40), np.arange(40)[::-1]] += 3.0
         b = rng.standard_normal(40)
         assert _gauss_solve(a, b).tobytes() == dense_gauss_solve(a, b).tobytes()
+
+    def test_generic_matrices_match_full_update(self):
+        # no tree's matrices: random patterns of small integers, whose exact
+        # cancellations leave +0 zeros and whose equal abs values make pivot
+        # ties, on a permuted diagonal that moves pivots off the diagonal
+        solved = swapped = 0
+        for seed in range(6):
+            rng = np.random.default_rng([19, seed])
+            for m in range(1, 41):
+                mask = rng.random((m, m)) < rng.uniform(0.05, 0.4)
+                a = (rng.integers(-3, 4, (m, m)) * mask).astype(np.float64)
+                a[rng.permutation(m), np.arange(m)] += rng.choice([-2.0, 1.0, 2.0], m)
+                if np.linalg.matrix_rank(a) < m:
+                    continue
+                b = rng.integers(-3, 4, m).astype(np.float64)
+                pivots = []
+                want = dense_gauss_solve(a, b, pivots)
+                assert _gauss_solve(a, b).tobytes() == want.tobytes()
+                solved += 1
+                swapped += pivots != list(range(m))
+        assert solved >= 200 and swapped >= 100
+
+    @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]]],
+                             ids=["cancelled-pivot", "empty-column"])
+    def test_singular_matrix_is_refused(self, a):
+        a = np.array(a)
+        with pytest.raises(RuntimeError, match="^singular node-law system"):
+            dense_gauss_solve(a, np.ones(2))
+        with pytest.raises(RuntimeError,
+                           match=r"^singular node-law system \(internal failure\)$"):
+            _gauss_solve(a, np.ones(2))
 
 
 class TestAgreement:

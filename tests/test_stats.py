@@ -62,7 +62,7 @@ class TestRunReplicates:
             map = staticmethod(map)
 
         serial = run_replicates(binary_twopoint_model, 3, 5, 7, workers=1)
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         pooled = run_replicates(binary_twopoint_model, 3, 5, 7, workers=64)
         assert sizes == [5]  # 5 replicates split into chunks of one
         assert pooled.resistance.tolist() == serial.resistance.tolist()
