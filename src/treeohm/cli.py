@@ -93,6 +93,8 @@ def resolve_ns(cfg: dict) -> list[int]:
             count = len(ns)
     except ValueError as exc:
         raise ValidationError(f"n: malformed literal {text!r}") from exc
+    if not count and ns.start >= 1:  # only a range can be empty
+        raise ValidationError(f"n: depth range {text!r} is empty ({ns.start} > {ns.stop - 1})")
     if not count or ns[0] < 1:
         raise ValidationError(f"n: depths must be >= 1, got {text!r}")
     if count > MEMORY_GUARD:

@@ -20,6 +20,14 @@ kernel (_regular_block) then gathers the uniforms level-major along axis 0,
 maps each level in place to its resistances and folds the block in place.
 Each column takes the same arithmetic as a lone tree, so resistance_fast,
 the one-column case, and every column of a block give the same bits.
+
+A law with one or two atoms takes a table route on trees deeper than the
+table height h (_table_height: the largest height whose subtree of E edges
+fits _TABLE_BITS).  _atom_table folds every atom pattern of a height-h
+subtree once per depth, and the kernel reads level n - h + 1 from it: the
+mask u < p, packed into bits, gives each subtree's E pre-order bits as its
+index.  Only the levels above are gathered, mapped and folded; the entries
+are the fold's own arithmetic on the same resistances, so the bits hold.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .model import (
     RngStream,
     TreeModel,
     ValidationError,
+    WeightDistribution,
     _inverse_cdf,
     _transform,
     dist_sample_block,
@@ -234,24 +243,126 @@ _BLOCK_UNIFORMS = 2**16
 _LOCKSTEP_EDGES = 63
 
 
-def _regular_block(model: TreeModel, layout, drawn: np.ndarray, g: np.ndarray,
+# an atom law's block reads each subtree of height _table_height(beta) from a
+# table of its 2**E root resistances, E its edge count, one per atom pattern
+_TABLE_BITS = 15
+
+
+def _table_height(beta: int) -> int:
+    """The largest height h whose subtree of (beta**h - 1) / (beta - 1)
+    edges fits _TABLE_BITS: 4 at beta 2, 3 at beta 3, 2 at beta 4..14 and
+    1 above, where no table is read."""
+    h = 1
+    while (beta ** (h + 1) - 1) // (beta - 1) <= _TABLE_BITS:
+        h += 1
+    return h
+
+
+def _atom_table(dist: WeightDistribution, beta: int, scales: np.ndarray) -> np.ndarray:
+    """Root resistances of a height-h regular subtree, h = len(scales), of a
+    law with one or two atoms, one entry per atom pattern; scales[i] is the
+    scale of the subtree's level i + 1.  Bit j of an entry's index is set
+    where pre-order position j takes the first atom (u < p in _transform).
+
+    The table is _fold's own arithmetic, one level at a time from the
+    leaves up: a (1 + beta, 2 * M**beta) block, M the child table's size,
+    holds the level's two resistances in row 0 (index bit 0) and child i's
+    table entry in row 1 + i (index bits 1 + i*log2(M) on, log2(M) of
+    them), so every combination is folded once.
+    """
+    (lo, _), (hi, _) = dist.atoms[0], dist.atoms[-1]
+    offsets = np.array([0, 1, 1 + beta])
+    table = np.array([hi * scales[-1], lo * scales[-1]])
+    for s in scales[-2::-1]:
+        m = len(table)
+        block = np.empty((1 + beta, 2 * m**beta))
+        block[0, ::2], block[0, 1::2] = hi * s, lo * s
+        for i in range(beta):
+            block[1 + i].reshape(-1, 2 * m ** (i + 1))[:] = np.repeat(table, 2 * m**i)
+        scratch = np.empty_like(block)
+        _fold(block, offsets, beta, scratch, scratch)
+        table = block[0]
+    return table.copy()
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A depth's block layout (_regular_layout).  `order` and `offsets` are
+    the level-major order and offsets of the levels the block gathers and
+    folds; with a table, the last of them, level n - h + 1, is read from
+    `table` at the subtrees whose pre-order roots r are given by their byte
+    r >> 3 and bit r & 7 in `byte` and `shift`, one row per root."""
+
+    edges: int
+    order: np.ndarray
+    offsets: np.ndarray
+    scales: np.ndarray
+    table: np.ndarray | None = None
+    byte: np.ndarray | None = None
+    shift: np.ndarray | None = None
+
+
+def _regular_layout(model: TreeModel, n: int, table: bool = True) -> _Layout:
+    """The block layout of depth n, built after model.scales checks the
+    depth.  With `table`, a law with one or two atoms reads the bottom h =
+    _table_height(beta) levels from _atom_table when h >= 2 and n > h; only
+    the order of the top n - h levels is kept.  A lone tree passes
+    table=False: the table's build, about 0.8 ms at beta 2 and 3.8 ms at
+    beta 14, costs more than one whole tree below n = 14 (0.1 to 0.35 ms),
+    while the trees of a block range share it."""
+    beta = int(model.beta)
+    scales = model.scales(n)
+    order, offsets = _level_major(_dfs_layout(beta, n), n)
+    edges = int(offsets[-1])
+    h = _table_height(beta)
+    if not (table and 1 <= len(model.weights.atoms) <= 2 and 2 <= h < n):
+        return _Layout(edges, order, offsets, scales)
+    top = n - h
+    roots = order[offsets[top]:offsets[top + 1]]
+    return _Layout(edges, order[:offsets[top]].copy(), offsets[:top + 2], scales,
+                   _atom_table(model.weights, beta, scales[top:]), roots >> 3,
+                   (roots & 7).astype(np.uint8)[:, None])
+
+
+def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.ndarray,
                    scratch: np.ndarray) -> np.ndarray:
     """Root resistances of the regular trees whose pre-order uniforms are the
     columns of `drawn`, an (edges, cols) array or view; the caller draws
     them and validates the model and depth.
 
-    `layout` is the depth's (order, offsets, scales).  The block is
-    row-minor: the uniforms are gathered level-major along axis 0 into g, an
-    (edges, cols) array, so each level is a contiguous run of rows; each
-    level is mapped in place to resistances (_transform with the level's
-    scale), and g is folded in place with `scratch`, shaped like g, as the
-    fold's scratch.  scratch may hold `drawn` itself, which is spent once
-    gathered.
+    The block is row-minor: the uniforms are gathered level-major along
+    axis 0 into g, a (rows, cols) array with a row per node of the layout's
+    levels, so each level is a contiguous run of rows; each level is mapped
+    in place to resistances (_transform with the level's scale), and g is
+    folded in place with `scratch`, at least as large as g, as the fold's
+    scratch.  scratch may hold `drawn` itself, which is spent once read.
+
+    With a table (_regular_layout) the bottom level of g, n - h + 1, is read
+    from it instead: the mask u < p is packed into bits along the edge axis,
+    and the E bits from each root's pre-order position, read from a 24-bit
+    window at its byte, are its table index.  Every entry is
+    _fold's arithmetic on the resistances _transform's select gives, lo * s
+    or hi * s, and the fold's columns are independent, so level n - h + 1
+    holds the bits the full fold would leave there.
     """
-    order, offsets, scales = layout
-    np.take(drawn, order, axis=0, out=g, mode="clip")  # every index is in range
-    for l in range(1, len(offsets)):
-        _transform(model.weights, g[offsets[l - 1]:offsets[l]], scales[l - 1])
+    order, offsets, table = layout.order, layout.offsets, layout.table
+    top = len(order)
+    np.take(drawn, order, axis=0, out=g[:top], mode="clip")  # every index is in range
+    if table is not None:
+        # bit j of row b is edge 8b + j; np.less keeps the layout of a
+        # transposed row-major draw, so its edges are packed where they lie
+        bits = np.packbits(np.less(drawn, model.weights.atoms[0][1]), axis=0, bitorder="little")
+        # a window byte past the last one is clipped onto it; its bits lie
+        # above the E kept, since a subtree's bits end by the last edge
+        code = np.take(bits, layout.byte + 2, axis=0, mode="clip").astype(np.uint32)
+        for j in (1, 0):
+            code <<= 8
+            code |= np.take(bits, layout.byte + j, axis=0, mode="clip")
+        code >>= layout.shift
+        code &= len(table) - 1
+        np.take(table, code, out=g[top:offsets[-1]], mode="clip")
+    for l in range(1, len(offsets) - (table is not None)):
+        _transform(model.weights, g[offsets[l - 1]:offsets[l]], layout.scales[l - 1])
     _fold(g, offsets, int(model.beta), scratch, scratch)
     return g[0]
 
@@ -266,27 +377,26 @@ def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1:
     take their streams from one streams() range, each filling a row of a
     (trees, edges) array that _regular_block reads transposed.  The spent
     draws are the fold's scratch."""
-    scales = model.scales(n)
-    order, offsets = _level_major(_dfs_layout(int(model.beta), n), n)
-    edges = int(offsets[-1])
+    layout = _regular_layout(model, n)
+    edges, rows = layout.edges, int(layout.offsets[-1])
     cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
-    buffers = np.empty(edges * cols), np.empty(edges * cols)
+    buffers = np.empty(edges * cols), np.empty(rows * cols)
     out = np.empty(j1 - j0, dtype=np.float64)
     chunk = None if edges <= _LOCKSTEP_EDGES else streams(master_seed, j0, j1)
     for b0 in range(j0, j1, cols):
         k = min(cols, j1 - b0)
-        u, g = (buf[:edges * k].reshape(edges, k) for buf in buffers)
+        u, g = buffers[0][:edges * k].reshape(edges, k), buffers[1][:rows * k].reshape(rows, k)
         if chunk is None:
             drawn = stream_block(master_seed, b0, b0 + k).uniforms(edges, out=u)
         else:
-            rows = u.reshape(k, edges)
-            for rng, row in zip(islice(chunk, k), rows):
+            draws = u.reshape(k, edges)
+            for rng, row in zip(islice(chunk, k), draws):
                 rng.uniforms(edges, out=row)
-            drawn = rows.T
-        out[b0 - j0:b0 - j0 + k] = _regular_block(model, (order, offsets, scales), drawn, g, u)
+            drawn = draws.T
+        out[b0 - j0:b0 - j0 + k] = _regular_block(model, layout, drawn, g, u)
     return out
 
 
@@ -327,13 +437,14 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     """Vectorized twin of resistance_streaming: one block draw in the same
     pre-order, reordered level-major, folded level by level.  Bit-identical
     to the recursion on the same stream, at the cost of O(beta^n) memory.
-    This is the one-column case of _regular_block."""
+    This is the one-column case of _regular_block, on the float path
+    (_regular_layout with table=False)."""
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
-    scales = model.scales(n)
-    order, offsets = _level_major(_dfs_layout(int(model.beta), n), n)
-    u = rng.uniforms(int(offsets[-1]))[:, None]
-    r_total = float(_regular_block(model, (order, offsets, scales), u, np.empty_like(u), u)[0])
+    layout = _regular_layout(model, n, table=False)
+    u = rng.uniforms(layout.edges)[:, None]
+    g = np.empty((int(layout.offsets[-1]), 1))
+    r_total = float(_regular_block(model, layout, u, g, u)[0])
     return ResistanceSample(r_total, 1.0 / r_total)
 
 

@@ -719,6 +719,19 @@ class TestExitCodes:
         with pytest.raises(ValidationError, match="n: depths must be >= 1"):
             resolve_ns({"n": f"0..{10**30}"})
 
+    @pytest.mark.parametrize("literal", ["3..2", "18..14"])
+    def test_inverted_depth_range_is_empty(self, tmp_path, capsys, literal):
+        out = tmp_path / "out"
+        assert main(["sweep", "--n", literal, "--reps", "2", "--out", str(out)]) == 2
+        lo, hi = literal.split("..")
+        assert capsys.readouterr().err == (f"error: n: depth range {literal!r} is empty "
+                                           f"({lo} > {hi})\n")
+        assert not out.exists()
+        # a range from 0 or below keeps its message, inverted or not
+        for text in ("0..5", "0..-1"):
+            with pytest.raises(ValidationError, match=f"n: depths must be >= 1, got '{text}'"):
+                resolve_ns({"n": text})
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--n", "4", "--reps", "4:100,4:7"],
         ["sweep", "--n", "4,5", "--reps", "default:10,default:20"],

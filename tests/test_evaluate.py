@@ -132,6 +132,106 @@ class TestRegularEvaluation:
         assert rng.uniforms(1)[0] == RngStream(4, 1).uniforms(1)[0]
 
 
+class TestAtomTable:
+    """A law with one or two atoms reads a regular tree's bottom h levels
+    from one table of subtree resistances per depth; every route must keep
+    the scalar recursion's bits."""
+
+    _LAWS = {
+        **{f"twopoint-p{p}": WeightDistribution.two_point(0.5, 1.5, p)
+           for p in (0.0, 0.3, 0.5, 0.9, 1.0)},
+        "const": WeightDistribution.constant(0.7),
+        "disc": WeightDistribution.discrete([(0.4, 0.35), (2.5, 0.65)]),
+    }
+    # depths at and below the table height h, above it in lockstep and
+    # above it from Generators
+    _DEPTHS = {2: (3, 4, 5, 6, 7), 3: (2, 3, 4, 5), 4: (1, 2, 3, 4), 5: (1, 2, 3, 4)}
+
+    @pytest.mark.parametrize("beta, h", [(2, 4), (3, 3), (4, 2), (14, 2), (15, 1)])
+    def test_table_height(self, beta, h):
+        from treeohm.evaluate import _TABLE_BITS, _table_height
+
+        assert _table_height(beta) == h
+        assert (beta**h - 1) // (beta - 1) <= _TABLE_BITS < (beta ** (h + 1) - 1) // (beta - 1)
+
+    @pytest.mark.parametrize("beta, dist, lam, stride", [
+        (2, WeightDistribution.two_point(0.5, 1.5, 0.5), 2.0, 1),
+        (3, WeightDistribution.two_point(1.0, 3.0, 0.3), 0.8, 1),
+        (4, WeightDistribution.discrete([(0.4, 0.35), (2.5, 0.65)]), 2.7, 1),
+        (5, WeightDistribution.constant(0.7), 1.3, 1),
+        (14, WeightDistribution.two_point(0.5, 1.5, 0.9), 1.3, 7),
+    ], ids=["beta2", "beta3", "beta4", "beta5", "beta14"])
+    def test_entries_are_the_resistance_of_their_tree(self, beta, dist, lam, stride):
+        from treeohm.evaluate import _atom_table, _dfs_layout, _table_height
+
+        h = _table_height(beta)
+        level = _dfs_layout(beta, h)
+        table = _atom_table(dist, beta, level_scales(lam, h))
+        assert table.shape == (2 ** len(level),) and table.dtype == np.float64
+        (lo, _), (hi, _) = dist.atoms[0], dist.atoms[-1]
+        # bit j of an index set: the first atom at pre-order position j
+        for code in range(0, len(table), stride):
+            weight = np.where((code >> np.arange(len(level))) & 1, lo, hi)
+            tree = SampledTree(level, weight, lam, "regular", beta)
+            assert table[code] == resistance_of_tree(tree)
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    @pytest.mark.parametrize("beta", sorted(_DEPTHS))
+    def test_split_blocks_match_streaming(self, beta, law, monkeypatch):
+        from treeohm import evaluate
+
+        h = evaluate._table_height(beta)
+        depths = self._DEPTHS[beta]
+        sizes = [(beta**n - 1) // (beta - 1) for n in depths]
+        assert depths[0] <= h < depths[-1]
+        assert any(n > h and e <= evaluate._LOCKSTEP_EDGES for n, e in zip(depths, sizes))
+        assert sizes[-1] > evaluate._LOCKSTEP_EDGES
+        dist = self._LAWS[law]
+        for lam in (None, 0.8, 1.3, 2.7):
+            model = TreeModel.regular(beta, dist, lam=lam)
+            for n, edges in zip(depths, sizes):
+                # blocks of 3 trees: replicates 5..11 fill two and a third
+                monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", 3 * edges)
+                want = [resistance_streaming(model, n, RngStream(9, j)).resistance
+                        for j in range(5, 12)]
+                assert evaluate._regular_replicates(model, n, 9, 5, 12).tolist() == want
+                assert resistance_fast(model, n, RngStream(9, 5)).resistance == want[0]
+
+    @pytest.mark.parametrize("beta, law, n, route", [
+        (2, "twopoint-p0.5", 5, True), (2, "twopoint-p0.5", 6, True),
+        (2, "twopoint-p0.5", 7, True), (2, "twopoint-p0.5", 14, True),
+        (3, "const", 4, True), (4, "disc", 3, True),
+        (2, "twopoint-p0.5", 1, False), (2, "twopoint-p0.5", 4, False),
+        (2, "unif", 5, False), (2, "disc3", 5, False), (15, "twopoint-p0.5", 2, False),
+    ])
+    def test_route_runs_where_it_applies(self, beta, law, n, route, monkeypatch):
+        from treeohm import evaluate
+
+        laws = {**self._LAWS, "unif": WeightDistribution.uniform(0.5, 1.5),
+                "disc3": WeightDistribution.discrete([(0.5, 0.2), (1.0, 0.5), (2.5, 0.3)])}
+        model = TreeModel.regular(beta, laws[law])
+        layout = evaluate._regular_layout(model, n)
+        h = evaluate._table_height(beta)
+        assert layout.edges == (beta**n - 1) // (beta - 1)
+        assert (layout.table is not None) == route
+        top = n - h if route else n
+        assert len(layout.offsets) == top + 1 + route
+        assert len(layout.order) == layout.offsets[top] == (beta**top - 1) // (beta - 1)
+        # the replicate loop takes the layout that says so; a lone tree
+        # cannot pay for a table and keeps the float path
+        seen = []
+        block = evaluate._regular_block
+
+        def spy(model, layout, *args):
+            seen.append(layout.table is not None)
+            return block(model, layout, *args)
+
+        monkeypatch.setattr(evaluate, "_regular_block", spy)
+        evaluate._regular_replicates(model, n, 3, 0, 2)
+        resistance_fast(model, n, RngStream(3))
+        assert seen == [route, False]
+
+
 class TestExplicitTrees:
     def test_small_shape(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 2, RngStream(1))

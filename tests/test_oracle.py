@@ -140,12 +140,18 @@ class TestEliminationBits:
                 assert got.tobytes() == want.tobytes()
 
     def test_pivot_swap_matches_full_update(self):
-        # a matrix that is no tree's: zeros on the diagonal force row swaps
+        # a matrix that is no tree's: zeros on the diagonal force row swaps;
+        # its zeros are +0, as _gauss_solve's contract asks
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.15)
+        x = rng.standard_normal((40, 40))
+        a = np.where(rng.random((40, 40)) < 0.15, x, 0.0)
         a[np.arange(40), np.arange(40)[::-1]] += 3.0
+        assert not np.any((a == 0.0) & np.signbit(a))
         b = rng.standard_normal(40)
-        assert _gauss_solve(a, b).tobytes() == dense_gauss_solve(a, b).tobytes()
+        pivots = []
+        want = dense_gauss_solve(a, b, pivots)
+        assert _gauss_solve(a, b).tobytes() == want.tobytes()
+        assert pivots != list(range(40))
 
     def test_generic_matrices_match_full_update(self):
         # no tree's matrices: random patterns of small integers, whose exact

@@ -5,6 +5,8 @@ Hypothesis runs derandomized and without an example database, so every run
 draws the same examples.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +148,31 @@ def test_atom_select_is_the_inverse_cdf(dist, seed, scale):
     u = np.concatenate((edges, RngStream(seed).uniforms(256)))
     want = _inverse_cdf(*dist._cdf, u) * scale
     assert _transform(dist, u, scale).tobytes() == want.tobytes()
+
+
+@st.composite
+def atom_table_cases(draw):
+    """A two-point regular model on either side of its table height, with a
+    block width of 1 to 4 trees."""
+    beta = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, {2: 9, 3: 6, 4: 5, 5: 4}[beta]))
+    a = draw(_POSITIVE)
+    dist = WeightDistribution.two_point(a, a + draw(_WIDTH), draw(st.floats(0.0, 1.0)))
+    model = TreeModel.regular(beta, dist, lam=draw(_LAMS))
+    return model, n, draw(st.integers(0, 2**20)), draw(st.integers(1, 4))
+
+
+@PROPERTY
+@given(atom_table_cases())
+def test_atom_table_route_bit_identical(case):
+    from treeohm import evaluate
+
+    model, n, seed, cols = case
+    want = [resistance_streaming(model, n, RngStream(seed, j)).resistance for j in range(2, 9)]
+    assert resistance_fast(model, n, RngStream(seed, 2)).resistance == want[0]
+    edges = (model.beta**n - 1) // (model.beta - 1)
+    with mock.patch.object(evaluate, "_BLOCK_UNIFORMS", cols * edges):
+        assert evaluate._regular_replicates(model, n, seed, 2, 9).tolist() == want
 
 
 @PROPERTY

@@ -167,7 +167,7 @@ class TestBlockEvaluation:
         whole = run_replicates(model, 4, j1, 21).resistance
         assert np.array_equal(whole[j0:], chunk)
 
-    @pytest.mark.parametrize("law", ["unif", "disc"])
+    @pytest.mark.parametrize("law", ["unif", "disc", "twopoint"])
     @pytest.mark.parametrize("beta, n", [(2, 14), (3, 10)])
     def test_few_rows_match_streaming(self, law, beta, n):
         model = TreeModel.regular(beta, _LAWS[law])
