@@ -21,8 +21,8 @@ import math
 import os
 import sys
 from functools import partial
-from itertools import chain, repeat
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -157,14 +157,47 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
-def _spec(value) -> str:
-    """The %-format of a table value: %d for integers, %.17g (which
-    round-trips a float64) for the rest; a bool prints 1 or 0 either way."""
-    return "%d" if isinstance(value, (int, np.integer)) else "%.17g"
+_BLOCK = 2048  # rows formatted at a time; a larger block raises the peak RSS of `sample`
 
 
-def _fmt(value) -> str:
-    return _spec(value) % value
+def _block_values(block: np.ndarray) -> tuple[str, list]:
+    """One column's values over a block of rows, with the %-format they go
+    through: %d for integers (a bool prints 1 or 0), %.17g (which
+    round-trips a float64) for floats.  A float block that is mostly
+    repeats has each distinct value formatted once, keyed by its bits so
+    that 0.0 and -0.0 stay apart, and its values are that text under %s."""
+    if block.dtype.kind != "f":
+        return "%d", block.tolist()
+    bits = block.view(np.int64)
+    keys = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(keys[1:] != keys[:-1])) > len(block):
+        return "%.17g", block.tolist()
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    return "%s", text[inverse].tolist()
+
+
+def _blocks(columns: list[np.ndarray]) -> Iterator[tuple[list[str], list[list]]]:
+    """The table's rows a block at a time: each column's %-format and its
+    values over the block."""
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK):
+        specs, values = [], []
+        for column in columns:
+            spec, vals = _block_values(column[start:start + _BLOCK])
+            specs.append(spec)
+            values.append(vals)
+        yield specs, values
+
+
+def _csv_blocks(columns: list[np.ndarray]) -> Iterator[str]:
+    """Each block's CSV text, formatted by one call: the row format
+    repeated once per row, over the values interleaved row by row."""
+    for specs, values in _blocks(columns):
+        rows, width = len(values[0]), len(values)
+        flat = [None] * (rows * width)
+        for i, vals in enumerate(values):
+            flat[i::width] = vals
+        yield ((",".join(specs) + "\n") * rows) % tuple(flat)
 
 
 _STAMP = "# provenance: "  # a CSV table's first line: this, then the provenance JSON
@@ -179,30 +212,27 @@ def _provenance_json(cfg: dict) -> str:
     return json.dumps(_provenance(cfg), sort_keys=True, separators=(",", ":"))
 
 
-def write_table(outdir: str, name: str, columns: list[str], rows: Iterable[tuple],
+def write_table(outdir: str, name: str, names: list[str], columns: Iterable,
                 cfg: dict) -> str:
     """Write one table artifact in the configured format; returns the path.
-    `rows` (tuples whose columns each keep one type) is read once, and a CSV
-    table is written a row at a time, each row by one %-format built from
-    the first row's types."""
+    `columns` holds one array (or sequence) per name, all of one length.  A
+    column's format follows its dtype: %d for integers and bools, %.17g for
+    floats.  The rows are formatted a block at a time, and a float value
+    repeated within a block is formatted once; a CSV table is written to its
+    file a block at a time, so the writer holds O(block) text, not O(rows)."""
+    columns = [np.asarray(column) for column in columns]
     if cfg["format"] == "json":
         path = os.path.join(outdir, f"{name}.json")
-        payload = {
-            "provenance": _provenance(cfg),
-            "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
-        }
+        rows = [
+            [spec % v for spec, v in zip(specs, row)]
+            for specs, values in _blocks(columns) for row in zip(*values)
+        ]
+        payload = {"provenance": _provenance(cfg), "columns": names, "rows": rows}
         _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         return path
     path = os.path.join(outdir, f"{name}.csv")
-    header = f"{_STAMP}{_provenance_json(cfg)}\n{','.join(columns)}\n"
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        _write_lines(path, [header])
-        return path
-    fmt = ",".join(map(_spec, first)) + "\n"
-    _write_lines(path, chain([header], (fmt % row for row in chain([first], rows))))
+    header = f"{_STAMP}{_provenance_json(cfg)}\n{','.join(names)}\n"
+    _write_lines(path, chain([header], _csv_blocks(columns)))
     return path
 
 
@@ -255,9 +285,9 @@ def cmd_sample(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
     batch = run_replicates(model, n, m, cfg["seed"], workers)
-    rows = zip(range(m), repeat(n), batch.resistance.tolist(), batch.conductance.tolist())
+    columns = [np.arange(m), np.full(m, n), batch.resistance, batch.conductance]
     outdir = _outdir(cfg)
-    return [write_table(outdir, "samples", ["replicate", "n", "R", "C"], rows, cfg)]
+    return [write_table(outdir, "samples", ["replicate", "n", "R", "C"], columns, cfg)]
 
 
 def cmd_sweep(cfg: dict, workers: int) -> list[str]:
@@ -271,9 +301,8 @@ def cmd_sweep(cfg: dict, workers: int) -> list[str]:
         for rep in reports
     ]
     outdir = _outdir(cfg)
-    columns = ["n", "m", "mean_R", "se_R", "var_R", "se_var_R",
-               "mean_C", "var_C", "se_var_C"]
-    return [write_table(outdir, "sweep", columns, rows, cfg)]
+    names = ["n", "m", "mean_R", "se_R", "var_R", "se_var_R", "mean_C", "var_C", "se_var_C"]
+    return [write_table(outdir, "sweep", names, zip(*rows), cfg)]
 
 
 def read_sweep_csv(path: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -352,9 +381,9 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
     return [write_report(_outdir(cfg), "fit", payload, cfg)]
 
 
-def _flow_record(dist: WeightDistribution, i: int, tree) -> tuple[dict, list]:
+def _flow_record(dist: WeightDistribution, i: int, tree) -> tuple[dict, tuple]:
     """One instance's flow_report entry; instance 0 also gives the
-    per-edge flow_dump rows."""
+    per-edge flow_dump columns."""
     flow = solve_flow(tree)
     bounds = flow_bound_report(flow, dist)
     report = {
@@ -367,14 +396,11 @@ def _flow_record(dist: WeightDistribution, i: int, tree) -> tuple[dict, list]:
         "b4": bounds.b4,
     }
     if i:
-        return report, []
-    upper = np.where(
-        np.arange(tree.n_nodes) == 0, flow.resistance, flow.voltage[tree.parent],
-    )
-    columns = (tree.parent, tree.level, tree.weight, tree.resistance, flow.theta, upper,
-               flow.voltage, bounds.bound, bounds.margin)
-    dump = list(zip(range(tree.n_nodes), *(column.tolist() for column in columns)))
-    return report, dump
+        return report, ()
+    edge = np.arange(tree.n_nodes)
+    upper = np.where(edge == 0, flow.resistance, flow.voltage[tree.parent])
+    return report, (edge, tree.parent, tree.level, tree.weight, tree.resistance, flow.theta,
+                    upper, flow.voltage, bounds.bound, bounds.margin)
 
 
 def cmd_flows(cfg: dict, workers: int) -> list[str]:
@@ -386,9 +412,9 @@ def cmd_flows(cfg: dict, workers: int) -> list[str]:
     flow_ceiling(dist, n)  # refused here, before any tree is drawn
     records = map_trees(partial(_flow_record, dist), model, [n], count, cfg["seed"], workers)
     outdir = _outdir(cfg)
-    columns = ["edge_id", "parent_id", "level", "X", "r", "theta",
-               "voltage_top", "voltage_bottom", "flow_bound", "margin"]
-    paths = [write_table(outdir, "flow_dump", columns, records[0][1], cfg)]
+    names = ["edge_id", "parent_id", "level", "X", "r", "theta",
+             "voltage_top", "voltage_bottom", "flow_bound", "margin"]
+    paths = [write_table(outdir, "flow_dump", names, records[0][1], cfg)]
     report_rows = [report for report, _ in records]
     paths.append(write_report(outdir, "flow_report", {"instances": report_rows}, cfg))
     return paths
@@ -398,8 +424,8 @@ def cmd_oracle_check(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     ns = resolve_ns(cfg)
     rows = oracle_gap_table(model, ns, _count(cfg, "instances"), cfg["seed"], workers)
-    columns = ["instance", "n", "nodes", "gap_R", "gap_theta", "gap_voltage"]
-    return [write_table(_outdir(cfg), "oracle_gaps", columns, rows, cfg)]
+    names = ["instance", "n", "nodes", "gap_R", "gap_theta", "gap_voltage"]
+    return [write_table(_outdir(cfg), "oracle_gaps", names, zip(*rows), cfg)]
 
 
 def cmd_rde(cfg: dict, workers: int) -> list[str]:
@@ -413,8 +439,8 @@ def cmd_rde(cfg: dict, workers: int) -> list[str]:
          float(np.min(pool)), float(np.max(pool)))
         for level, pool in enumerate(pools, 1)
     ]
-    columns = ["level", "m", "mean", "var", "min", "max"]
-    return [write_table(_outdir(cfg), "rde", columns, rows, cfg)]
+    names = ["level", "m", "mean", "var", "min", "max"]
+    return [write_table(_outdir(cfg), "rde", names, zip(*rows), cfg)]
 
 
 def cmd_gw(cfg: dict, workers: int) -> list[str]:
@@ -424,14 +450,11 @@ def cmd_gw(cfg: dict, workers: int) -> list[str]:
     n = _single_n(cfg)
     trees = _count(cfg, "trees")
     report = gw_experiment(model, n, trees, cfg["seed"], workers)
-    rows = [
-        (j, int(report.b1[j]), report.resistance[j], report.shorted[j],
-         report.w_hat[j], report.n_times_c[j])
-        for j in range(trees)
-    ]
+    columns = [np.arange(trees), report.b1, report.resistance, report.shorted,
+               report.w_hat, report.n_times_c]
     outdir = _outdir(cfg)
-    columns = ["tree", "B1", "R", "shorted", "W_hat", "nC"]
-    paths = [write_table(outdir, "gw_records", columns, rows, cfg)]
+    names = ["tree", "B1", "R", "shorted", "W_hat", "nC"]
+    paths = [write_table(outdir, "gw_records", names, columns, cfg)]
     summary = {
         "cond_mean_nC": {str(k): v for k, v in sorted(report.cond_mean_nc.items())},
         "corr_scaled_R_vs_inv_W": report.corr_scaled_r_vs_inv_w,
@@ -469,13 +492,10 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     constant = tail_bound_constant(model.weights)
     batch = run_replicates(model, n, m, cfg["seed"], workers)
     report = tail_profile(batch, t_grid, constant)
-    rows = [
-        (report.t[i], int(report.count[i]), report.freq[i],
-         report.wilson_lo[i], report.wilson_hi[i], report.bound[i])
-        for i in range(len(report.t))
-    ]
-    columns = ["t", "count", "freq", "wilson_lo", "wilson_hi", "bound"]
-    return [write_table(_outdir(cfg), "tails", columns, rows, cfg)]
+    columns = [report.t, report.count, report.freq, report.wilson_lo, report.wilson_hi,
+               report.bound]
+    names = ["t", "count", "freq", "wilson_lo", "wilson_hi", "bound"]
+    return [write_table(_outdir(cfg), "tails", names, columns, cfg)]
 
 
 def real(text: str) -> float:

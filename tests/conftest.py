@@ -1,10 +1,14 @@
+import json
+import os
 from bisect import bisect_right
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from treeohm import SampledTree, TreeModel, ValidationError, WeightDistribution
+from treeohm.cli import _STAMP, _provenance, _provenance_json, _write_lines
 
 
 def build_tree(parent, level, weight, lam, shape, beta=None):
@@ -113,6 +117,36 @@ def dense_gauss_solve(a, b, pivots=None):
     for k in range(m - 1, -1, -1):
         x[k] = (b[k] - np.dot(a[k, k + 1:], x[k + 1:])) / a[k, k]
     return x
+
+
+def _row_spec(value):
+    return "%d" if isinstance(value, (int, np.integer)) else "%.17g"
+
+
+def write_table_by_rows(outdir, name, names, rows, cfg):
+    """Reference table writer: one row at a time, a CSV row by one %-format
+    built from the first row's types (%d for integers and bools, %.17g for
+    the rest), a JSON value by its own type.  `cli.write_table` must write
+    the same bytes from the same table given as columns."""
+    if cfg["format"] == "json":
+        path = os.path.join(outdir, f"{name}.json")
+        payload = {
+            "provenance": _provenance(cfg),
+            "columns": names,
+            "rows": [[_row_spec(v) % v for v in row] for row in rows],
+        }
+        _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+        return path
+    path = os.path.join(outdir, f"{name}.csv")
+    header = f"{_STAMP}{_provenance_json(cfg)}\n{','.join(names)}\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        _write_lines(path, [header])
+        return path
+    fmt = ",".join(map(_row_spec, first)) + "\n"
+    _write_lines(path, chain([header], (fmt % row for row in chain([first], rows))))
+    return path
 
 
 def tiled_dfs_layout(beta, n_levels):

@@ -1,14 +1,19 @@
+import hashlib
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import treeohm.cli as cli
 from treeohm import (
     MEMORY_GUARD,
     GuardError,
@@ -28,7 +33,9 @@ from treeohm.cli import (
     resolve_options,
     resolve_reps,
     resolve_t_grid,
+    write_table,
 )
+from tests.conftest import write_table_by_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -307,13 +314,13 @@ class TestSampleCommand:
         assert read(tmp_path / "w1" / name) == read(tmp_path / "w2" / name)
 
     def test_csv_rows_written_from_one_pass(self, tmp_path):
-        from treeohm.cli import _fmt, write_table
-
+        # the columns come as a one-pass iterator, as a transposed row list does
         cfg = {"format": "csv", "seed": 1, "out": None}
-        rows = [(j, 0.1 * j, j % 2 == 0) for j in range(5)]
-        path = write_table(str(tmp_path), "t", ["a", "b", "c"], iter(rows), cfg)
+        j = np.arange(5)
+        path = write_table(str(tmp_path), "t", ["a", "b", "c"], iter([j, 0.1 * j, j % 2 == 0]),
+                           cfg)
         lines = ['# provenance: {"format":"csv","seed":1}', "a,b,c"]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += ["%d,%.17g,%d" % (k, 0.1 * k, k % 2 == 0) for k in range(5)]
         assert read(path) == ("\n".join(lines) + "\n").encode()
 
     def test_json_format(self, tmp_path):
@@ -333,6 +340,161 @@ class TestSampleCommand:
                      "--dist", "const:1", "--reps", "2", "--seed", "1"])
         assert code == 0
         assert (tmp_path / "envout" / "samples.csv").exists()
+
+
+def _synthetic_tables():
+    """name -> (column names, columns): tables whose bytes the column writer
+    must share with the row writer, at the writer's own block size."""
+    b = cli._BLOCK
+    rng = np.random.default_rng(7)
+    specials = [np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072009e-308, 0.0]
+
+    def sized(m):
+        return (["j", "few", "many"],
+                [np.arange(m), rng.choice([0.25, 1 / 3, -0.0], m), rng.random(m)])
+
+    return {
+        "signed-zeros": (["j", "x"], [np.arange(120), np.tile([0.0, -0.0, 1.0], 40)]),
+        "specials-repeated": (["x"], [np.tile(specials, 30)]),
+        "specials-once": (["x"], [np.array(specials)]),
+        "ints-and-bools": (["i", "flag", "x"], [
+            np.array([np.iinfo(np.int64).min, -1, 0, 7, np.iinfo(np.int64).max]),
+            np.array([True, False, True, True, False]),
+            np.array([0.5, 0.5, 0.5, 1.5, 0.5])]),
+        "straddle": (["j", "x"], [np.arange(2 * b + 3),
+                                  np.repeat([0.1, 0.2, 0.3], [b - 1, 3, b + 1])]),
+        "distinct-beside-few": (["x"], [np.concatenate(
+            [rng.random(b), rng.choice([0.5, 1.5, -0.0], b)])]),
+        "rows-0": sized(0),
+        "rows-1": sized(1),
+        "rows-B": sized(b),
+        "rows-B+1": sized(b + 1),
+    }
+
+
+SYNTHETIC = _synthetic_tables()
+
+TP = "twopoint:0.5,1.5"
+# a small run of every table command, its table artifact, and the sha256 of
+# that artifact's bytes as the row-at-a-time writer wrote it
+TABLE_RUNS = {
+    "sample": (["sample", "--n", "4", "--dist", TP, "--reps", "4097", "--seed", "3"],
+               "samples"),
+    "sweep": (["sweep", "--n", "2..5", "--dist", TP, "--reps", "50", "--seed", "3"], "sweep"),
+    "flows": (["flows", "--n", "13", "--dist", TP, "--instances", "1", "--seed", "3"],
+              "flow_dump"),
+    "oracle-check": (["oracle-check", "--n", "2..4", "--instances", "6", "--seed", "3"],
+                     "oracle_gaps"),
+    "rde": (["rde", "--dist", TP, "--pool-size", "200", "--levels", "3", "--seed", "3"], "rde"),
+    "gw": (["gw", "--dist", "const:1", "--n", "6", "--trees", "30", "--seed", "3"],
+           "gw_records"),
+    "tails": (["tails", "--n", "4", "--dist", TP, "--reps", "200", "--seed", "3"], "tails"),
+}
+TABLE_DIGESTS = {
+    ("sample", "csv"): "07e35a5e8887f7ff84e3398034e507171ca6805738ed73324aa9b19a9465970c",
+    ("sample", "json"): "9ee0d0bc1adfb2cad61b092278af46682a804511dcd4df5fb4d9f47c957f5bf9",
+    ("sweep", "csv"): "a7cc32b00326a39e19fe664fd03f5bdce6e5a00e646e3fc18597862a31f7c150",
+    ("sweep", "json"): "de3a4c61f5fee67b1783845c378ca632135e3b07ef2e2bac656bb4ab78d2c328",
+    ("flows", "csv"): "a071c0ca9f891b2090673bbe9700672f766f9f82ef751ad53257059a5359144c",
+    ("flows", "json"): "19797d6c1c3f150785c4f0cb743d2cdf793038d8e003de4bfecab41661d55ffd",
+    ("oracle-check", "csv"): "e9e713917bfbec9d0e9d5e3699e50423377b8aa9016727140c8d05534db1989b",
+    ("oracle-check", "json"): "163ec1631ae54f4ba33f9f75e4a2990d5119c2d5a81c1db5f488d9d9fd7da9dc",
+    ("rde", "csv"): "9c21aec82c99606a07eb69f16ad8f8dc21f21234780bef87ac60894606cd00d1",
+    ("rde", "json"): "cc545696b7c0355217b7e97560e9e7a583bb11345a588fa02b73678d69ba3452",
+    ("gw", "csv"): "f32c1f89ce5337d6b2b0a81b760c4a1b0084f9b1c270398df62164ca2ee00bc6",
+    ("gw", "json"): "ac9aee8ba07d34961942a3bd00b187c19e2c550925885f96da7746acdc3297d5",
+    ("tails", "csv"): "1cf4b4694450474c25e9757aa227d3364e78097384029aa61b0621b1bc297f25",
+    ("tails", "json"): "949ba713c06286005ea6097e27d509e52503216767d7771e4b27d94ba8ef1078",
+}
+
+
+def _by_rows(outdir, names, columns, cfg):
+    """The row writer's bytes for these columns, read a row at a time as
+    Python values."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return read(write_table_by_rows(str(outdir), "by_rows", names, rows, cfg))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf]
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", list(SYNTHETIC))
+    def test_same_bytes_as_the_row_writer(self, tmp_path, table, fmt):
+        names, columns = SYNTHETIC[table]
+        cfg = {"format": fmt, "seed": 1, "out": None}
+        path = write_table(str(tmp_path), "t", names, columns, cfg)
+        assert read(path) == _by_rows(tmp_path, names, columns, cfg)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(TABLE_RUNS))
+    def test_command_tables_keep_their_bytes(self, tmp_path, monkeypatch, command, fmt):
+        argv, name = TABLE_RUNS[command]
+        tables = []
+
+        def spy(outdir, name, names, columns, cfg):
+            columns = list(columns)
+            tables.append((names, columns, cfg))
+            return write_table(outdir, name, names, columns, cfg)
+
+        monkeypatch.setattr(cli, "write_table", spy)
+        out = tmp_path / "out"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        data = read(out / f"{name}.{fmt}")
+        assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[command, fmt]
+        (names, columns, cfg), = tables
+        assert data == _by_rows(tmp_path, names, columns, cfg)
+
+    def test_block_format_follows_dtype_and_repeats(self):
+        b = cli._BLOCK
+        rng = np.random.default_rng(3)
+        assert cli._block_values(np.arange(3))[0] == "%d"
+        assert cli._block_values(np.array([True, False]))[0] == "%d"
+        assert cli._block_values(rng.random(b))[0] == "%.17g"
+        spec, values = cli._block_values(np.tile([0.0, -0.0, 1.0], 40))
+        assert spec == "%s" and values[:3] == ["0", "-0", "1"]
+
+    def test_memory_is_per_block(self, tmp_path):
+        # a 2**17-row sample table, one float column with 700 values and one
+        # mostly distinct: a 2048-row block peaks near 0.5 MiB, while the
+        # float columns as whole Python lists would hold 4 MiB each
+        m = 2**17
+        rng = np.random.default_rng(5)
+        columns = [np.arange(m), np.full(m, 4), rng.choice(rng.random(700) + 1.0, m),
+                   rng.random(m)]
+        cfg = {"format": "csv", "seed": 1, "out": None}
+        tracemalloc.start()
+        try:
+            write_table(str(tmp_path), "samples", ["replicate", "n", "R", "C"], columns, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_floats_round_trip(self, data):
+        # one column mostly repeats (formatted per distinct value), one is
+        # mostly distinct; nan has no bits to keep and is left out
+        floats = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+        pool = data.draw(st.lists(floats, min_size=1, max_size=4))
+        m = data.draw(st.integers(1, 40))
+        few = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
+        many = np.array(data.draw(st.lists(floats, min_size=m, max_size=m)))
+        with tempfile.TemporaryDirectory() as outdir:
+            for fmt in ("csv", "json"):
+                cfg = {"format": fmt, "seed": 1, "out": None}
+                path = write_table(outdir, "t", ["few", "many"], [few, many], cfg)
+                if fmt == "csv":
+                    with open(path) as fh:
+                        rows = [line.rstrip("\n").split(",") for line in fh][2:]
+                else:
+                    with open(path) as fh:
+                        rows = json.load(fh)["rows"]
+                back = np.array([[float(v) for v in row] for row in rows]).reshape(m, 2)
+                assert back[:, 0].tobytes() == few.tobytes()
+                assert back[:, 1].tobytes() == many.tobytes()
 
 
 class TestSweepAndFit:
@@ -473,9 +635,13 @@ class TestOtherCommands:
          ["gw_records.csv", "gw_summary.json"]),
         (["flows", "--model", "reg:2", "--n", "5", "--instances", "6"],
          ["flow_dump.csv", "flow_report.json"]),
+        (["flows", "--model", "reg:2", "--n", "13", "--dist", "twopoint:0.5,1.5",
+          "--instances", "4"], ["flow_dump.csv"]),
+        (["flows", "--model", "reg:2", "--n", "5", "--instances", "6", "--format", "json"],
+         ["flow_dump.json"]),
         (["oracle-check", "--model", "gw:1:0.5,2:0.5", "--n", "2..5", "--instances", "9"],
          ["oracle_gaps.csv"]),
-    ], ids=["gw", "flows", "oracle-check"])
+    ], ids=["gw", "flows", "flows-two-blocks", "flows-json", "oracle-check"])
     def test_workers_byte_identical(self, tmp_path, argv, names):
         main(argv + ["--workers", "1", "--out", str(tmp_path / "w1")])
         main(argv + ["--workers", "2", "--out", str(tmp_path / "w2")])
