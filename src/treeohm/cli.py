@@ -134,17 +134,18 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
     try:
         if ":" in text:
             start, stop, step = (float(s) for s in text.split(":"))
-            steps = (stop - start) / step if step != 0.0 else math.nan
-            if not 0.0 <= steps < math.inf:
-                raise ValidationError(f"t_grid: step {step!r} cannot lead {start!r} to {stop!r}")
-            points = int(round(steps)) + 1
-            if points > MEMORY_GUARD:
-                raise GuardError(f"t_grid: {points} points exceed the {MEMORY_GUARD}-point guard")
-            grid = np.linspace(start, stop, points)
         else:
             grid = np.array([float(s) for s in text.split(",")])
     except ValueError as exc:
         raise ValidationError(f"t_grid: malformed literal {text!r}") from exc
+    if ":" in text:
+        steps = (stop - start) / step if step != 0.0 else math.nan
+        if not 0.0 <= steps < math.inf:
+            raise ValidationError(f"t_grid: step {step!r} cannot lead {start!r} to {stop!r}")
+        points = int(round(steps)) + 1
+        if points > MEMORY_GUARD:
+            raise GuardError(f"t_grid: {points} points exceed the {MEMORY_GUARD}-point guard")
+        grid = np.linspace(start, stop, points)
     if not np.all(np.isfinite(grid)):
         raise ValidationError(f"t_grid: entries must be finite, got {text!r}")
     if np.any(grid < 0.0):
@@ -222,14 +223,11 @@ def write_table(outdir: str, name: str, names: list[str], columns: Iterable,
     file a block at a time, so the writer holds O(block) text, not O(rows)."""
     columns = [np.asarray(column) for column in columns]
     if cfg["format"] == "json":
-        path = os.path.join(outdir, f"{name}.json")
         rows = [
             [spec % v for spec, v in zip(specs, row)]
             for specs, values in _blocks(columns) for row in zip(*values)
         ]
-        payload = {"provenance": _provenance(cfg), "columns": names, "rows": rows}
-        _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
-        return path
+        return write_report(outdir, name, {"columns": names, "rows": rows}, cfg)
     path = os.path.join(outdir, f"{name}.csv")
     header = f"{_STAMP}{_provenance_json(cfg)}\n{','.join(names)}\n"
     _write_lines(path, chain([header], _csv_blocks(columns)))
@@ -488,6 +486,8 @@ def cmd_tails(cfg: dict, workers: int) -> list[str]:
     model = resolve_model(cfg)
     n = _single_n(cfg)
     m = resolve_reps(cfg, [n])[n]
+    if m < 100:  # tail_profile's own bound, checked before any replicate is drawn
+        raise ValidationError(f"reps: tail estimation needs m >= 100, got {m}")
     t_grid = resolve_t_grid(cfg)
     constant = tail_bound_constant(model.weights)
     batch = run_replicates(model, n, m, cfg["seed"], workers)

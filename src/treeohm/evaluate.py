@@ -17,7 +17,7 @@ run of rows.  The caller draws each block: the replicate loop
 lockstep, already in that shape (model.stream_block), and deeper trees from
 one Generator per stream; resistance_fast draws its tree as one column.  One
 kernel (_regular_block) then gathers the uniforms level-major along axis 0,
-maps each level in place to its resistances and folds the block in place.
+maps them to weights in one call, scales each level and folds, all in place.
 Each column takes the same arithmetic as a lone tree, so resistance_fast,
 the one-column case, and every column of a block give the same bits.
 
@@ -332,16 +332,16 @@ def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.n
 
     The block is row-minor: the uniforms are gathered level-major along
     axis 0 into g, a (rows, cols) array with a row per node of the layout's
-    levels, so each level is a contiguous run of rows; each level is mapped
-    in place to resistances (_transform with the level's scale), and g is
-    folded in place with `scratch`, at least as large as g, as the fold's
-    scratch.  scratch may hold `drawn` itself, which is spent once read.
+    levels, so each level is a contiguous run of rows; one _transform call
+    maps them to weights and each level is scaled to resistances, in place,
+    and g is folded in place with `scratch`, at least as large as g, as the
+    fold's scratch.  scratch may hold `drawn` itself, which is spent once read.
 
     With a table (_regular_layout) the bottom level of g, n - h + 1, is read
     from it instead: the mask u < p is packed into bits along the edge axis,
     and the E bits from each root's pre-order position, read from a 24-bit
     window at its byte, are its table index.  Every entry is
-    _fold's arithmetic on the resistances _transform's select gives, lo * s
+    _fold's arithmetic on the resistances the select and scale give, lo * s
     or hi * s, and the fold's columns are independent, so level n - h + 1
     holds the bits the full fold would leave there.
     """
@@ -361,8 +361,10 @@ def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.n
         code >>= layout.shift
         code &= len(table) - 1
         np.take(table, code, out=g[top:offsets[-1]], mode="clip")
+    _transform(model.weights, g[:top])
     for l in range(1, len(offsets) - (table is not None)):
-        _transform(model.weights, g[offsets[l - 1]:offsets[l]], layout.scales[l - 1])
+        level = g[offsets[l - 1]:offsets[l]]
+        np.multiply(level, layout.scales[l - 1], out=level)
     _fold(g, offsets, int(model.beta), scratch, scratch)
     return g[0]
 

@@ -179,31 +179,28 @@ def _inverse_cdf(cum: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray
     return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
 
 
-def _transform(dist: WeightDistribution, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Map an array of uniforms on [0,1) in place to weight draws times
-    `scale` (a level's scale gives that level's resistances) and return it.
-    The map is elementwise, so a uniform gives the same bits wherever a
+def _transform(dist: WeightDistribution, u: np.ndarray) -> np.ndarray:
+    """Map an array of uniforms on [0,1) in place to weight draws and return
+    it.  The map is elementwise, so a uniform gives the same bits wherever a
     block split puts it.
 
     No atoms: affine onto [a, b].  One or two atoms: the inverse CDF's pick
     by a branch-free select; the mask u < p (p the first atom's probability)
     as int64 0/1, times bits(first) ^ bits(last), xor bits(last), is
-    bits(first*scale) where u < p and bits(last*scale) elsewhere.
+    bits(first) where u < p and bits(last) elsewhere.
     """
     if not dist.atoms:
         np.multiply(u, dist.b - dist.a, out=u)
         np.add(u, dist.a, out=u)
-        if scale != 1.0:
-            np.multiply(u, scale, out=u)
     elif len(dist.atoms) <= 2:
         (lo, p), (hi, _) = dist.atoms[0], dist.atoms[-1]
-        lo_bits, hi_bits = np.array([lo * scale, hi * scale]).view(np.int64).tolist()
+        lo_bits, hi_bits = np.array([lo, hi]).view(np.int64).tolist()
         mask = u.view(np.int64)
         np.less(u, p, out=mask)
         np.multiply(mask, lo_bits ^ hi_bits, out=mask)
         np.bitwise_xor(mask, hi_bits, out=mask)
     else:
-        np.multiply(_inverse_cdf(*dist._cdf, u), scale, out=u)
+        u[...] = _inverse_cdf(*dist._cdf, u)
     return u
 
 

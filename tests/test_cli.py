@@ -1049,13 +1049,16 @@ class TestExitCodes:
         assert main(["flows", *argv, "--out", str(out)]) == code
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["0:1:0", "1:0:0.1", "0:1:-0.1", "0:inf:1",
-                                      "0:1", "0:1:x"])
-    def test_bad_t_grid_rejected(self, tmp_path, capsys, grid):
+    _BAD_GRIDS = {"0:1:0": "cannot lead", "1:0:0.1": "cannot lead", "0:1:-0.1": "cannot lead",
+                  "0:inf:1": "cannot lead", "0:1": "malformed", "0:1:x": "malformed"}
+
+    @pytest.mark.parametrize("grid, message", _BAD_GRIDS.items(), ids=list(_BAD_GRIDS))
+    def test_bad_t_grid_rejected(self, tmp_path, capsys, grid, message):
         code = main(["tails", "--model", "reg:2", "--n", "3", "--dist", "const:1",
                      "--reps", "100", "--t-grid", grid, "--out", str(tmp_path)])
         assert code == 2
-        assert "t_grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_grid: ") and message in err
 
     @pytest.mark.parametrize("grid", ["-1,0.5", "0,-0.5", "-1:1:0.5", "-0.5:-0.1:0.1"],
                              ids=["list", "list-later-entry", "range", "range-all-negative"])
@@ -1074,6 +1077,28 @@ class TestExitCodes:
                      f"--t-grid={grid}", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: t_grid: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["tails", "--n", "12", "--reps", "99"], 2, "error: reps: tail estimation needs m >= 100"),
+        (["oracle-check", "--n", "2..13", "--instances", "12"], 3,
+         "guard: oracle handles at most 4096 nodes, got 8191 at n=13"),
+    ], ids=["tails-reps", "oracle-depth"])
+    def test_refused_before_drawing(self, tmp_path, capsys, monkeypatch, argv, code, message):
+        from treeohm import model as model_module
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a tree before the refusal")
+
+        monkeypatch.setattr(model_module.RngStream, "uniforms", no_draws)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_oracle_depth_guard_counts_only_the_depths_drawn(self, tmp_path):
+        # 11 instances reach n = 2..12 only, so n = 13's 8191 nodes are never built
+        assert main(["oracle-check", "--n", "2..13", "--instances", "11",
+                     "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("table", [
         "n,mean_R,se_R\n2,1.5,abc\n",

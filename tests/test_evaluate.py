@@ -231,6 +231,32 @@ class TestAtomTable:
         resistance_fast(model, n, RngStream(3))
         assert seen == [route, False]
 
+    @pytest.mark.parametrize("dist, n, m, route", [
+        (WeightDistribution.two_point(0.5, 1.5), 14, 8, True),
+        (WeightDistribution.uniform(0.5, 1.5), 7, 600, False),
+    ], ids=["table-route", "float-route"])
+    def test_block_maps_its_rows_in_one_call(self, dist, n, m, route, monkeypatch):
+        from treeohm import evaluate
+
+        # blocks of 4 trees at n = 14 and of 516 at n = 7: two blocks each
+        model = TreeModel.regular(2, dist)
+        layout = evaluate._regular_layout(model, n)
+        assert (layout.table is not None) == route
+        shapes = []
+        transform = evaluate._transform
+
+        def spy(dist, u):
+            shapes.append(u.shape)
+            return transform(dist, u)
+
+        monkeypatch.setattr(evaluate, "_transform", spy)
+        got = evaluate._regular_replicates(model, n, 3, 0, m)
+        # one call per block, over every row the block gathers
+        assert [rows for rows, _ in shapes] == [len(layout.order)] * 2
+        assert sum(cols for _, cols in shapes) == m
+        for j in (0, m - 1):
+            assert got[j] == resistance_streaming(model, n, RngStream(3, j)).resistance
+
 
 class TestExplicitTrees:
     def test_small_shape(self, binary_twopoint_model):
