@@ -8,7 +8,9 @@ of them draw one uniform per edge in depth-first pre-order, in blocks, with
 children visited left to right, and combine children in conductance space,
 summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
-sorted by level, so each level is one contiguous left-to-right block.
+sorted by level, so each level is one contiguous left-to-right block.  An
+explicit tree sorts its levels; a full regular tree's order is computed
+level by level (_regular_order), with no sort.
 
 Regular replicates are evaluated in row-minor blocks: one (edges, columns)
 array per block, with tree i in column i, so that each level is a contiguous
@@ -28,6 +30,10 @@ subtree once per depth, and the kernel reads level n - h + 1 from it: the
 mask u < p, packed into bits, gives each subtree's E pre-order bits as its
 index.  Only the levels above are gathered, mapped and folded; the entries
 are the fold's own arithmetic on the same resistances, so the bits hold.
+On this route a tree of more than _BLOCK_UNIFORMS edges is drawn in pieces
+of that many uniforms into one reused buffer (_draw_pieces), each piece
+packed into the tree's bits and its gathered uniforms put in their rows,
+so a block's memory is bounded by the budget at any depth.
 """
 
 from __future__ import annotations
@@ -164,16 +170,23 @@ class SampledTree:
 # ---------------------------------------------------------------------------
 
 
+def _check_nodes(model: TreeModel, n: int) -> int:
+    """model.min_nodes(n), refused over MEMORY_GUARD before any layout or
+    draw; the caller has checked the depth (model.scales)."""
+    nodes = model.min_nodes(n)
+    if nodes > MEMORY_GUARD:
+        kind = "regular tree has" if model.shape == "regular" else "branching tree has at least"
+        raise GuardError(f"{kind} {nodes} nodes at n={n}, over the {MEMORY_GUARD}-node guard")
+    return nodes
+
+
 def _dfs_layout(beta: int, n_levels: int) -> np.ndarray:
     """Pre-order levels of the full beta-ary tree with n_levels edge levels,
     tiled in place from the bottom up: the last nodes in pre-order are the
     last subtree of each height, and a subtree is its root followed by beta
-    copies of its child's subtree.  _level_major gives its layout."""
+    copies of its child's subtree.  _level_major gives its layout; the
+    caller checks the size (_check_nodes)."""
     n = (beta**n_levels - 1) // (beta - 1)
-    if n > MEMORY_GUARD:
-        raise GuardError(
-            f"regular tree with {n} nodes exceeds the {MEMORY_GUARD}-node guard"
-        )
     level = np.empty(n, dtype=np.int64)
     size = 0  # node count of the subtree tiled so far, at the end of level
     for l in range(n_levels, 0, -1):
@@ -232,7 +245,9 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # draw budget of a block of regular replicates, in uniforms: a block holds
-# max(1, _BLOCK_UNIFORMS // edges) trees, one from n = 16 at beta 2
+# max(1, _BLOCK_UNIFORMS // edges) trees, and a table-route tree of more
+# edges draws in pieces of this many, so it bounds every table-route draw.
+# A multiple of 8, so that each piece packs into whole bytes
 _BLOCK_UNIFORMS = 2**16
 
 # trees of at most this many edges draw in lockstep (model.stream_block),
@@ -285,13 +300,37 @@ def _atom_table(dist: WeightDistribution, beta: int, scales: np.ndarray) -> np.n
     return table.copy()
 
 
+def _regular_order(beta: int, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-major order and offsets (see _level_major) of the top `levels`
+    levels of the full beta-ary tree with n edge levels, computed level by
+    level: level l holds beta**(l-1) nodes, and the children of the
+    pre-order node p at level l are p + 1 + i * size for i < beta, size
+    being the node count of a subtree rooted at level l + 1.  These are
+    the arrays _level_major(_dfs_layout(beta, n), n) gives, cut after level
+    `levels`, with no sort and no array over the levels below."""
+    offsets = np.concatenate(([0], np.cumsum(beta ** np.arange(levels))))
+    off = offsets.tolist()
+    order = np.zeros(off[-1], dtype=np.int64)
+    for l in range(1, levels):
+        size = (beta ** (n - l) - 1) // (beta - 1)
+        kids = order[off[l]:off[l + 1]].reshape(-1, beta)
+        np.add.outer(order[off[l - 1]:off[l]], 1 + size * np.arange(beta), out=kids)
+    return order, offsets
+
+
 @dataclass(frozen=True)
 class _Layout:
     """A depth's block layout (_regular_layout).  `order` and `offsets` are
     the level-major order and offsets of the levels the block gathers and
     folds; with a table, the last of them, level n - h + 1, is read from
     `table` at the subtrees whose pre-order roots r are given by their byte
-    r >> 3 and bit r & 7 in `byte` and `shift`, one row per root."""
+    r >> 3 and bit r & 7 in `byte` and `shift`, one row per root.
+
+    A table-route tree of more than _BLOCK_UNIFORMS edges is drawn in
+    pieces of _BLOCK_UNIFORMS uniforms: piece i holds pre-order positions
+    i * _BLOCK_UNIFORMS on, and the gathered uniforms it holds are
+    piece[at[a:b]], to be put in level-major rows slot[a:b], where a, b =
+    split[i], split[i + 1] (the gathered positions in increasing order)."""
 
     edges: int
     order: np.ndarray
@@ -300,28 +339,42 @@ class _Layout:
     table: np.ndarray | None = None
     byte: np.ndarray | None = None
     shift: np.ndarray | None = None
+    at: np.ndarray | None = None
+    slot: np.ndarray | None = None
+    split: list[int] | None = None
 
 
 def _regular_layout(model: TreeModel, n: int, table: bool = True) -> _Layout:
-    """The block layout of depth n, built after model.scales checks the
-    depth.  With `table`, a law with one or two atoms reads the bottom h =
-    _table_height(beta) levels from _atom_table when h >= 2 and n > h; only
-    the order of the top n - h levels is kept.  A lone tree passes
-    table=False: the table's build, about 0.8 ms at beta 2 and 3.8 ms at
-    beta 14, costs more than one whole tree below n = 14 (0.1 to 0.35 ms),
-    while the trees of a block range share it."""
+    """The block layout of depth n, computed (_regular_order) after
+    model.scales checks the depth and _check_nodes the size.  With `table`,
+    a law with one or two atoms reads the bottom h = _table_height(beta)
+    levels from _atom_table when h >= 2 and n > h; then only the top n - h
+    levels and the table roots at level n - h + 1 are built, and a tree of
+    more than _BLOCK_UNIFORMS edges gets its piece split.  A lone tree
+    passes table=False: the table's build, about 0.8 ms at beta 2 and 3.8
+    ms at beta 14, costs more than one whole tree below n = 14 (0.1 to
+    0.35 ms), while the trees of a block range share it."""
     beta = int(model.beta)
     scales = model.scales(n)
-    order, offsets = _level_major(_dfs_layout(beta, n), n)
-    edges = int(offsets[-1])
+    edges = _check_nodes(model, n)
     h = _table_height(beta)
     if not (table and 1 <= len(model.weights.atoms) <= 2 and 2 <= h < n):
-        return _Layout(edges, order, offsets, scales)
+        return _Layout(edges, *_regular_order(beta, n, n), scales)
     top = n - h
-    roots = order[offsets[top]:offsets[top + 1]]
-    return _Layout(edges, order[:offsets[top]].copy(), offsets[:top + 2], scales,
+    order, offsets = _regular_order(beta, n, top + 1)
+    roots = order[offsets[top]:]
+    order = order[:offsets[top]].copy()
+    at = slot = split = None
+    if edges > _BLOCK_UNIFORMS:
+        # each level of `order` is increasing, so the stable sort merges runs
+        slot = np.argsort(order, kind="stable")
+        position = order[slot]
+        split = np.searchsorted(position, np.arange(0, edges + _BLOCK_UNIFORMS,
+                                                    _BLOCK_UNIFORMS)).tolist()
+        at = position % _BLOCK_UNIFORMS
+    return _Layout(edges, order, offsets, scales,
                    _atom_table(model.weights, beta, scales[top:]), roots >> 3,
-                   (roots & 7).astype(np.uint8)[:, None])
+                   (roots & 7).astype(np.uint8)[:, None], at, slot, split)
 
 
 def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.ndarray,
@@ -332,26 +385,41 @@ def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.n
 
     The block is row-minor: the uniforms are gathered level-major along
     axis 0 into g, a (rows, cols) array with a row per node of the layout's
-    levels, so each level is a contiguous run of rows; one _transform call
-    maps them to weights and each level is scaled to resistances, in place,
-    and g is folded in place with `scratch`, at least as large as g, as the
-    fold's scratch.  scratch may hold `drawn` itself, which is spent once read.
+    levels, so each level is a contiguous run of rows.  With a table
+    (_regular_layout) the mask u < p is packed into bits along the edge
+    axis, little-endian, for the table read.  _fold_block does the rest,
+    with `scratch`, at least as large as g, as the fold's scratch.  scratch
+    may hold `drawn` itself, which is spent once read.
+    """
+    # every index is in range
+    np.take(drawn, layout.order, axis=0, out=g[:len(layout.order)], mode="clip")
+    bits = None
+    if layout.table is not None:
+        # bit j of row b is edge 8b + j; np.less keeps the layout of a
+        # transposed row-major draw, so its edges are packed where they lie
+        bits = np.packbits(np.less(drawn, model.weights.atoms[0][1]), axis=0,
+                           bitorder="little")
+    return _fold_block(model, layout, g, bits, scratch)
 
-    With a table (_regular_layout) the bottom level of g, n - h + 1, is read
-    from it instead: the mask u < p is packed into bits along the edge axis,
-    and the E bits from each root's pre-order position, read from a 24-bit
-    window at its byte, are its table index.  Every entry is
-    _fold's arithmetic on the resistances the select and scale give, lo * s
-    or hi * s, and the fold's columns are independent, so level n - h + 1
-    holds the bits the full fold would leave there.
+
+def _fold_block(model: TreeModel, layout: _Layout, g: np.ndarray, bits: np.ndarray | None,
+                scratch: np.ndarray) -> np.ndarray:
+    """Root resistances of the block whose gathered uniforms fill g's top
+    rows (one row per node above the table level), with `bits` the packed
+    mask u < p of its edges on the table route (None otherwise).
+
+    One _transform call maps the gathered uniforms to weights and each
+    level is scaled to resistances, in place, and g is folded in place with
+    `scratch`, at least as large as g.  With a table the bottom level of g,
+    n - h + 1, is read from it: the E bits from each root's pre-order
+    position, read from a 24-bit window at its byte, are its table index.
+    Every entry is _fold's arithmetic on the resistances the select and
+    scale give, lo * s or hi * s, and the fold's columns are independent,
+    so level n - h + 1 holds the bits the full fold would leave there.
     """
     order, offsets, table = layout.order, layout.offsets, layout.table
     top = len(order)
-    np.take(drawn, order, axis=0, out=g[:top], mode="clip")  # every index is in range
     if table is not None:
-        # bit j of row b is edge 8b + j; np.less keeps the layout of a
-        # transposed row-major draw, so its edges are packed where they lie
-        bits = np.packbits(np.less(drawn, model.weights.atoms[0][1]), axis=0, bitorder="little")
         # a window byte past the last one is clipped onto it; its bits lie
         # above the E kept, since a subtree's bits end by the last edge
         code = np.take(bits, layout.byte + 2, axis=0, mode="clip").astype(np.uint32)
@@ -369,24 +437,51 @@ def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.n
     return g[0]
 
 
+def _draw_pieces(model: TreeModel, layout: _Layout, rng: RngStream, u: np.ndarray,
+                 g: np.ndarray, bits: np.ndarray) -> None:
+    """Draw one table-route tree from rng in pieces of len(u) ==
+    _BLOCK_UNIFORMS uniforms, reusing u: each piece's mask u < p fills
+    whole bytes of `bits` (the piece size is a multiple of 8), and its
+    gathered uniforms go to their level-major rows of g (the layout's
+    piece split).  A draw split anywhere gives the same uniforms, so bits
+    and g hold what _regular_block takes from the whole draw."""
+    p, edges, split = model.weights.atoms[0][1], layout.edges, layout.split
+    for i, s in enumerate(range(0, edges, len(u))):
+        k = min(len(u), edges - s)
+        piece = rng.uniforms(k, out=u[:k])
+        bits[s >> 3:(s + k + 7) >> 3, 0] = np.packbits(np.less(piece, p), bitorder="little")
+        a, b = split[i], split[i + 1]
+        g[layout.slot[a:b], 0] = piece[layout.at[a:b]]
+
+
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
-    stream j), evaluated block by block in one pair of buffers, with one
-    layout and one set of level scales for the whole range.
+    stream j), evaluated block by block in reused buffers, with one layout
+    and one set of level scales for the whole range.
 
     This loop owns the draw: a block of trees of at most _LOCKSTEP_EDGES
     edges draws from one stream_block, already (edges, trees); deeper trees
     take their streams from one streams() range, each filling a row of a
-    (trees, edges) array that _regular_block reads transposed.  The spent
-    draws are the fold's scratch."""
+    (trees, edges) array that _regular_block reads transposed, and the spent
+    draws are the fold's scratch.  A table-route tree of more than
+    _BLOCK_UNIFORMS edges is a block of its own, drawn in pieces
+    (_draw_pieces) into one budget-sized buffer, so no buffer holds more
+    than _BLOCK_UNIFORMS uniforms; its fold's scratch is a rows-sized array."""
     layout = _regular_layout(model, n)
     edges, rows = layout.edges, int(layout.offsets[-1])
+    out = np.empty(j1 - j0, dtype=np.float64)
+    if layout.split is not None:
+        u, g, scratch = np.empty(_BLOCK_UNIFORMS), np.empty((rows, 1)), np.empty((rows, 1))
+        bits = np.empty(((edges + 7) // 8, 1), dtype=np.uint8)
+        for j, rng in enumerate(streams(master_seed, j0, j1)):
+            _draw_pieces(model, layout, rng, u, g, bits)
+            out[j] = _fold_block(model, layout, g, bits, scratch)[0]
+        return out
     cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
     buffers = np.empty(edges * cols), np.empty(rows * cols)
-    out = np.empty(j1 - j0, dtype=np.float64)
     chunk = None if edges <= _LOCKSTEP_EDGES else streams(master_seed, j0, j1)
     for b0 in range(j0, j1, cols):
         k = min(cols, j1 - b0)
@@ -418,7 +513,7 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
         raise ValidationError("streaming evaluation requires the regular shape")
     scales = model.scales(n)
     beta = int(model.beta)
-    edges = (beta**n - 1) // (beta - 1)
+    edges = model.min_nodes(n)
     weights = (x for b0 in range(0, edges, _BLOCK_UNIFORMS) for x in dist_sample_block(
         model.weights, rng, min(_BLOCK_UNIFORMS, edges - b0)).tolist())
 
@@ -462,6 +557,7 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     tree derives its resistances; model.scales is only the depth check.
     """
     model.scales(n)
+    _check_nodes(model, n)  # even the smallest possible tree, before drawing
     if model.shape == "regular":
         level = _dfs_layout(int(model.beta), n)
         weight = dist_sample_block(model.weights, rng, len(level))
@@ -470,12 +566,6 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
     n_levels = n + 1
-    # refuse before drawing when even the smallest possible tree is too big
-    kmin = min(k for k, p in model.offspring if p > 0.0)
-    smallest = sum(kmin**l for l in range(n_levels))
-    if smallest > MEMORY_GUARD:
-        raise GuardError(f"branching tree has at least {smallest} nodes, over the "
-                         f"{MEMORY_GUARD}-node guard")
     levels: list[int] = []
     blocks: list[np.ndarray] = []
     kids: list[int] = []  # the offspring count each drawn uniform would give

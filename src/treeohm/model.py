@@ -279,6 +279,17 @@ class TreeModel:
                              f"at depth {n} underflows the floor {_CONDUCTANCE_FLOOR:.3g}")
         return scales
 
+    def min_nodes(self, n: int) -> int:
+        """Node count of the smallest depth-n tree the model can give, the
+        size guards' one count: the full beta-ary tree for the regular
+        shape, and for the branching shape the tree whose every internal
+        node has the least offspring count with positive mass."""
+        if self.shape == "regular":
+            beta = int(self.beta)
+            return (beta**n - 1) // (beta - 1)
+        kmin = min(k for k, p in self.offspring if p > 0.0)
+        return sum(kmin**l for l in range(n + 1))
+
     # -- offspring helpers --------------------------------------------------
 
     def offspring_mean(self) -> float:

@@ -211,15 +211,16 @@ def oracle_gap_table(
 ) -> list[tuple[int, int, int, float, float, float]]:
     """Gap rows (instance, n, nodes, r_gap, theta_gap, voltage_gap) for
     `count` seeded instances of any tree shape, cycling through the depth
-    list.  A regular depth that an instance reaches and whose tree would
-    exceed ORACLE_GUARD nodes is refused before any tree is drawn; a
-    branching tree is checked as it is solved."""
-    if model.shape == "regular":
-        for n in ns[:count]:
-            model.scales(n)  # the level cap comes first and bounds beta**n
-            nodes = (model.beta**n - 1) // (model.beta - 1)
-            if nodes > ORACLE_GUARD:
-                raise GuardError(
-                    f"oracle handles at most {ORACLE_GUARD} nodes, got {nodes} at n={n}")
+    list.  A depth that an instance reaches and whose smallest possible tree
+    (TreeModel.min_nodes) exceeds ORACLE_GUARD nodes is refused before any
+    tree is drawn; a branching tree that grows past the guard is refused as
+    it is solved."""
+    for n in ns[:count]:
+        model.scales(n)  # the level cap comes first and bounds the count
+        nodes = model.min_nodes(n)
+        if nodes > ORACLE_GUARD:
+            least = "" if model.shape == "regular" else "at least "
+            raise GuardError(f"oracle handles at most {ORACLE_GUARD} nodes, got {least}"
+                             f"{nodes} at n={n}")
     records = map_trees(_oracle_record, model, ns, count, master_seed, workers)
     return [(i, ns[i % len(ns)], *rec) for i, rec in enumerate(records)]

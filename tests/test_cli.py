@@ -1082,7 +1082,10 @@ class TestExitCodes:
         (["tails", "--n", "12", "--reps", "99"], 2, "error: reps: tail estimation needs m >= 100"),
         (["oracle-check", "--n", "2..13", "--instances", "12"], 3,
          "guard: oracle handles at most 4096 nodes, got 8191 at n=13"),
-    ], ids=["tails-reps", "oracle-depth"])
+        (["oracle-check", "--model", "gw:2:1", "--n", "2..12", "--instances", "11",
+          "--dist", "const:1"], 3,
+         "guard: oracle handles at most 4096 nodes, got at least 8191 at n=12"),
+    ], ids=["tails-reps", "oracle-depth", "oracle-branching-depth"])
     def test_refused_before_drawing(self, tmp_path, capsys, monkeypatch, argv, code, message):
         from treeohm import model as model_module
 

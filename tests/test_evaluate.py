@@ -64,6 +64,45 @@ class TestRegularEvaluation:
             kids = order[want[l - 1]:want[l], None] + 1 + size * np.arange(beta)
             assert np.array_equal(order[want[l]:want[l + 1]], kids.ravel())
 
+    @pytest.mark.parametrize("beta, n", [(beta, n) for beta, h in ((2, 4), (3, 3), (4, 2),
+                                                                   (5, 2), (14, 2))
+                                         for n in range(1, h + 4)])
+    def test_computed_layout_is_the_level_sort(self, beta, n, monkeypatch):
+        from treeohm import evaluate
+
+        piece = 16
+        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", piece)
+        h = evaluate._table_height(beta)
+        edges = (beta**n - 1) // (beta - 1)
+        order, offsets = evaluate._level_major(evaluate._dfs_layout(beta, n), n)
+        for dist, route in ((WeightDistribution.two_point(0.5, 1.5), n > h),
+                            (WeightDistribution.uniform(0.5, 1.5), False)):
+            layout = evaluate._regular_layout(TreeModel.regular(beta, dist), n)
+            assert layout.edges == edges and (layout.table is not None) == route
+            top = n - h if route else n
+            assert layout.offsets.dtype == offsets.dtype
+            assert np.array_equal(layout.offsets, offsets[:top + 1 + route])
+            assert layout.order.dtype == order.dtype
+            assert np.array_equal(layout.order, order[:offsets[top]])
+            if not route:
+                assert layout.byte is layout.split is None
+                continue
+            roots = order[offsets[top]:offsets[top + 1]]
+            assert np.array_equal(layout.byte, roots >> 3)
+            assert layout.shift.dtype == np.uint8
+            assert np.array_equal(layout.shift, (roots & 7)[:, None])
+            # the piece split: gathered positions in increasing order, cut
+            # at the multiples of the piece size
+            assert (layout.split is not None) == (edges > piece)
+            if layout.split is not None:
+                position = layout.order[layout.slot]
+                assert np.all(np.diff(position) > 0)
+                assert np.array_equal(layout.at, position % piece)
+                split = layout.split
+                assert len(split) == -(-edges // piece) + 1 and split[-1] == len(position)
+                for i in range(len(split) - 1):
+                    assert np.all(position[split[i]:split[i + 1]] // piece == i)
+
     @pytest.mark.parametrize("beta", [2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layout_levels_and_parents_are_the_tiled_ones(self, beta, n):
@@ -121,6 +160,7 @@ class TestRegularEvaluation:
             raise AssertionError("layout built before the depth check")
 
         monkeypatch.setattr(treeohm.evaluate, "_dfs_layout", no_layout)
+        monkeypatch.setattr(treeohm.evaluate, "_regular_order", no_layout)
         dist = WeightDistribution.uniform(0.5, 1.5)
         if branching:  # gw:2:1, whose depth n has n + 1 edge levels
             model, n = TreeModel.galton_watson([(2, 1.0)], dist), 60
@@ -196,6 +236,43 @@ class TestAtomTable:
                         for j in range(5, 12)]
                 assert evaluate._regular_replicates(model, n, 9, 5, 12).tolist() == want
                 assert resistance_fast(model, n, RngStream(9, 5)).resistance == want[0]
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    @pytest.mark.parametrize("beta, n, piece", [(2, 7, 40), (3, 5, 32), (4, 4, 24), (5, 4, 48)])
+    def test_pieces_match_streaming(self, beta, n, piece, law, monkeypatch):
+        from treeohm import evaluate
+
+        # a tree spans 3 or more pieces and ends in a partial one
+        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", piece)
+        edges = (beta**n - 1) // (beta - 1)
+        assert edges > 2 * piece and edges % piece
+        for lam in (None, 0.8, 2.7):
+            model = TreeModel.regular(beta, self._LAWS[law], lam=lam)
+            assert evaluate._regular_layout(model, n).split is not None
+            want = [resistance_streaming(model, n, RngStream(9, j)).resistance
+                    for j in range(5, 9)]
+            assert evaluate._regular_replicates(model, n, 9, 5, 9).tolist() == want
+
+    def test_block_budget_fills_whole_bytes(self):
+        from treeohm.evaluate import _BLOCK_UNIFORMS
+
+        assert _BLOCK_UNIFORMS % 8 == 0
+
+    def test_deep_tree_memory_is_bounded_by_the_block_budget(self):
+        import tracemalloc
+
+        from treeohm.evaluate import _regular_replicates
+
+        # reg:2 n = 18 has 262143 edges, 2 MiB of uniforms, drawn in pieces
+        model = TreeModel.regular(2, WeightDistribution.two_point(0.5, 1.5))
+        _regular_replicates(model, 18, 1, 0, 1)  # the first range loads numpy.random
+        tracemalloc.start()
+        try:
+            _regular_replicates(model, 18, 1, 0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("beta, law, n, route", [
         (2, "twopoint-p0.5", 5, True), (2, "twopoint-p0.5", 6, True),
