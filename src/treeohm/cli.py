@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -576,7 +576,10 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it as it was, so each main() call reuses it."""
     parser = argparse.ArgumentParser(
         prog="treeohm",
         description="Random electrical networks on trees: exact evaluation and "

@@ -12,28 +12,34 @@ sorted by level, so each level is one contiguous left-to-right block.  An
 explicit tree sorts its levels; a full regular tree's order is computed
 level by level (_regular_order), with no sort.
 
-Regular replicates are evaluated in row-minor blocks: one (edges, columns)
-array per block, with tree i in column i, so that each level is a contiguous
-run of rows.  The caller draws each block: the replicate loop
-(_regular_replicates) draws trees of up to _LOCKSTEP_EDGES edges in
-lockstep, already in that shape (model.stream_block), and deeper trees from
-one Generator per stream; resistance_fast draws its tree as one column.  One
-kernel (_regular_block) then gathers the uniforms level-major along axis 0,
-maps them to weights in one call, scales each level and folds, all in place.
-Each column takes the same arithmetic as a lone tree, so resistance_fast,
-the one-column case, and every column of a block give the same bits.
+Regular replicates are evaluated in row-minor blocks: one (rows, columns)
+fold array per block, with tree i in column i, so that each level is a
+contiguous run of rows.  The replicate loop (_regular_replicates) draws
+trees of up to _LOCKSTEP_EDGES edges in lockstep, already as (edges,
+columns) (model.stream_block), and one kernel (_regular_block) gathers the
+uniforms level-major along axis 0, maps them to weights in one call, scales
+each level and folds, all in place; resistance_fast draws its tree as one
+column.  Deeper trees draw from one Generator per stream, each into a row
+of a (trees, edges) block (_drawn_replicates): a tree's top uniforms are
+gathered along its row, and one transposing copy makes the fold array.  A
+block of fewer than _ACC_TREES trees folds only up to a cut level and leaves
+the narrow levels above to one accumulator of _ACC_TREES trees, folded when
+it fills and when the range ends.  Each column takes the same arithmetic as
+a lone tree, so resistance_fast, the one-column case, and every column of
+a block give the same bits.
 
 A law with one or two atoms takes a table route on trees deeper than the
 table height h (_table_height: the largest height whose subtree of E edges
 fits _TABLE_BITS).  _atom_table folds every atom pattern of a height-h
 subtree once per depth, and the kernel reads level n - h + 1 from it: the
-mask u < p, packed into bits, gives each subtree's E pre-order bits as its
-index.  Only the levels above are gathered, mapped and folded; the entries
-are the fold's own arithmetic on the same resistances, so the bits hold.
-On this route a tree of more than _BLOCK_UNIFORMS edges is drawn in pieces
-of that many uniforms into one reused buffer (_draw_pieces), each piece
-packed into the tree's bits and its gathered uniforms put in their rows,
-so a block's memory is bounded by the budget at any depth.
+mask u < p, packed into bits along each tree, gives each subtree's E
+pre-order bits as its index (_table_codes).  Only the levels above are
+gathered, mapped and folded; the entries are the fold's own arithmetic on
+the same resistances, so the bits hold.  On this route a tree of more than
+_BLOCK_UNIFORMS edges is drawn in pieces of that many uniforms into one
+reused buffer (_draw_pieces), each piece packed into the tree's bits and
+its gathered uniforms put in their places, so a block's memory is bounded
+by the budget at any depth.
 """
 
 from __future__ import annotations
@@ -247,8 +253,13 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # draw budget of a block of regular replicates, in uniforms: a block holds
 # max(1, _BLOCK_UNIFORMS // edges) trees, and a table-route tree of more
 # edges draws in pieces of this many, so it bounds every table-route draw.
-# A multiple of 8, so that each piece packs into whole bytes
+# A multiple of 8, so that each piece packs into whole bytes.  It also sizes
+# the accumulator of narrow top levels (_acc_levels): a Generator block of
+# fewer than _ACC_TREES trees folds only its wide levels, and the top
+# _acc_levels(beta) levels of _ACC_TREES trees are folded together, in a
+# quarter of the budget, with the spent draw buffer as the fold's scratch
 _BLOCK_UNIFORMS = 2**16
+_ACC_TREES = _BLOCK_UNIFORMS // 2**11
 
 # trees of at most this many edges draw in lockstep (model.stream_block),
 # deeper ones from a Generator per stream.  A lockstep block costs array
@@ -259,18 +270,34 @@ _LOCKSTEP_EDGES = 63
 
 
 # an atom law's block reads each subtree of height _table_height(beta) from a
-# table of its 2**E root resistances, E its edge count, one per atom pattern
+# table of its 2**E root resistances, E its edge count, one per atom pattern,
+# built _TABLE_CHUNK entries at a time
 _TABLE_BITS = 15
+_TABLE_CHUNK = 2**12
+
+
+def _levels_within(beta: int, nodes: int) -> int:
+    """The largest h >= 1 whose top h levels, (beta**h - 1) / (beta - 1)
+    nodes, number at most `nodes` (1 if none fit)."""
+    h = 1
+    while (beta ** (h + 1) - 1) // (beta - 1) <= nodes:
+        h += 1
+    return h
 
 
 def _table_height(beta: int) -> int:
     """The largest height h whose subtree of (beta**h - 1) / (beta - 1)
     edges fits _TABLE_BITS: 4 at beta 2, 3 at beta 3, 2 at beta 4..14 and
     1 above, where no table is read."""
-    h = 1
-    while (beta ** (h + 1) - 1) // (beta - 1) <= _TABLE_BITS:
-        h += 1
-    return h
+    return _levels_within(beta, _TABLE_BITS)
+
+
+def _acc_levels(beta: int) -> int:
+    """c + 1, the levels a tree puts into the accumulator: the top c levels
+    and level c + 1's subtree resistances, at most
+    _BLOCK_UNIFORMS // (4 * _ACC_TREES) nodes, so that _ACC_TREES trees
+    fill a quarter of the block budget: 9 at beta 2, 6 at beta 3."""
+    return _levels_within(beta, _BLOCK_UNIFORMS // (4 * _ACC_TREES))
 
 
 def _atom_table(dist: WeightDistribution, beta: int, scales: np.ndarray) -> np.ndarray:
@@ -280,24 +307,31 @@ def _atom_table(dist: WeightDistribution, beta: int, scales: np.ndarray) -> np.n
     where pre-order position j takes the first atom (u < p in _transform).
 
     The table is _fold's own arithmetic, one level at a time from the
-    leaves up: a (1 + beta, 2 * M**beta) block, M the child table's size,
-    holds the level's two resistances in row 0 (index bit 0) and child i's
-    table entry in row 1 + i (index bits 1 + i*log2(M) on, log2(M) of
-    them), so every combination is folded once.
+    leaves up, _TABLE_CHUNK entries at a time: a (1 + beta, chunk) block
+    holds the level's resistance in row 0 (lo * s where index bit 0 is set,
+    hi * s elsewhere) and child i's table entry in row 1 + i (index bits
+    1 + i*log2(M) on, log2(M) of them, M the child table's size), so every
+    combination is folded once, and besides the tables the build holds
+    only a block and its scratch.
     """
     (lo, _), (hi, _) = dist.atoms[0], dist.atoms[-1]
     offsets = np.array([0, 1, 1 + beta])
     table = np.array([hi * scales[-1], lo * scales[-1]])
     for s in scales[-2::-1]:
-        m = len(table)
-        block = np.empty((1 + beta, 2 * m**beta))
-        block[0, ::2], block[0, 1::2] = hi * s, lo * s
-        for i in range(beta):
-            block[1 + i].reshape(-1, 2 * m ** (i + 1))[:] = np.repeat(table, 2 * m**i)
-        scratch = np.empty_like(block)
-        _fold(block, offsets, beta, scratch, scratch)
-        table = block[0]
-    return table.copy()
+        bits = len(table).bit_length() - 1
+        size = 2 << (beta * bits)
+        entries = np.empty(size)
+        for c0 in range(0, size, _TABLE_CHUNK):
+            code = np.arange(c0, min(c0 + _TABLE_CHUNK, size))
+            block = np.empty((1 + beta, len(code)))
+            block[0] = np.where(code & 1, lo * s, hi * s)
+            for i in range(beta):
+                np.take(table, (code >> (1 + i * bits)) & (len(table) - 1), out=block[1 + i])
+            scratch = np.empty_like(block)
+            _fold(block, offsets, beta, scratch, scratch)
+            entries[c0:c0 + len(code)] = block[0]
+        table = entries
+    return table
 
 
 def _regular_order(beta: int, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +358,7 @@ class _Layout:
     the level-major order and offsets of the levels the block gathers and
     folds; with a table, the last of them, level n - h + 1, is read from
     `table` at the subtrees whose pre-order roots r are given by their byte
-    r >> 3 and bit r & 7 in `byte` and `shift`, one row per root.
+    r >> 3 and bit r & 7 in `byte` and `shift`, one entry per root.
 
     A table-route tree of more than _BLOCK_UNIFORMS edges is drawn in
     pieces of _BLOCK_UNIFORMS uniforms: piece i holds pre-order positions
@@ -374,66 +408,69 @@ def _regular_layout(model: TreeModel, n: int, table: bool = True) -> _Layout:
         at = position % _BLOCK_UNIFORMS
     return _Layout(edges, order, offsets, scales,
                    _atom_table(model.weights, beta, scales[top:]), roots >> 3,
-                   (roots & 7).astype(np.uint8)[:, None], at, slot, split)
+                   (roots & 7).astype(np.uint8), at, slot, split)
+
+
+def _table_codes(layout: _Layout, bits: np.ndarray) -> np.ndarray:
+    """The (trees, roots) table indices of the trees whose masks u < p are
+    the rows of `bits`, a C-contiguous uint8 array: each row a tree's mask
+    packed little-endian (bit j of byte b is edge 8b + j), then 3 spare
+    bytes.  A root's index is the E bits from its pre-order position, read
+    from the 32-bit little-endian window at its byte; the spare bytes keep
+    every window in the row, and the bits they give lie above the E kept,
+    since a subtree's bits end by the tree's last edge."""
+    trees, width = bits.shape
+    window = np.ndarray((trees, width - 3), dtype="<u4", buffer=bits, strides=(width, 1))
+    code = np.take(window, layout.byte, axis=1)
+    code >>= layout.shift
+    code &= len(layout.table) - 1
+    return code
+
+
+def _scale_fold(g: np.ndarray, offsets: np.ndarray, scales: np.ndarray, beta: int,
+                scratch: np.ndarray) -> None:
+    """Multiply level l + 1 of g (rows offsets[l]:offsets[l + 1]) by
+    scales[l], for each scale given, then _fold g in place with `scratch`,
+    shaped like g, as its scratch: g's first level then holds its subtree
+    resistances."""
+    off = offsets.tolist()
+    for l, s in enumerate(scales.tolist()):
+        level = g[off[l]:off[l + 1]]
+        np.multiply(level, s, out=level)
+    _fold(g, offsets, beta, scratch, scratch)
 
 
 def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.ndarray,
                    scratch: np.ndarray) -> np.ndarray:
     """Root resistances of the regular trees whose pre-order uniforms are the
-    columns of `drawn`, an (edges, cols) array or view; the caller draws
-    them and validates the model and depth.
+    columns of `drawn`, an (edges, cols) array; the caller draws them and
+    validates the model and depth.  This is the kernel of lockstep blocks
+    and of resistance_fast; Generator blocks run _drawn_replicates.
 
     The block is row-minor: the uniforms are gathered level-major along
     axis 0 into g, a (rows, cols) array with a row per node of the layout's
     levels, so each level is a contiguous run of rows.  With a table
     (_regular_layout) the mask u < p is packed into bits along the edge
-    axis, little-endian, for the table read.  _fold_block does the rest,
-    with `scratch`, at least as large as g, as the fold's scratch.  scratch
-    may hold `drawn` itself, which is spent once read.
-    """
-    # every index is in range
-    np.take(drawn, layout.order, axis=0, out=g[:len(layout.order)], mode="clip")
-    bits = None
-    if layout.table is not None:
-        # bit j of row b is edge 8b + j; np.less keeps the layout of a
-        # transposed row-major draw, so its edges are packed where they lie
-        bits = np.packbits(np.less(drawn, model.weights.atoms[0][1]), axis=0,
-                           bitorder="little")
-    return _fold_block(model, layout, g, bits, scratch)
-
-
-def _fold_block(model: TreeModel, layout: _Layout, g: np.ndarray, bits: np.ndarray | None,
-                scratch: np.ndarray) -> np.ndarray:
-    """Root resistances of the block whose gathered uniforms fill g's top
-    rows (one row per node above the table level), with `bits` the packed
-    mask u < p of its edges on the table route (None otherwise).
-
-    One _transform call maps the gathered uniforms to weights and each
-    level is scaled to resistances, in place, and g is folded in place with
-    `scratch`, at least as large as g.  With a table the bottom level of g,
-    n - h + 1, is read from it: the E bits from each root's pre-order
-    position, read from a 24-bit window at its byte, are its table index.
-    Every entry is _fold's arithmetic on the resistances the select and
-    scale give, lo * s or hi * s, and the fold's columns are independent,
-    so level n - h + 1 holds the bits the full fold would leave there.
+    axis and level n - h + 1 is read from it (_table_codes): every entry is
+    _fold's arithmetic on the resistances the select and scale give, lo * s
+    or hi * s, and the fold's columns are independent, so that level holds
+    the bits the full fold would leave there.  One _transform call maps the
+    gathered uniforms to weights, and _scale_fold scales and folds g in
+    place with `scratch`, at least as large as g.  scratch may hold `drawn`
+    itself, which is spent once read.
     """
     order, offsets, table = layout.order, layout.offsets, layout.table
     top = len(order)
+    # every index is in range
+    np.take(drawn, order, axis=0, out=g[:top], mode="clip")
     if table is not None:
-        # a window byte past the last one is clipped onto it; its bits lie
-        # above the E kept, since a subtree's bits end by the last edge
-        code = np.take(bits, layout.byte + 2, axis=0, mode="clip").astype(np.uint32)
-        for j in (1, 0):
-            code <<= 8
-            code |= np.take(bits, layout.byte + j, axis=0, mode="clip")
-        code >>= layout.shift
-        code &= len(table) - 1
-        np.take(table, code, out=g[top:offsets[-1]], mode="clip")
+        bits = np.zeros((drawn.shape[1], (len(drawn) + 7) // 8 + 3), dtype=np.uint8)
+        bits[:, :-3] = np.packbits(np.less(drawn.T, model.weights.atoms[0][1]), axis=1,
+                                   bitorder="little")
+        np.take(table, _table_codes(layout, bits).T, out=g[top:offsets[-1]], mode="clip")
     _transform(model.weights, g[:top])
-    for l in range(1, len(offsets) - (table is not None)):
-        level = g[offsets[l - 1]:offsets[l]]
-        np.multiply(level, layout.scales[l - 1], out=level)
-    _fold(g, offsets, int(model.beta), scratch, scratch)
+    _scale_fold(g, offsets, layout.scales[:len(offsets) - 1 - (table is not None)],
+                int(model.beta), scratch)
     return g[0]
 
 
@@ -442,16 +479,109 @@ def _draw_pieces(model: TreeModel, layout: _Layout, rng: RngStream, u: np.ndarra
     """Draw one table-route tree from rng in pieces of len(u) ==
     _BLOCK_UNIFORMS uniforms, reusing u: each piece's mask u < p fills
     whole bytes of `bits` (the piece size is a multiple of 8), and its
-    gathered uniforms go to their level-major rows of g (the layout's
+    gathered uniforms go to their level-major places in g (the layout's
     piece split).  A draw split anywhere gives the same uniforms, so bits
-    and g hold what _regular_block takes from the whole draw."""
+    and g hold what the whole draw would give."""
     p, edges, split = model.weights.atoms[0][1], layout.edges, layout.split
     for i, s in enumerate(range(0, edges, len(u))):
         k = min(len(u), edges - s)
         piece = rng.uniforms(k, out=u[:k])
-        bits[s >> 3:(s + k + 7) >> 3, 0] = np.packbits(np.less(piece, p), bitorder="little")
+        bits[s >> 3:(s + k + 7) >> 3] = np.packbits(np.less(piece, p), bitorder="little")
         a, b = split[i], split[i + 1]
-        g[layout.slot[a:b], 0] = piece[layout.at[a:b]]
+        g[layout.slot[a:b]] = piece[layout.at[a:b]]
+
+
+def _drawn_replicates(model: TreeModel, layout: _Layout, master_seed: int, j0: int,
+                      j1: int) -> np.ndarray:
+    """Root resistances of replicates j0..j1-1 of trees of more than
+    _LOCKSTEP_EDGES edges, each drawn from its own stream of one streams()
+    range, in blocks of max(1, _BLOCK_UNIFORMS // edges) trees.
+
+    A block's trees are the rows of a (trees, edges) draw.  Each row's top
+    uniforms are gathered along it and, on the table route, its mask u < p
+    is packed along it; a table-route tree of more than _BLOCK_UNIFORMS
+    edges is a block of its own, drawn in pieces (_draw_pieces).  One
+    transposing copy puts the gathered rows into the spent draw buffer as
+    the row-minor (rows, trees) fold array, and the table level is read
+    into it from the rows' window codes.  A one-tree block needs no copy.
+
+    A block of fewer than _ACC_TREES trees is folded from its bottom only
+    up to the cut level, the lower of _acc_levels(beta) and its last level:
+    the cut level's subtree resistances and the weights above it go into
+    one accumulator of _ACC_TREES trees, which is scaled and folded when the
+    next block does not fit and when the range ends.  Its top levels' calls
+    are then paid once per _ACC_TREES trees.  Folding a tree in two parts
+    keeps its bits: _fold's columns are independent, each level's scale is
+    its own multiply and _transform is elementwise.
+
+    Two buffers, a draw buffer and a gather buffer, serve every block, one
+    holding the fold array and the other its scratch, so that no buffer
+    holds more than the budget's uniforms (or one tree's edges, or its
+    rows, past it); the accumulator takes a quarter of the budget.
+    """
+    beta, order, offsets, table = int(model.beta), layout.order, layout.offsets, layout.table
+    edges, top, rows, off = layout.edges, len(order), int(offsets[-1]), offsets.tolist()
+    pieces = layout.split is not None
+    cols = 1 if pieces else max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
+    # two arrays rather than one of twice the size: the allocator can then
+    # reuse the previous depth's freed blocks, which kept the peak RSS of a
+    # sweep over n = 14..18 3 MiB lower
+    ubuf = np.empty(max(_BLOCK_UNIFORMS, rows) if pieces else edges * cols)
+    gbuf = np.empty(rows * cols)
+    nbytes = (edges + 7) // 8
+    bits = None if table is None else np.zeros((cols, nbytes + 3), dtype=np.uint8)
+    cut = min(_acc_levels(beta), len(off) - 1) if cols < _ACC_TREES else 1
+    acc = np.empty((off[cut], min(_ACC_TREES, j1 - j0))) if cut > 1 else None
+    below = offsets[cut - 1:] - off[cut - 1]
+    scales = layout.scales[cut - 1:len(off) - 1 - (table is not None)]
+    out = np.empty(j1 - j0, dtype=np.float64)
+    w = 0  # trees in the accumulator
+
+    def flush(end: int) -> None:
+        # the w trees before replicate j0 + end; between blocks the draw
+        # buffer is spent, and it holds at least the accumulator's values
+        a = acc[:, :w]
+        _scale_fold(a, offsets[:cut + 1], layout.scales[:cut - 1], beta,
+                    ubuf[:a.size].reshape(a.shape))
+        out[end - w:end] = a[0]
+
+    chunk = streams(master_seed, j0, j1)
+    for b0 in range(j0, j1, cols):
+        k = min(cols, j1 - b0)
+        if acc is not None and w + k > acc.shape[1]:
+            flush(b0 - j0)
+            w = 0
+        gathered = gbuf[:k * top].reshape(k, top)
+        if pieces:
+            _draw_pieces(model, layout, next(chunk), ubuf[:_BLOCK_UNIFORMS], gathered[0],
+                         bits[0])
+        else:
+            draws = ubuf[:k * edges].reshape(k, edges)
+            for rng, row in zip(islice(chunk, k), draws):
+                rng.uniforms(edges, out=row)
+            # every index is in range
+            np.take(draws, order, axis=1, out=gathered, mode="clip")
+            if table is not None:
+                bits[:k, :nbytes] = np.packbits(np.less(draws, model.weights.atoms[0][1]),
+                                                axis=1, bitorder="little")
+        if k == 1:
+            g, scratch = gbuf[:rows].reshape(rows, 1), ubuf
+        else:
+            g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
+            g[:top] = gathered.T
+        if table is not None:
+            np.take(table, _table_codes(layout, bits[:k]).T, out=g[top:], mode="clip")
+        _transform(model.weights, g[:top])
+        sub = g[off[cut - 1]:]
+        _scale_fold(sub, below, scales, beta, scratch[:sub.size].reshape(sub.shape))
+        if acc is None:
+            out[b0 - j0:b0 - j0 + k] = g[0]
+        else:
+            acc[:, w:w + k] = g[:off[cut]]
+            w += k
+    if acc is not None:
+        flush(j1 - j0)
+    return out
 
 
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
@@ -460,39 +590,20 @@ def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1:
     and one set of level scales for the whole range.
 
     This loop owns the draw: a block of trees of at most _LOCKSTEP_EDGES
-    edges draws from one stream_block, already (edges, trees); deeper trees
-    take their streams from one streams() range, each filling a row of a
-    (trees, edges) array that _regular_block reads transposed, and the spent
-    draws are the fold's scratch.  A table-route tree of more than
-    _BLOCK_UNIFORMS edges is a block of its own, drawn in pieces
-    (_draw_pieces) into one budget-sized buffer, so no buffer holds more
-    than _BLOCK_UNIFORMS uniforms; its fold's scratch is a rows-sized array."""
+    edges draws from one stream_block, already (edges, trees), and
+    _regular_block folds it with the spent draws as its scratch; deeper
+    trees take their streams from one streams() range (_drawn_replicates)."""
     layout = _regular_layout(model, n)
     edges, rows = layout.edges, int(layout.offsets[-1])
+    if edges > _LOCKSTEP_EDGES:
+        return _drawn_replicates(model, layout, master_seed, j0, j1)
     out = np.empty(j1 - j0, dtype=np.float64)
-    if layout.split is not None:
-        u, g, scratch = np.empty(_BLOCK_UNIFORMS), np.empty((rows, 1)), np.empty((rows, 1))
-        bits = np.empty(((edges + 7) // 8, 1), dtype=np.uint8)
-        for j, rng in enumerate(streams(master_seed, j0, j1)):
-            _draw_pieces(model, layout, rng, u, g, bits)
-            out[j] = _fold_block(model, layout, g, bits, scratch)[0]
-        return out
     cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
-    # two arrays rather than one of twice the size: the allocator can then
-    # reuse the previous depth's freed blocks, which kept the peak RSS of a
-    # sweep over n = 14..18 3 MiB lower
     buffers = np.empty(edges * cols), np.empty(rows * cols)
-    chunk = None if edges <= _LOCKSTEP_EDGES else streams(master_seed, j0, j1)
     for b0 in range(j0, j1, cols):
         k = min(cols, j1 - b0)
         u, g = buffers[0][:edges * k].reshape(edges, k), buffers[1][:rows * k].reshape(rows, k)
-        if chunk is None:
-            drawn = stream_block(master_seed, b0, b0 + k).uniforms(edges, out=u)
-        else:
-            draws = u.reshape(k, edges)
-            for rng, row in zip(islice(chunk, k), draws):
-                rng.uniforms(edges, out=row)
-            drawn = draws.T
+        drawn = stream_block(master_seed, b0, b0 + k).uniforms(edges, out=u)
         out[b0 - j0:b0 - j0 + k] = _regular_block(model, layout, drawn, g, u)
     return out
 

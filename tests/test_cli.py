@@ -1154,3 +1154,50 @@ def test_import_leaves_numpy_random_unloaded():
 def test_import_leaves_the_process_pool_unloaded():
     # only a pooled _chunked call imports the pool and multiprocessing
     assert not _loaded_by_import("multiprocessing")
+
+
+def _module_run(args, cwd=None):
+    """`python -m treeohm ARGS` in a fresh process on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "treeohm", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+class TestEntryPoints:
+    _SAMPLE = ["sample", "--model", "reg:2", "--n", "7", "--dist", "twopoint:0.5,1.5",
+               "--reps", "40", "--seed", "5"]
+    _SWEEP = ["sweep", "--model", "reg:3", "--n", "2..5", "--dist", "unif:0.5,1.5",
+              "--reps", "30", "--seed", "2"]
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        done = _module_run([*self._SAMPLE, "--out", str(tmp_path / "ok")])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(tmp_path / "ok" / "samples.csv")
+        done = _module_run([*self._SAMPLE, "--workers", "0", "--out", str(tmp_path / "bad")])
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert not (tmp_path / "bad").exists()
+
+    def test_main_reuses_one_parser_across_calls(self, tmp_path, capsys):
+        # in one process: a run, a refused value, an unknown flag, another
+        # subcommand; each artifact is the one a fresh process writes
+        assert cli._build_parser() is cli._build_parser()
+        assert main([*self._SAMPLE, "--out", str(tmp_path / "same" / "sample")]) == 0
+        assert main([*self._SAMPLE, "--reps", "0", "--out", str(tmp_path / "same" / "x")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main([*self._SWEEP, "--bogus", "1", "--out", str(tmp_path / "same" / "y")])
+        assert exc.value.code == 2
+        assert main([*self._SWEEP, "--out", str(tmp_path / "same" / "sweep")]) == 0
+        capsys.readouterr()
+        for name, args in (("sample", self._SAMPLE), ("sweep", self._SWEEP)):
+            done = _module_run([*args, "--out", str(tmp_path / "fresh" / name)])
+            assert done.returncode == 0, done.stderr
+        same, fresh = _tree_bytes(tmp_path / "same"), _tree_bytes(tmp_path / "fresh")
+        assert sorted(same) == ["sample/samples.csv", "sweep/sweep.csv"]
+        assert same == fresh

@@ -90,7 +90,7 @@ class TestRegularEvaluation:
             roots = order[offsets[top]:offsets[top + 1]]
             assert np.array_equal(layout.byte, roots >> 3)
             assert layout.shift.dtype == np.uint8
-            assert np.array_equal(layout.shift, (roots & 7)[:, None])
+            assert np.array_equal(layout.shift, roots & 7)
             # the piece split: gathered positions in increasing order, cut
             # at the multiples of the piece size
             assert (layout.split is not None) == (edges > piece)
@@ -274,6 +274,24 @@ class TestAtomTable:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
+    def test_generator_block_memory_is_bounded(self):
+        import tracemalloc
+
+        from treeohm.evaluate import _regular_replicates
+
+        # reg:2 n = 15 draws blocks of 2 trees of 32767 edges: 512 KiB of
+        # uniforms, the 256 KiB atom table and the 128 KiB accumulator of
+        # narrow top levels.  Building the table in one piece took 1.80 MiB
+        model = TreeModel.regular(2, WeightDistribution.two_point(0.5, 1.5))
+        _regular_replicates(model, 15, 1, 0, 1)  # the first range loads numpy.random
+        tracemalloc.start()
+        try:
+            _regular_replicates(model, 15, 1, 0, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     @pytest.mark.parametrize("beta, law, n, route", [
         (2, "twopoint-p0.5", 5, True), (2, "twopoint-p0.5", 6, True),
         (2, "twopoint-p0.5", 7, True), (2, "twopoint-p0.5", 14, True),
@@ -294,45 +312,134 @@ class TestAtomTable:
         top = n - h if route else n
         assert len(layout.offsets) == top + 1 + route
         assert len(layout.order) == layout.offsets[top] == (beta**top - 1) // (beta - 1)
-        # the replicate loop takes the layout that says so; a lone tree
-        # cannot pay for a table and keeps the float path
-        seen = []
-        block = evaluate._regular_block
+        # the replicate loop takes the layout that says so and reads its
+        # table; a lone tree cannot pay for a table and keeps the float path
+        seen, reads = [], []
+        layout_of, codes_of = evaluate._regular_layout, evaluate._table_codes
 
-        def spy(model, layout, *args):
+        def layout_spy(model, n, table=True):
+            layout = layout_of(model, n, table)
             seen.append(layout.table is not None)
-            return block(model, layout, *args)
+            return layout
 
-        monkeypatch.setattr(evaluate, "_regular_block", spy)
-        evaluate._regular_replicates(model, n, 3, 0, 2)
-        resistance_fast(model, n, RngStream(3))
+        def codes_spy(layout, bits):
+            reads.append(len(seen))
+            return codes_of(layout, bits)
+
+        monkeypatch.setattr(evaluate, "_regular_layout", layout_spy)
+        monkeypatch.setattr(evaluate, "_table_codes", codes_spy)
+        got = evaluate._regular_replicates(model, n, 3, 0, 2)
+        fast = resistance_fast(model, n, RngStream(3)).resistance
         assert seen == [route, False]
+        assert bool(reads) == route and set(reads) <= {1}
+        assert got[0] == fast == resistance_streaming(model, n, RngStream(3)).resistance
 
-    @pytest.mark.parametrize("dist, n, m, route", [
-        (WeightDistribution.two_point(0.5, 1.5), 14, 8, True),
-        (WeightDistribution.uniform(0.5, 1.5), 7, 600, False),
-    ], ids=["table-route", "float-route"])
-    def test_block_maps_its_rows_in_one_call(self, dist, n, m, route, monkeypatch):
+    @pytest.mark.parametrize("dist, n, m, route, acc_trees, flushes", [
+        (WeightDistribution.two_point(0.5, 1.5), 14, 8, True, None, 1),
+        (WeightDistribution.uniform(0.5, 1.5), 7, 600, False, None, 0),
+        (WeightDistribution.two_point(0.5, 1.5), 15, 20, True, 8, 3),
+    ], ids=["table-route", "float-route", "table-route-flushes"])
+    def test_block_maps_its_rows_in_one_call(self, dist, n, m, route, acc_trees, flushes,
+                                             monkeypatch):
         from treeohm import evaluate
 
-        # blocks of 4 trees at n = 14 and of 516 at n = 7: two blocks each
+        # blocks of 4 trees at n = 14, which one accumulator flush folds
+        # together, and of 516 at n = 7, too wide for one: two blocks each;
+        # at n = 15, ten blocks of 2 trees, which fill an accumulator of 8
+        # trees twice and end in a partial flush of 4
+        if acc_trees is not None:
+            monkeypatch.setattr(evaluate, "_ACC_TREES", acc_trees)
         model = TreeModel.regular(2, dist)
         layout = evaluate._regular_layout(model, n)
         assert (layout.table is not None) == route
-        shapes = []
-        transform = evaluate._transform
+        cols = evaluate._BLOCK_UNIFORMS // layout.edges
+        blocks = -(-m // cols)
+        shapes, folds = [], []
+        transform, scale_fold = evaluate._transform, evaluate._scale_fold
 
         def spy(dist, u):
             shapes.append(u.shape)
             return transform(dist, u)
 
+        def fold_spy(g, *args):
+            folds.append(g.shape)
+            return scale_fold(g, *args)
+
         monkeypatch.setattr(evaluate, "_transform", spy)
+        monkeypatch.setattr(evaluate, "_scale_fold", fold_spy)
         got = evaluate._regular_replicates(model, n, 3, 0, m)
-        # one call per block, over every row the block gathers
-        assert [rows for rows, _ in shapes] == [len(layout.order)] * 2
+        # one call per block, over every row the block gathers, and none
+        # for an accumulator flush, whose rows are mapped already
+        assert [rows for rows, _ in shapes] == [len(layout.order)] * blocks
         assert sum(cols for _, cols in shapes) == m
+        assert len(folds) == blocks + flushes
         for j in (0, m - 1):
             assert got[j] == resistance_streaming(model, n, RngStream(3, j)).resistance
+
+
+class TestAccumulator:
+    """A Generator block of fewer than _ACC_TREES trees folds its levels up
+    to the cut and leaves the top levels of _ACC_TREES trees to one
+    accumulator, flushed when the next block does not fit and when the
+    range ends.  Ranges that miss, fill and overflow it keep the scalar
+    recursion's bits, wherever the cut falls."""
+
+    _LAWS = {"twopoint": WeightDistribution.two_point(0.5, 1.5),
+             "unif": WeightDistribution.uniform(0.5, 1.5)}
+
+    # (beta, law, n, budget, W, where): a small budget and accumulator put
+    # the cut (_acc_levels) above, at or below the table level, on the
+    # float route or in a tree drawn in pieces; "within" trees have no
+    # more levels than the cut and fold whole, in lockstep or in blocks of
+    # W or more trees
+    _CASES = [
+        (2, "twopoint", 9, 512, 4, "above"), (2, "twopoint", 8, 512, 4, "at"),
+        (2, "twopoint", 9, 2040, 4, "below"), (2, "unif", 9, 512, 4, "float"),
+        (2, "twopoint", 9, 128, 4, "above-pieces"), (2, "twopoint", 9, 504, 2, "at-pieces"),
+        (2, "unif", 7, 2040, 4, "within"), (2, "twopoint", 5, 512, 4, "within"),
+        (3, "twopoint", 6, 400, 4, "above"), (3, "twopoint", 6, 640, 4, "at"),
+        (3, "unif", 5, 400, 4, "float"), (3, "twopoint", 6, 96, 4, "above-pieces"),
+        (3, "twopoint", 3, 400, 4, "within"),
+        (5, "twopoint", 4, 200, 4, "above"), (5, "twopoint", 4, 496, 4, "at"),
+        (5, "unif", 4, 200, 4, "float"), (5, "twopoint", 4, 64, 2, "above-pieces"),
+        (5, "unif", 2, 200, 4, "within"),
+    ]
+
+    @pytest.mark.parametrize("beta, law, n, budget, trees, where", _CASES,
+                             ids=[f"beta{c[0]}-{c[1]}-n{c[2]}-{c[5]}" for c in _CASES])
+    def test_ranges_around_the_accumulator_match_streaming(self, beta, law, n, budget,
+                                                           trees, where, monkeypatch):
+        from treeohm import evaluate
+
+        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", budget)
+        monkeypatch.setattr(evaluate, "_ACC_TREES", trees)
+        cut = evaluate._acc_levels(beta)
+        for lam in (None, 1.3):
+            model = TreeModel.regular(beta, self._LAWS[law], lam=lam)
+            layout = evaluate._regular_layout(model, n)
+            levels = len(layout.offsets) - 1
+            if where == "within":
+                assert n <= cut
+            else:
+                assert layout.edges > evaluate._LOCKSTEP_EDGES
+                assert budget // layout.edges < trees and cut >= 2
+                assert (layout.split is not None) == where.endswith("-pieces")
+                assert (layout.table is None) == (where == "float")
+                relation = {"above": cut < levels, "at": cut == levels,
+                            "below": cut > levels, "float": cut < levels}
+                assert relation[where.split("-")[0]]
+            want = [resistance_streaming(model, n, RngStream(9, j)).resistance
+                    for j in range(7, 7 + 2 * trees + 3)]
+            for m in (trees - 1, trees, trees + 1, 2 * trees + 3):
+                assert evaluate._regular_replicates(model, n, 9, 7, 7 + m).tolist() == want[:m]
+
+    def test_accumulator_fits_a_quarter_of_the_budget(self):
+        from treeohm.evaluate import _ACC_TREES, _BLOCK_UNIFORMS, _acc_levels
+
+        assert [_acc_levels(beta) for beta in (2, 3, 4, 14)] == [9, 6, 5, 3]
+        for beta in (2, 3, 4, 5, 14, 40):
+            t = _acc_levels(beta)
+            assert _ACC_TREES * (beta**t - 1) // (beta - 1) <= _BLOCK_UNIFORMS // 4
 
 
 class TestExplicitTrees:
