@@ -161,12 +161,14 @@ def resolve_t_grid(cfg: dict) -> np.ndarray | None:
 _BLOCK = 2048  # rows formatted at a time; a larger block raises the peak RSS of `sample`
 
 
-def _block_values(block: np.ndarray) -> tuple[str, list]:
+def _block_values(block: np.ndarray, cache: list) -> tuple[str, list]:
     """One column's values over a block of rows, with the %-format they go
     through: %d for integers (a bool prints 1 or 0), %.17g (which
     round-trips a float64) for floats.  A float block that is mostly
-    repeats has each distinct value formatted once, keyed by its bits so
-    that 0.0 and -0.0 stay apart, and its values are that text under %s."""
+    repeats goes under %s: each distinct value, keyed by its bits so that
+    0.0 and -0.0 stay apart, is looked up in `cache`, the column's
+    [sorted bits, text] of its last such block, and only the values it
+    misses are formatted; the block's own then replace them."""
     if block.dtype.kind != "f":
         return "%d", block.tolist()
     bits = block.view(np.int64)
@@ -174,17 +176,25 @@ def _block_values(block: np.ndarray) -> tuple[str, list]:
     if 2 * (1 + np.count_nonzero(keys[1:] != keys[:-1])) > len(block):
         return "%.17g", block.tolist()
     keys, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    known, known_text = cache
+    at = np.searchsorted(known, keys)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == keys[hit]
+    text = np.empty(len(keys), dtype=object)
+    text[hit] = known_text[at[hit]]
+    text[~hit] = ["%.17g" % v for v in keys[~hit].view(np.float64).tolist()]
+    cache[:] = keys, text
     return "%s", text[inverse].tolist()
 
 
 def _blocks(columns: list[np.ndarray]) -> Iterator[tuple[list[str], list[list]]]:
     """The table's rows a block at a time: each column's %-format and its
     values over the block."""
+    caches = [[np.empty(0, dtype=np.int64), np.empty(0, dtype=object)] for _ in columns]
     for start in range(0, len(columns[0]) if columns else 0, _BLOCK):
         specs, values = [], []
-        for column in columns:
-            spec, vals = _block_values(column[start:start + _BLOCK])
+        for column, cache in zip(columns, caches):
+            spec, vals = _block_values(column[start:start + _BLOCK], cache)
             specs.append(spec)
             values.append(vals)
         yield specs, values
@@ -218,9 +228,10 @@ def write_table(outdir: str, name: str, names: list[str], columns: Iterable,
     """Write one table artifact in the configured format; returns the path.
     `columns` holds one array (or sequence) per name, all of one length.  A
     column's format follows its dtype: %d for integers and bools, %.17g for
-    floats.  The rows are formatted a block at a time, and a float value
-    repeated within a block is formatted once; a CSV table is written to its
-    file a block at a time, so the writer holds O(block) text, not O(rows)."""
+    floats.  The rows are formatted a block at a time, and a float column
+    that mostly repeats formats a value only when its last such block did
+    not have it; a CSV table is written to its file a block at a time, so
+    the writer holds O(block) text, not O(rows)."""
     columns = [np.asarray(column) for column in columns]
     if cfg["format"] == "json":
         rows = [

@@ -656,16 +656,108 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     return ResistanceSample(r_total, 1.0 / r_total)
 
 
+def _first_peek(model: TreeModel, n: int) -> int:
+    """The uniforms a depth-n branching tree draws on average (one per node
+    and one per internal node), at most _BLOCK_UNIFORMS: the size of the
+    branching walk's first peek."""
+    mean = model.offspring_mean()
+    draws, width = 0.0, 1.0
+    for _ in range(n):
+        draws += 2.0 * width
+        width *= mean
+        if draws > _BLOCK_UNIFORMS:
+            break
+    return int(min(draws + width, _BLOCK_UNIFORMS))
+
+
+def _check_branching(nodes: int) -> None:
+    if nodes > MEMORY_GUARD:
+        raise GuardError(f"branching tree has at least {nodes} nodes, over the "
+                         f"{MEMORY_GUARD}-node guard")
+
+
+def _branching_walk(model: TreeModel, n: int, rng: RngStream) -> tuple[list[int], int]:
+    """The pre-order walk of a depth-n branching tree, one chain per leaf: the
+    start level of each chain, in pre-order, and the uniforms the tree draws.
+
+    A chain runs from its start level straight down to a leaf, first child
+    after first child.  A chain from level s at position pos draws
+    2*(n_levels - s) + 1 uniforms: each node's weight, and at each internal
+    node its offspring count, so the offspring uniforms sit at pos + 1,
+    pos + 3, ...  A node with b > 1 children leaves b - 1 pending chains one
+    level down; the deepest pending chain comes next.  Chains have odd
+    lengths, so consecutive chains read their offspring counts at positions
+    of alternating parity.  The walk reads the counts from peeked blocks
+    (RngStream.peek, which consumes nothing) into a window of positions
+    x = 2k + p, k >= base, from the current chain's start to the end of
+    the last peek; per parity p it keeps, as lists, rank[k - base],
+    the counts > 1 in the window before k, and each one's push,
+    (k - base) + ((count - 2) << 6).  A chain then finds its branching nodes
+    by two rank lookups, and only they touch the stack.
+
+    Before each peek, and once it ends, the walk counts the nodes the tree
+    is certain to have, the chains so far plus a chain from each pending
+    node, and refuses past MEMORY_GUARD; so every peek is bounded by the
+    guard, plus at most _BLOCK_UNIFORMS read ahead, and a refused tree
+    consumes no uniform.  A count over MEMORY_GUARD + 2 is read as
+    MEMORY_GUARD + 2: the tree is refused either way, and the pushes stay
+    far inside int64.
+    """
+    n_levels = n + 1
+    cum, counts = model._offspring_cdf
+    span = [2 * (n_levels - s) + 1 for s in range(n_levels + 1)]  # a chain's uniforms
+    kids = np.empty((2, 0), dtype=np.int64)  # the window's counts, row p at parity p
+    ranks = pushes = []  # per parity, set by each peek
+    starts: list[int] = []
+    # pending chains, level + ((copies - 1) << 6), the deepest last; a level
+    # fits in the low 6 bits, as LEVEL_CAP < 64
+    stack = [1]
+    pos = peeked = base = 0  # next uniform of the walk, uniforms peeked, window start k
+    first = _first_peek(model, n)
+    while stack:
+        v = stack.pop()
+        if v >> 6:
+            stack.append(v - 64)
+        s = v & 63
+        starts.append(s)
+        end = pos + span[s]
+        if end > peeked:
+            due = end + sum(((w >> 6) + 1) * span[w & 63] for w in stack)
+            _check_branching((due + len(starts) + sum((w >> 6) + 1 for w in stack)) // 2)
+            size = max(due - peeked, min(max(first, peeked), _BLOCK_UNIFORMS))
+            size += size & 1  # peeked stays even: row p of a block is parity p
+            new = _inverse_cdf(cum, counts, rng.peek(size, peeked)).reshape(-1, 2).T
+            kids = np.concatenate((kids[:, (pos >> 1) - base:], new), axis=1)
+            base = pos >> 1
+            np.minimum(kids, MEMORY_GUARD + 2, out=kids)
+            hit = kids > 1
+            counted = np.zeros((2, kids.shape[1] + 1), dtype=np.int64)
+            np.cumsum(hit, axis=1, out=counted[:, 1:])
+            code = kids << 6
+            code += np.arange(-128, kids.shape[1] - 128)
+            ranks = counted.tolist()
+            pushes = [code[0, hit[0]].tolist(), code[1, hit[1]].tolist()]
+            peeked += size
+        k0, p = ((pos + 1) >> 1) - base, (pos + 1) & 1
+        rank, push = ranks[p], pushes[p]
+        for i in range(rank[k0], rank[k0 + n_levels - s]):
+            stack.append(push[i] + s + 1 - k0)
+        pos = end
+    _check_branching((pos + len(starts)) // 2)
+    return starts, pos
+
+
 def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTree:
     """Materialize a depth-n tree, drawing weights in pre-order.
 
     Regular shape consumes one uniform per edge; the branching shape
     additionally draws one offspring count per internal node, right after
-    that node's weight.  The branching walk draws uniforms in blocks of
-    exactly the count the pending nodes are certain to consume (a node at
-    level l draws at least 2*(n_levels - l) + 1 on its way down to a leaf),
-    so it never draws past the tree: nodes + internal nodes in all.  The
-    tree derives its resistances; model.scales is only the depth check.
+    that node's weight: nodes + internal nodes uniforms in all.  The
+    branching walk (_branching_walk) only peeks at the stream; the chain
+    starts it returns give the pre-order levels and each node's weight
+    position by array ops, and one draw of the tree's uniforms consumes
+    them.  The tree derives its resistances; model.scales is only the depth
+    check.
     """
     model.scales(n)
     _check_nodes(model, n)  # even the smallest possible tree, before drawing
@@ -677,32 +769,21 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
     n_levels = n + 1
-    levels: list[int] = []
-    blocks: list[np.ndarray] = []
-    kids: list[int] = []  # the offspring count each drawn uniform would give
-    pos = 0  # next unread uniform
-    stack = [1]  # the levels of the nodes still to visit
-    while stack:
-        lvl = stack.pop()
-        internal = lvl < n_levels
-        if pos + internal >= len(kids):
-            # the pending nodes and this one are certain to draw this many
-            due = sum(2 * (n_levels - l) + 1 for l in stack) + 2 * (n_levels - lvl) + 1
-            u = rng.uniforms(due - (len(kids) - pos))
-            blocks.append(u)
-            kids += _inverse_cdf(*model._offspring_cdf, u).tolist()
-        if len(levels) >= MEMORY_GUARD:
-            raise GuardError(f"branching tree exceeded the {MEMORY_GUARD}-node guard "
-                             f"(realized {len(levels)} nodes)")
-        levels.append(lvl)
-        stack += [lvl + 1] * (kids[pos + 1] if internal else 0)
-        pos += 1 + internal
-    level = np.array(levels, dtype=np.int64)
-    # node i's weight uniform comes after i weights and the offspring draws
-    # of the internal nodes before it
-    has_kids = level < n_levels
-    wpos = np.arange(len(level)) + np.cumsum(has_kids) - has_kids
-    weight = _transform(model.weights, np.concatenate(blocks)[wpos])
+    starts, draws = _branching_walk(model, n, rng)
+    start = np.array(starts, dtype=np.int64)
+    length = n_levels + 1 - start  # each chain's nodes
+    first = np.cumsum(length) - length  # each chain's first node
+    # a chain steps one level down per node; the next restarts at its level
+    step = np.ones(int(first[-1] + length[-1]), dtype=np.int64)
+    step[first[1:]] = start[1:] - n_levels
+    level = np.cumsum(step)
+    # a node's weight uniform is two after its parent's (the parent's
+    # offspring count between them), and a chain's first is one after the
+    # leaf that ends the chain before
+    step.fill(2)
+    step[first] = 1
+    wpos = np.cumsum(step) - 1
+    weight = _transform(model.weights, rng.uniforms(draws)[wpos])
     return SampledTree(level, weight, model.lam, "gw")
 
 

@@ -349,7 +349,8 @@ class RngStream:
 
     Distinct stream indices give statistically independent streams (the pair
     is fed through SeedSequence spawn keys).  A draw split into blocks anywhere
-    yields the same uniforms as one block; the branching sampler relies on it.
+    yields the same uniforms as one block, and peek reads uniforms ahead
+    without consuming them; the branching sampler relies on both.
 
     A lone RngStream(master_seed, j) seeds its PCG64 through numpy's
     SeedSequence.  For one stream that is the cheaper route, and it is the
@@ -373,6 +374,26 @@ class RngStream:
         block stream (stream_block) of k streams returns them as a
         (size, k) array, and `out` has that shape."""
         return self._gen.random(size, out=out)
+
+    def peek(self, size: int, skip: int = 0) -> np.ndarray:
+        """The `size` uniforms that follow the next `skip`, what
+        uniforms(skip + size)[skip:] would return, without consuming any:
+        the generator's state is saved, advanced past `skip`, drawn from and
+        restored, so every later draw, integers() included, is unchanged.
+        A block stream (stream_block) refuses to peek."""
+        gen = self._gen
+        if not isinstance(gen, np.random.Generator):
+            raise ValidationError("peek: a block stream (stream_block) cannot peek")
+        if size < 0 or skip < 0:
+            raise ValidationError(f"peek: size {size} and skip {skip} must be >= 0")
+        bits = gen.bit_generator
+        state = bits.state
+        try:
+            if skip:
+                bits.advance(skip)
+            return gen.random(size)
+        finally:
+            bits.state = state
 
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform integers in [low, high)."""

@@ -348,6 +348,7 @@ def _synthetic_tables():
     b = cli._BLOCK
     rng = np.random.default_rng(7)
     specials = [np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072009e-308, 0.0]
+    pool = rng.random(2 * b)
 
     def sized(m):
         return (["j", "few", "many"],
@@ -365,6 +366,10 @@ def _synthetic_tables():
                                   np.repeat([0.1, 0.2, 0.3], [b - 1, 3, b + 1])]),
         "distinct-beside-few": (["x"], [np.concatenate(
             [rng.random(b), rng.choice([0.5, 1.5, -0.0], b)])]),
+        # blocks of about b/3 values from overlapping slices of one pool: each
+        # block's texts are in part the block before's and in part new
+        "cache-restarts": (["x"], [np.concatenate(
+            [rng.choice(pool[i * b // 4:i * b // 4 + b // 3], b) for i in range(6)])]),
         "rows-0": sized(0),
         "rows-1": sized(1),
         "rows-B": sized(b),
@@ -449,11 +454,17 @@ class TestTableWriter:
     def test_block_format_follows_dtype_and_repeats(self):
         b = cli._BLOCK
         rng = np.random.default_rng(3)
-        assert cli._block_values(np.arange(3))[0] == "%d"
-        assert cli._block_values(np.array([True, False]))[0] == "%d"
-        assert cli._block_values(rng.random(b))[0] == "%.17g"
-        spec, values = cli._block_values(np.tile([0.0, -0.0, 1.0], 40))
+        cache = [np.empty(0, dtype=np.int64), np.empty(0, dtype=object)]
+        assert cli._block_values(np.arange(3), cache)[0] == "%d"
+        assert cli._block_values(np.array([True, False]), cache)[0] == "%d"
+        assert cli._block_values(rng.random(b), cache)[0] == "%.17g"
+        spec, values = cli._block_values(np.tile([0.0, -0.0, 1.0], 40), cache)
         assert spec == "%s" and values[:3] == ["0", "-0", "1"]
+        # the cache keeps the block's texts by bits for the next block
+        assert cache[1].tolist() == ["-0", "0", "1"]
+        spec, values = cli._block_values(np.tile([1.0, 2.5], 40), cache)
+        assert spec == "%s" and values[:2] == ["1", "2.5"]
+        assert cache[1].tolist() == ["1", "2.5"]
 
     def test_memory_is_per_block(self, tmp_path):
         # a 2**17-row sample table, one float column with 700 values and one
@@ -810,6 +821,18 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"guard: {option}: ") and str(MEMORY_GUARD) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [MEMORY_GUARD + 1, 2**58])
+    def test_branching_tree_past_the_guard_is_exit_3(self, tmp_path, capsys, count):
+        # one node of 2^25 + 1 (or 2^58) children: refused while they are
+        # pending, before any draw or list is sized by their count
+        out = tmp_path / "out"
+        argv = ["gw", "--model", f"gw:1:0.5,{count}:0.5", "--dist", "const:1",
+                "--n", "2", "--trees", "6", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard: branching tree has at least") and str(MEMORY_GUARD) in err
         assert not out.exists()
 
     def test_replicate_count_at_the_memory_guard_passes(self):

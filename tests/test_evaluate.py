@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from treeohm import (
+    MEMORY_GUARD,
     GuardError,
     RngStream,
     SampledTree,
@@ -546,6 +547,26 @@ class TestExplicitTrees:
             sample_tree_explicit(model, 16, rng)
         assert rng.uniforms(1)[0] == RngStream(0).uniforms(1)[0]
 
+    @pytest.mark.parametrize("count", [MEMORY_GUARD + 1, 2**58, 2**63 - 1])
+    def test_gw_pending_children_over_guard_draw_nothing(self, count):
+        # a node with 2^25 + 1 children puts the tree past the node guard
+        # while its children are still pending; refused before any draw.
+        # Counts whose pushes would pass int64 are refused the same way
+        model = TreeModel.galton_watson([(1, 0.5), (count, 0.5)],
+                                        WeightDistribution.constant(1.0))
+        refused = 0
+        for j in range(6):
+            rng = RngStream(0, j)
+            try:
+                tree = sample_tree_explicit(model, 2, rng)
+            except GuardError as exc:
+                assert str(exc).startswith("branching tree has at least")
+                assert rng.uniforms(1)[0] == RngStream(0, j).uniforms(1)[0]
+                refused += 1
+            else:
+                assert tree.level.tolist() == [1, 2, 3]
+        assert 0 < refused < 6
+
     def test_preorder_parents(self, binary_twopoint_model):
         tree = sample_tree_explicit(binary_twopoint_model, 5, RngStream(3))
         assert tree.parent[0] == -1
@@ -558,7 +579,8 @@ class TestExplicitTrees:
 
 
 class TestBlockSampler:
-    # trees of tens to thousands of nodes, so each crosses many block refills
+    # trees of tens to thousands of nodes, so each walks many chains and
+    # some read past their first peek
     @pytest.mark.parametrize("offspring, dist, lam, n", [
         ("1:0.5,2:0.5", "const:1", None, 14),
         ("1:0.5,2:0.5", "unif:0.5,1.5", None, 14),

@@ -15,7 +15,14 @@ from treeohm import (
     parse_distribution,
     parse_offspring,
 )
-from treeohm.model import STREAM_LIMIT, _seed_row_type, _seed_words, _transform, streams
+from treeohm.model import (
+    STREAM_LIMIT,
+    _seed_row_type,
+    _seed_words,
+    _transform,
+    stream_block,
+    streams,
+)
 
 
 class TestDistributions:
@@ -231,6 +238,13 @@ class TestRngStream:
     def test_bad_range_rejected(self, args):
         with pytest.raises(ValidationError):
             streams(*args)
+
+    def test_peek_refused_on_a_block_stream_and_bad_sizes(self):
+        with pytest.raises(ValidationError, match="block stream"):
+            stream_block(1, 0, 3).peek(4)
+        for size, skip in ((-1, 0), (2, -1)):
+            with pytest.raises(ValidationError):
+                RngStream(1).peek(size, skip)
 
     def test_seed_row_serves_only_pcg64(self):
         row = _seed_words(1, 0, 1)[0]

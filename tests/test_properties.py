@@ -5,6 +5,7 @@ Hypothesis runs derandomized and without an example database, so every run
 draws the same examples.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeohm import (
     ORACLE_GUARD,
+    GuardError,
     RngStream,
     TreeModel,
     WeightDistribution,
@@ -35,7 +37,7 @@ from treeohm.model import (
     streams,
 )
 from treeohm.oracle import _gauss_solve
-from tests.conftest import assert_node_law, dense_gauss_solve, reweighted
+from tests.conftest import assert_node_law, dense_gauss_solve, reweighted, scalar_gw_tree
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 TOL = 1e-9
@@ -105,7 +107,7 @@ def test_regular_routes_bit_identical(case):
 
 
 @PROPERTY
-@given(st.one_of(regular_cases(), gw_cases()), st.integers(0, 5))
+@given(st.one_of(regular_cases(), gw_cases(1, 8)), st.integers(0, 5))
 def test_explicit_tree_draw_contract(case, j):
     # one uniform per edge, then one offspring draw per internal gw node
     model, n, seed = case
@@ -115,6 +117,62 @@ def test_explicit_tree_draw_contract(case, j):
     if model.shape == "gw":
         k += int(np.sum(tree.level < tree.n_levels))
     assert rng.uniforms(1)[0] == RngStream(seed, j).uniforms(k + 1)[k]
+
+
+@st.composite
+def long_gw_cases(draw):
+    """Branching laws with offspring counts up to 5, or with nearly all mass
+    at one child (long chains, rare branching), at depths up to 8 where the
+    mean tree stays under about a thousand leaves."""
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True))
+        masses = draw(st.lists(st.integers(1, 6), min_size=len(counts), max_size=len(counts)))
+        offspring = [(k, m / sum(masses)) for k, m in zip(counts, masses)]
+    else:
+        p_one = draw(st.floats(0.9, 0.999))
+        offspring = [(1, p_one), (draw(st.integers(2, 5)), 1.0 - p_one)]
+    model = TreeModel.galton_watson(offspring, draw(weight_laws()), lam=draw(_LAMS))
+    mean = model.offspring_mean()
+    deepest = 8 if mean < 1.9 else max(1, min(8, int(math.log(1000) / math.log(mean))))
+    return model, draw(st.integers(1, deepest)), draw(st.integers(0, 2**20))
+
+
+@PROPERTY
+@given(long_gw_cases(), st.integers(0, 5), st.sampled_from([2, 7, 2**16]))
+def test_branching_walk_matches_per_node_reference(case, j, budget):
+    # a small read-ahead budget makes the walk peek many short blocks
+    from treeohm import evaluate
+
+    model, n, seed = case
+    rng, ref_rng = RngStream(seed, j), RngStream(seed, j)
+    with mock.patch.object(evaluate, "_BLOCK_UNIFORMS", budget):
+        tree = sample_tree_explicit(model, n, rng)
+    ref = scalar_gw_tree(model, n, ref_rng)
+    for name in ("level", "weight", "resistance"):
+        assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert rng.uniforms(1)[0] == ref_rng.uniforms(1)[0]
+
+
+@PROPERTY
+@given(gw_cases(3, 8), st.integers(10, 400))
+def test_branching_guard_refuses_without_drawing(case, guard):
+    # a tree over a (patched) node guard is refused, and only such a tree,
+    # with its stream untouched
+    from treeohm import evaluate
+
+    model, n, seed = case
+    nodes = sample_tree_explicit(model, n, RngStream(seed, 1)).n_nodes
+    if model.min_nodes(n) > guard:
+        return  # refused before the walk, by _check_nodes
+    rng = RngStream(seed, 1)
+    with mock.patch.object(evaluate, "MEMORY_GUARD", guard):
+        try:
+            tree = sample_tree_explicit(model, n, rng)
+        except GuardError:
+            assert nodes > guard
+            assert rng.uniforms(1)[0] == RngStream(seed, 1).uniforms(1)[0]
+        else:
+            assert tree.n_nodes == nodes <= guard
 
 
 @PROPERTY
@@ -287,3 +345,26 @@ def test_lockstep_draws_match_lone_streams(master_seed, j0, count, sizes):
     assert np.array_equal(got, stream_block(master_seed, j0, j1).uniforms(total))
     for j in range(j0, j1):
         assert got[:, j - j0].tolist() == RngStream(master_seed, j).uniforms(total).tolist()
+
+
+@PROPERTY
+@given(_MASTER_SEEDS, _RANGE_STARTS, st.booleans(),
+       st.integers(0, 20), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=4))
+def test_peek_reads_ahead_without_consuming(master_seed, j, ranged, drawn, half, peeks):
+    """peek(size, skip) is uniforms(skip + size)[skip:], on a lone stream and
+    on one of streams(), part-way through, with or without a 32-bit half
+    that integers() left buffered; the later draws do not move."""
+    def stream():
+        return next(streams(master_seed, j, j + 1)) if ranged else RngStream(master_seed, j)
+
+    rng, ref, ahead = stream(), RngStream(master_seed, j), RngStream(master_seed, j)
+    for s in (rng, ref, ahead):
+        s.uniforms(drawn)
+        if half:
+            s.integers(0, 10)
+    want = ahead.uniforms(600)
+    for size, skip in peeks:
+        assert rng.peek(size, skip).tolist() == want[skip:skip + size].tolist()
+    assert rng.integers(0, 10, 5).tolist() == ref.integers(0, 10, 5).tolist()
+    assert rng.uniforms(5).tolist() == ref.uniforms(5).tolist()
