@@ -2,31 +2,30 @@
 
 Three evaluation routes produce bit-identical resistances for the same
 stream: a memory-light recursion (resistance_streaming), and one vectorized
-level fold (_fold) reached from full regular trees (resistance_fast) and from
-explicit trees of any shape (sample_tree_explicit + resistance_of_tree).  All
-of them draw one uniform per edge in depth-first pre-order, in blocks, with
-children visited left to right, and combine children in conductance space,
-summed left to right, with a single reciprocal per node.
+level fold (_fold) reached from full regular trees (_drawn_replicates) and
+from explicit trees of any shape (sample_tree_explicit + resistance_of_tree).
+All of them draw one uniform per edge in depth-first pre-order, in blocks,
+with children visited left to right, and combine children in conductance
+space, summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.  An
 explicit tree sorts its levels; a full regular tree's order is computed
 level by level (_regular_order), with no sort.
 
-Regular replicates are evaluated in row-minor blocks: one (rows, columns)
-fold array per block, with tree i in column i, so that each level is a
-contiguous run of rows.  The replicate loop (_regular_replicates) draws
-trees of up to _LOCKSTEP_EDGES edges in lockstep, already as (edges,
-columns) (model.stream_block), and one kernel (_regular_block) gathers the
-uniforms level-major along axis 0, maps them to weights in one call, scales
-each level and folds, all in place; resistance_fast draws its tree as one
-column.  Deeper trees draw from one Generator per stream, each into a row
-of a (trees, edges) block (_drawn_replicates): a tree's top uniforms are
-gathered along its row, and one transposing copy makes the fold array.  A
-block of fewer than _ACC_TREES trees folds only up to a cut level and leaves
-the narrow levels above to one accumulator of _ACC_TREES trees, folded when
-it fills and when the range ends.  Each column takes the same arithmetic as
-a lone tree, so resistance_fast, the one-column case, and every column of
-a block give the same bits.
+Regular trees are evaluated by one kernel (_drawn_replicates) in row-minor
+blocks: one (rows, columns) fold array per block, with tree i in column i,
+so that each level is a contiguous run of rows.  Only the draw source
+varies: a replicate range (_regular_replicates) draws trees of up to
+_LOCKSTEP_EDGES edges in lockstep, already as (edges, columns)
+(model.stream_block), and deeper trees from one Generator per stream, each
+into a row of a (trees, edges) block; resistance_fast draws its one tree
+from the caller's stream.  The gather puts the uniforms level-major into
+the fold array, one call maps them to weights, and each level is scaled
+and folded in place.  A range of more than one block of fewer than
+_ACC_TREES trees folds each block only up to a cut level and leaves the
+narrow levels above to one accumulator of _ACC_TREES trees, folded when it
+fills and when the range ends.  Each column takes the same arithmetic as a
+lone tree, so every draw source and every column give the same bits.
 
 A law with one or two atoms takes a table route on trees deeper than the
 table height h (_table_height: the largest height whose subtree of E edges
@@ -47,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -254,8 +254,8 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # max(1, _BLOCK_UNIFORMS // edges) trees, and a table-route tree of more
 # edges draws in pieces of this many, so it bounds every table-route draw.
 # A multiple of 8, so that each piece packs into whole bytes.  It also sizes
-# the accumulator of narrow top levels (_acc_levels): a Generator block of
-# fewer than _ACC_TREES trees folds only its wide levels, and the top
+# the accumulator of narrow top levels (_acc_levels): a range of blocks of
+# fewer than _ACC_TREES trees folds only their wide levels, and the top
 # _acc_levels(beta) levels of _ACC_TREES trees are folded together, in a
 # quarter of the budget, with the spent draw buffer as the fold's scratch
 _BLOCK_UNIFORMS = 2**16
@@ -440,40 +440,6 @@ def _scale_fold(g: np.ndarray, offsets: np.ndarray, scales: np.ndarray, beta: in
     _fold(g, offsets, beta, scratch, scratch)
 
 
-def _regular_block(model: TreeModel, layout: _Layout, drawn: np.ndarray, g: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
-    """Root resistances of the regular trees whose pre-order uniforms are the
-    columns of `drawn`, an (edges, cols) array; the caller draws them and
-    validates the model and depth.  This is the kernel of lockstep blocks
-    and of resistance_fast; Generator blocks run _drawn_replicates.
-
-    The block is row-minor: the uniforms are gathered level-major along
-    axis 0 into g, a (rows, cols) array with a row per node of the layout's
-    levels, so each level is a contiguous run of rows.  With a table
-    (_regular_layout) the mask u < p is packed into bits along the edge
-    axis and level n - h + 1 is read from it (_table_codes): every entry is
-    _fold's arithmetic on the resistances the select and scale give, lo * s
-    or hi * s, and the fold's columns are independent, so that level holds
-    the bits the full fold would leave there.  One _transform call maps the
-    gathered uniforms to weights, and _scale_fold scales and folds g in
-    place with `scratch`, at least as large as g.  scratch may hold `drawn`
-    itself, which is spent once read.
-    """
-    order, offsets, table = layout.order, layout.offsets, layout.table
-    top = len(order)
-    # every index is in range
-    np.take(drawn, order, axis=0, out=g[:top], mode="clip")
-    if table is not None:
-        bits = np.zeros((drawn.shape[1], (len(drawn) + 7) // 8 + 3), dtype=np.uint8)
-        bits[:, :-3] = np.packbits(np.less(drawn.T, model.weights.atoms[0][1]), axis=1,
-                                   bitorder="little")
-        np.take(table, _table_codes(layout, bits).T, out=g[top:offsets[-1]], mode="clip")
-    _transform(model.weights, g[:top])
-    _scale_fold(g, offsets, layout.scales[:len(offsets) - 1 - (table is not None)],
-                int(model.beta), scratch)
-    return g[0]
-
-
 def _draw_pieces(model: TreeModel, layout: _Layout, rng: RngStream, u: np.ndarray,
                  g: np.ndarray, bits: np.ndarray) -> None:
     """Draw one table-route tree from rng in pieces of len(u) ==
@@ -491,38 +457,44 @@ def _draw_pieces(model: TreeModel, layout: _Layout, rng: RngStream, u: np.ndarra
         g[layout.slot[a:b]] = piece[layout.at[a:b]]
 
 
-def _drawn_replicates(model: TreeModel, layout: _Layout, master_seed: int, j0: int,
-                      j1: int) -> np.ndarray:
-    """Root resistances of replicates j0..j1-1 of trees of more than
-    _LOCKSTEP_EDGES edges, each drawn from its own stream of one streams()
-    range, in blocks of max(1, _BLOCK_UNIFORMS // edges) trees.
+def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
+                      chunk: Iterator[RngStream] | None = None,
+                      lockstep: Callable[[int, int], RngStream] | None = None) -> np.ndarray:
+    """Root resistances of m regular trees of one layout, in blocks of
+    max(1, _BLOCK_UNIFORMS // edges) trees: the one regular kernel.  The
+    caller validates the model and depth and chooses the draw source:
+    `chunk`, one stream per tree, each drawn into a row of a (trees, edges)
+    block by its Generator (a table-route tree of more than _BLOCK_UNIFORMS
+    edges in pieces, _draw_pieces, as a block of its own), or `lockstep`,
+    which gives the stream_block of trees b..b+k-1 for (b, k), drawn as
+    (edges, trees).
 
-    A block's trees are the rows of a (trees, edges) draw.  Each row's top
-    uniforms are gathered along it and, on the table route, its mask u < p
-    is packed along it; a table-route tree of more than _BLOCK_UNIFORMS
-    edges is a block of its own, drawn in pieces (_draw_pieces).  One
-    transposing copy puts the gathered rows into the spent draw buffer as
-    the row-minor (rows, trees) fold array, and the table level is read
-    into it from the rows' window codes.  A one-tree block needs no copy.
+    The gather alone reads the draw's axis.  A lockstep or one-tree block
+    is gathered level-major along axis 0 straight into the row-minor
+    (rows, trees) fold array in the gather buffer, the spent draw buffer
+    being its scratch; a Generator block is gathered along each row, and
+    one transposing copy puts the rows into the spent draw buffer as the
+    fold array.  On the table route each tree's mask u < p is packed along
+    it and the table level is read from the window codes (_table_codes).
+    One _transform call maps the gathered uniforms to weights, and
+    _scale_fold scales and folds in place.
 
-    A block of fewer than _ACC_TREES trees is folded from its bottom only
-    up to the cut level, the lower of _acc_levels(beta) and its last level:
-    the cut level's subtree resistances and the weights above it go into
-    one accumulator of _ACC_TREES trees, which is scaled and folded when the
-    next block does not fit and when the range ends.  Its top levels' calls
-    are then paid once per _ACC_TREES trees.  Folding a tree in two parts
-    keeps its bits: _fold's columns are independent, each level's scale is
-    its own multiply and _transform is elementwise.
-
-    Two buffers, a draw buffer and a gather buffer, serve every block, one
-    holding the fold array and the other its scratch, so that no buffer
-    holds more than the budget's uniforms (or one tree's edges, or its
-    rows, past it); the accumulator takes a quarter of the budget.
+    In a range of more than one block of fewer than _ACC_TREES trees, each
+    block is folded from its bottom up to the cut level, the lower of
+    _acc_levels(beta) and its last level; the cut level's subtree
+    resistances and the weights above go into one accumulator of
+    _ACC_TREES trees, scaled and folded when the next block does not fit
+    and when the range ends, so the top levels' calls are paid once per
+    _ACC_TREES trees.  Folding a tree in two parts keeps its bits: _fold's
+    columns are independent, each level's scale is its own multiply and
+    _transform is elementwise.  No buffer holds more than the budget's
+    uniforms (or one tree's edges, or its rows, past it); the accumulator
+    takes a quarter of the budget.
     """
     beta, order, offsets, table = int(model.beta), layout.order, layout.offsets, layout.table
     edges, top, rows, off = layout.edges, len(order), int(offsets[-1]), offsets.tolist()
     pieces = layout.split is not None
-    cols = 1 if pieces else max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
+    cols = 1 if pieces else max(1, min(_BLOCK_UNIFORMS // edges, m))
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
@@ -530,82 +502,75 @@ def _drawn_replicates(model: TreeModel, layout: _Layout, master_seed: int, j0: i
     gbuf = np.empty(rows * cols)
     nbytes = (edges + 7) // 8
     bits = None if table is None else np.zeros((cols, nbytes + 3), dtype=np.uint8)
-    cut = min(_acc_levels(beta), len(off) - 1) if cols < _ACC_TREES else 1
-    acc = np.empty((off[cut], min(_ACC_TREES, j1 - j0))) if cut > 1 else None
+    cut = min(_acc_levels(beta), len(off) - 1) if cols < min(_ACC_TREES, m) else 1
+    acc = np.empty((off[cut], min(_ACC_TREES, m))) if cut > 1 else None
     below = offsets[cut - 1:] - off[cut - 1]
     scales = layout.scales[cut - 1:len(off) - 1 - (table is not None)]
-    out = np.empty(j1 - j0, dtype=np.float64)
+    out = np.empty(m, dtype=np.float64)
     w = 0  # trees in the accumulator
 
     def flush(end: int) -> None:
-        # the w trees before replicate j0 + end; between blocks the draw
-        # buffer is spent, and it holds at least the accumulator's values
+        # the w trees before tree `end`; between blocks the draw buffer is
+        # spent, and it holds at least the accumulator's values
         a = acc[:, :w]
         _scale_fold(a, offsets[:cut + 1], layout.scales[:cut - 1], beta,
                     ubuf[:a.size].reshape(a.shape))
         out[end - w:end] = a[0]
 
-    chunk = streams(master_seed, j0, j1)
-    for b0 in range(j0, j1, cols):
-        k = min(cols, j1 - b0)
+    for b0 in range(0, m, cols):
+        k = min(cols, m - b0)
         if acc is not None and w + k > acc.shape[1]:
-            flush(b0 - j0)
+            flush(b0)
             w = 0
-        gathered = gbuf[:k * top].reshape(k, top)
+        g, scratch = gbuf[:rows * k].reshape(rows, k), ubuf
         if pieces:
-            _draw_pieces(model, layout, next(chunk), ubuf[:_BLOCK_UNIFORMS], gathered[0],
+            _draw_pieces(model, layout, next(chunk), ubuf[:_BLOCK_UNIFORMS], g[:top, 0],
                          bits[0])
         else:
-            draws = ubuf[:k * edges].reshape(k, edges)
-            for rng, row in zip(islice(chunk, k), draws):
-                rng.uniforms(edges, out=row)
-            # every index is in range
-            np.take(draws, order, axis=1, out=gathered, mode="clip")
+            if lockstep is None:
+                draws = ubuf[:k * edges].reshape(k, edges)
+                for rng, row in zip(islice(chunk, k), draws):
+                    rng.uniforms(edges, out=row)
+            else:
+                draws = lockstep(b0, k).uniforms(edges, out=ubuf[:edges * k].reshape(edges, k)).T
             if table is not None:
                 bits[:k, :nbytes] = np.packbits(np.less(draws, model.weights.atoms[0][1]),
                                                 axis=1, bitorder="little")
-        if k == 1:
-            g, scratch = gbuf[:rows].reshape(rows, 1), ubuf
-        else:
-            g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
-            g[:top] = gathered.T
+            # every index is in range
+            if lockstep is not None or k == 1:
+                np.take(draws.T, order, axis=0, out=g[:top], mode="clip")
+            else:
+                gathered = gbuf[:k * top].reshape(k, top)
+                np.take(draws, order, axis=1, out=gathered, mode="clip")
+                g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
+                g[:top] = gathered.T
         if table is not None:
             np.take(table, _table_codes(layout, bits[:k]).T, out=g[top:], mode="clip")
         _transform(model.weights, g[:top])
         sub = g[off[cut - 1]:]
         _scale_fold(sub, below, scales, beta, scratch[:sub.size].reshape(sub.shape))
         if acc is None:
-            out[b0 - j0:b0 - j0 + k] = g[0]
+            out[b0:b0 + k] = g[0]
         else:
             acc[:, w:w + k] = g[:off[cut]]
             w += k
     if acc is not None:
-        flush(j1 - j0)
+        flush(m)
     return out
 
 
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
-    stream j), evaluated block by block in reused buffers, with one layout
-    and one set of level scales for the whole range.
-
-    This loop owns the draw: a block of trees of at most _LOCKSTEP_EDGES
-    edges draws from one stream_block, already (edges, trees), and
-    _regular_block folds it with the spent draws as its scratch; deeper
-    trees take their streams from one streams() range (_drawn_replicates)."""
+    stream j), with one layout and one set of level scales for the whole
+    range.  This chooses the kernel's draw source (_drawn_replicates): a
+    block of trees of at most _LOCKSTEP_EDGES edges draws from one
+    stream_block, and deeper trees take their streams from one streams()
+    range."""
     layout = _regular_layout(model, n)
-    edges, rows = layout.edges, int(layout.offsets[-1])
-    if edges > _LOCKSTEP_EDGES:
-        return _drawn_replicates(model, layout, master_seed, j0, j1)
-    out = np.empty(j1 - j0, dtype=np.float64)
-    cols = max(1, min(_BLOCK_UNIFORMS // edges, j1 - j0))
-    buffers = np.empty(edges * cols), np.empty(rows * cols)
-    for b0 in range(j0, j1, cols):
-        k = min(cols, j1 - b0)
-        u, g = buffers[0][:edges * k].reshape(edges, k), buffers[1][:rows * k].reshape(rows, k)
-        drawn = stream_block(master_seed, b0, b0 + k).uniforms(edges, out=u)
-        out[b0 - j0:b0 - j0 + k] = _regular_block(model, layout, drawn, g, u)
-    return out
+    if layout.edges > _LOCKSTEP_EDGES:
+        return _drawn_replicates(model, layout, j1 - j0, streams(master_seed, j0, j1))
+    return _drawn_replicates(model, layout, j1 - j0, lockstep=lambda b, k: stream_block(
+        master_seed, j0 + b, j0 + b + k))
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +610,12 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     """Vectorized twin of resistance_streaming: one block draw in the same
     pre-order, reordered level-major, folded level by level.  Bit-identical
     to the recursion on the same stream, at the cost of O(beta^n) memory.
-    This is the one-column case of _regular_block, on the float path
-    (_regular_layout with table=False)."""
+    This is the replicate kernel (_drawn_replicates) on a one-tree range
+    drawn from rng, on the float path (_regular_layout with table=False)."""
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     layout = _regular_layout(model, n, table=False)
-    u = rng.uniforms(layout.edges)[:, None]
-    g = np.empty((int(layout.offsets[-1]), 1))
-    r_total = float(_regular_block(model, layout, u, g, u)[0])
+    r_total = float(_drawn_replicates(model, layout, 1, iter((rng,)))[0])
     return ResistanceSample(r_total, 1.0 / r_total)
 
 

@@ -339,7 +339,8 @@ class TestAtomTable:
         (WeightDistribution.two_point(0.5, 1.5), 14, 8, True, None, 1),
         (WeightDistribution.uniform(0.5, 1.5), 7, 600, False, None, 0),
         (WeightDistribution.two_point(0.5, 1.5), 15, 20, True, 8, 3),
-    ], ids=["table-route", "float-route", "table-route-flushes"])
+        (WeightDistribution.two_point(0.5, 1.5), 14, 3, True, None, 0),
+    ], ids=["table-route", "float-route", "table-route-flushes", "table-route-one-block"])
     def test_block_maps_its_rows_in_one_call(self, dist, n, m, route, acc_trees, flushes,
                                              monkeypatch):
         from treeohm import evaluate
@@ -347,7 +348,8 @@ class TestAtomTable:
         # blocks of 4 trees at n = 14, which one accumulator flush folds
         # together, and of 516 at n = 7, too wide for one: two blocks each;
         # at n = 15, ten blocks of 2 trees, which fill an accumulator of 8
-        # trees twice and end in a partial flush of 4
+        # trees twice and end in a partial flush of 4; 3 trees at n = 14 are
+        # one block, which needs no accumulator
         if acc_trees is not None:
             monkeypatch.setattr(evaluate, "_ACC_TREES", acc_trees)
         model = TreeModel.regular(2, dist)
@@ -378,9 +380,32 @@ class TestAtomTable:
             assert got[j] == resistance_streaming(model, n, RngStream(3, j)).resistance
 
 
+class TestDrawSource:
+    """A block drawn in lockstep and one drawn from a Generator per stream
+    run the same kernel, so _LOCKSTEP_EDGES moves no bit."""
+
+    @pytest.mark.parametrize("law", ["twopoint", "unif"])
+    @pytest.mark.parametrize("beta, n", [(2, n) for n in range(4, 9)]
+                             + [(3, n) for n in range(3, 6)])
+    def test_draw_source_never_moves_bits(self, beta, n, law, monkeypatch):
+        from treeohm import evaluate
+
+        dist = {"twopoint": WeightDistribution.two_point(0.5, 1.5),
+                "unif": WeightDistribution.uniform(0.5, 1.5)}[law]
+        model = TreeModel.regular(beta, dist)
+        cols = evaluate._BLOCK_UNIFORMS // ((beta**n - 1) // (beta - 1))
+        # one partial block, and a full block and 7 trees more
+        for m in (9, cols + 7):
+            got = []
+            for lockstep_edges in (0, 2047):
+                monkeypatch.setattr(evaluate, "_LOCKSTEP_EDGES", lockstep_edges)
+                got.append(evaluate._regular_replicates(model, n, 5, 3, 3 + m).tobytes())
+            assert got[0] == got[1]
+
+
 class TestAccumulator:
-    """A Generator block of fewer than _ACC_TREES trees folds its levels up
-    to the cut and leaves the top levels of _ACC_TREES trees to one
+    """In a range of more than one block of fewer than _ACC_TREES trees, a
+    block folds its levels up to the cut and leaves the top levels of _ACC_TREES trees to one
     accumulator, flushed when the next block does not fit and when the
     range ends.  Ranges that miss, fill and overflow it keep the scalar
     recursion's bits, wherever the cut falls."""
