@@ -9,8 +9,12 @@ with children visited left to right, and combine children in conductance
 space, summed left to right, with a single reciprocal per node.
 The fold runs in level-major order (_level_major): pre-order ids stably
 sorted by level, so each level is one contiguous left-to-right block.  An
-explicit tree sorts its levels; a full regular tree's order is computed
-level by level (_regular_order), with no sort.
+explicit tree built from outside input sorts its levels; the sampler hands
+its trees the layout it already knows (SampledTree._built).  A full
+regular tree's order is computed level by level (_regular_order), with no
+sort, once per depth for every tree of that depth (_explicit_layout); a
+branching tree's offsets come from its chain starts and its order from a
+radix sort of its levels.
 
 Regular trees are evaluated by one kernel (_drawn_replicates) in row-minor
 blocks: one (rows, columns) fold array per block, with tree i in column i,
@@ -84,6 +88,19 @@ def _level_major(level: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarr
     return order, offsets
 
 
+def _parent_slots(level: np.ndarray, first: np.ndarray, order: np.ndarray,
+                  offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`parent` per pre-order node and `slot` per level-major slot (see
+    SampledTree) of a tree's levels and layout; first[i] says node i + 1 is
+    the first child of node i."""
+    kid = order[1:]
+    up = np.cumsum(first[kid - 1]) - 1  # each child's parent, as a level-major slot
+    parent = np.empty_like(order)
+    parent[order] = np.concatenate(([-1], order[up]))
+    slot = np.concatenate(([-1], up - offsets[level[kid] - 2]))
+    return parent, slot
+
+
 @dataclass(frozen=True)
 class SampledTree:
     """An explicit edge-rooted tree; node i carries its incoming edge.
@@ -92,21 +109,30 @@ class SampledTree:
     node's id is always greater than its parent's.  Node 0 sits below the
     unique level-1 root edge; the injection vertex above it is implicit.
     Leaves are exactly the nodes at the bottom level, so the pre-order
-    levels fix the tree; construction refuses (`level: ...`) levels that do
-    not start at 1, return to 1, go down more than one level from a node to
-    the next or leave a node above the bottom without a child, and
-    (`weight: ...`) weights that are not one per node or not finite and > 0.
-    A GuardError refuses an edge resistance that is not finite and > 0 (a
-    weight times lam**(level-1) that overflows or underflows).
+    levels fix the tree.
 
-    Construction derives the depth `n_levels` (the bottom level), the edge
-    resistances `resistance` = weight * lam**(level-1), read from the
+    A tree has two construction routes.  SampledTree(level, weight, lam,
+    shape, beta), for outside input, checks everything: it refuses
+    (`level: ...`) levels that do not start at 1, return to 1, go down more
+    than one level from a node to the next or leave a node above the bottom
+    without a child, and (`weight: ...`) weights that are not one per node
+    or not finite and > 0; a GuardError refuses an edge resistance that is
+    not finite and > 0 (a weight times lam**(level-1) that overflows or
+    underflows).  It derives the depth `n_levels` (the bottom level), the
+    edge resistances `resistance` = weight * lam**(level-1), read from the
     level_scales table, the level-major layout `order` and `offsets` (see
     _level_major), `parent` and `slot`: per level-major slot, the parent's
     position within its own level (both -1 for the root).  A level lists
     its children grouped by parent, in the parents' order, and a first
     child directly follows its parent, so counting first children along the
-    level-major order gives each child's parent slot.
+    level-major order gives each child's parent slot (_parent_slots).
+
+    sample_tree_explicit takes the builder route (_built): its builder
+    already knows the layout and the per-node scale lam**(level-1) from
+    model.scales, and hands them over with no sort and no check, since its
+    levels are valid by construction and model.scales bounds every edge
+    resistance.  Both routes give the same arrays, bit for bit, all
+    read-only; trees of one regular depth share their layout arrays.
     """
 
     level: np.ndarray
@@ -147,16 +173,29 @@ class SampledTree:
             raise GuardError(f"edge resistance must be finite and > 0; node {v} has weight "
                              f"{float(weight[v])!r} * lam**{int(level[v]) - 1} = "
                              f"{float(resistance[v])!r}")
-        kid = order[1:]
-        up = np.cumsum(first[kid - 1]) - 1  # each child's parent, as a level-major slot
-        parent = np.empty_like(order)
-        parent[order] = np.concatenate(([-1], order[up]))
-        slot = np.concatenate(([-1], up - offsets[level[kid] - 2]))
-        for name, value in (("n_levels", n_levels), ("resistance", resistance),
+        self._derived(resistance, order, offsets, *_parent_slots(level, first, order, offsets))
+
+    @classmethod
+    def _built(cls, level: np.ndarray, weight: np.ndarray, lam: float, shape: str,
+               beta: int | None, scale: np.ndarray, order: np.ndarray, offsets: np.ndarray,
+               parent: np.ndarray, slot: np.ndarray) -> SampledTree:
+        """The builder route: a tree of valid levels, with its layout and
+        its per-node scale (`resistance` = weight * scale) given, checked
+        and sorted by nothing."""
+        tree = cls.__new__(cls)
+        for name, value in (("level", level), ("weight", weight), ("lam", lam),
+                            ("shape", shape), ("beta", beta)):
+            object.__setattr__(tree, name, value)
+        tree._derived(weight * scale, order, offsets, parent, slot)
+        return tree
+
+    def _derived(self, resistance: np.ndarray, order: np.ndarray, offsets: np.ndarray,
+                 parent: np.ndarray, slot: np.ndarray) -> None:
+        for name, value in (("n_levels", len(offsets) - 1), ("resistance", resistance),
                             ("parent", parent), ("order", order), ("offsets", offsets),
                             ("slot", slot)):
             object.__setattr__(self, name, value)
-        for arr in (level, self.weight, resistance, parent, order, offsets, slot):
+        for arr in (self.level, self.weight, resistance, parent, order, offsets, slot):
             arr.setflags(write=False)
 
     @property
@@ -710,24 +749,51 @@ def _branching_walk(model: TreeModel, n: int, rng: RngStream) -> tuple[list[int]
     return starts, pos
 
 
-def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTree:
+def _explicit_layout(model: TreeModel, n: int) -> SampledTree | np.ndarray:
+    """What every depth-n explicit tree of the model shares, built after
+    model.scales checks the depth and _check_nodes the size of even the
+    smallest possible tree: for the regular shape, the unit-weight tree,
+    whose resistances are the per-node scales (1.0 * s is s) and whose
+    layout is computed (_regular_order) with no sort; for the branching
+    shape, the level scales.  The unit tree's arrays are read-only, so the
+    trees of one depth can share them."""
+    scales = model.scales(n)
+    _check_nodes(model, n)
+    if model.shape != "regular":
+        return scales
+    beta = int(model.beta)
+    level = _dfs_layout(beta, n)
+    order, offsets = _regular_order(beta, n, n)
+    parent, slot = _parent_slots(level, np.diff(level) == 1, order, offsets)
+    return SampledTree._built(level, np.ones(len(level)), model.lam, "regular", beta,
+                              scales[level - 1], order, offsets, parent, slot)
+
+
+def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream, *,
+                         layout: SampledTree | np.ndarray | None = None) -> SampledTree:
     """Materialize a depth-n tree, drawing weights in pre-order.
 
     Regular shape consumes one uniform per edge; the branching shape
     additionally draws one offspring count per internal node, right after
     that node's weight: nodes + internal nodes uniforms in all.  The
     branching walk (_branching_walk) only peeks at the stream; the chain
-    starts it returns give the pre-order levels and each node's weight
-    position by array ops, and one draw of the tree's uniforms consumes
-    them.  The tree derives its resistances; model.scales is only the depth
-    check.
+    starts it returns give the pre-order levels, the level-major layout and
+    each node's weight position by array ops, and one draw of the tree's
+    uniforms consumes them.
+
+    `layout` is the depth's _explicit_layout, which a caller drawing many
+    trees builds once per depth; without it, it is built here, so the depth
+    and size are refused before any draw.  A regular tree is then one draw
+    and one multiply on the shared layout.
     """
-    model.scales(n)
-    _check_nodes(model, n)  # even the smallest possible tree, before drawing
+    if layout is None:
+        layout = _explicit_layout(model, n)
     if model.shape == "regular":
-        level = _dfs_layout(int(model.beta), n)
-        weight = dist_sample_block(model.weights, rng, len(level))
-        return SampledTree(level, weight, model.lam, "regular", int(model.beta))
+        unit = layout  # the depth's unit-weight tree
+        weight = dist_sample_block(model.weights, rng, unit.n_nodes)
+        return SampledTree._built(unit.level, weight, unit.lam, "regular", unit.beta,
+                                  unit.resistance, unit.order, unit.offsets, unit.parent,
+                                  unit.slot)
 
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
@@ -740,6 +806,13 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     step = np.ones(int(first[-1] + length[-1]), dtype=np.int64)
     step[first[1:]] = start[1:] - n_levels
     level = np.cumsum(step)
+    kid = step[1:] == 1  # node i + 1 is the first child of node i
+    # level l holds one node of each chain that starts at or above it
+    offsets = np.concatenate(([0], np.cumsum(np.cumsum(
+        np.bincount(start, minlength=n_levels + 1))[1:])))
+    # a stable sort of uint8 keys (LEVEL_CAP < 256) is a radix sort
+    order = np.argsort(level.astype(np.uint8), kind="stable")
+    parent, slot = _parent_slots(level, kid, order, offsets)
     # a node's weight uniform is two after its parent's (the parent's
     # offspring count between them), and a chain's first is one after the
     # leaf that ends the chain before
@@ -747,7 +820,8 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream) -> SampledTre
     step[first] = 1
     wpos = np.cumsum(step) - 1
     weight = _transform(model.weights, rng.uniforms(draws)[wpos])
-    return SampledTree(level, weight, model.lam, "gw")
+    return SampledTree._built(level, weight, model.lam, "gw", None, layout[level - 1], order,
+                              offsets, parent, slot)
 
 
 def resistance_of_tree(tree: SampledTree) -> float:

@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .evaluate import (
+    _explicit_layout,
     _regular_replicates,
     gw_w_estimate,
     resistance_of_tree,
@@ -96,9 +97,15 @@ def _check_reps(m: int) -> None:
 
 def _tree_chunk(record, model: TreeModel, ns: list[int], master_seed: int,
                 j0: int, j1: int) -> list:
+    """[record(j, tree j) for j in range(j0, j1)], each tree from
+    sample_tree_explicit on the layout of its depth, built once here for
+    every depth of the chunk before any tree is drawn, and dropped with
+    the chunk."""
+    depth = [ns[j % len(ns)] for j in range(j0, j1)]
+    layouts = {n: _explicit_layout(model, n) for n in dict.fromkeys(depth)}
     return [
-        record(j, sample_tree_explicit(model, ns[j % len(ns)], rng))
-        for j, rng in enumerate(streams(master_seed, j0, j1), j0)
+        record(j, sample_tree_explicit(model, n, rng, layout=layouts[n]))
+        for j, n, rng in zip(range(j0, j1), depth, streams(master_seed, j0, j1))
     ]
 
 

@@ -505,6 +505,35 @@ class TestExplicitTrees:
                 assert bumped.n_levels == tree.n_levels
                 assert tree.weight[node] != 2.5  # the source tree is untouched
 
+    @pytest.mark.parametrize("model, ns", [
+        (TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5)), range(1, 11)),
+        (TreeModel.regular(3, WeightDistribution.two_point(0.5, 1.5), lam=1.3), range(1, 7)),
+        (TreeModel.galton_watson(parse_offspring("1:0.5,2:0.5"),
+                                 WeightDistribution.uniform(0.5, 1.5)), range(1, 13)),
+        (TreeModel.galton_watson([(2, 1.0)], WeightDistribution.constant(1.0)), range(1, 9)),
+    ], ids=["reg2", "reg3-lam", "gw12", "gw2-deterministic"])
+    def test_builder_route_is_the_checked_route(self, model, ns):
+        from treeohm import stats
+
+        def same(j, tree):
+            checked = SampledTree(tree.level.copy(), tree.weight.copy(), tree.lam, tree.shape,
+                                  tree.beta)
+            assert (tree.n_levels, tree.lam, tree.shape, tree.beta) == (
+                checked.n_levels, checked.lam, checked.shape, checked.beta)
+            for name in ("level", "weight", "resistance", "parent", "order", "offsets",
+                         "slot"):
+                got, want = getattr(tree, name), getattr(checked, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable and not want.flags.writeable, name
+            return j
+
+        ns = list(ns)
+        for n in ns:  # a lone tree builds its own layout
+            same(n, sample_tree_explicit(model, n, RngStream(6, n)))
+        # trees of one chunk share their depth's layout
+        assert stats.map_trees(same, model, ns, 3 * len(ns), 6) == list(range(3 * len(ns)))
+
     def test_constructor_takes_what_is_not_derived(self):
         params = list(inspect.signature(SampledTree).parameters)
         assert params == ["level", "weight", "lam", "shape", "beta"]

@@ -495,6 +495,13 @@ def _nodes_and_resistance(j, tree):
     return j, tree.n_nodes, resistance_of_tree(tree)
 
 
+def _tree_arrays(j, tree):
+    """Every array of the tree, as dtype, bytes and write flag."""
+    return j, [(a.dtype.str, a.tobytes(), a.flags.writeable)
+               for a in (tree.level, tree.weight, tree.resistance, tree.parent, tree.order,
+                         tree.offsets, tree.slot)]
+
+
 class TestMapTrees:
     def test_tree_j_from_stream_j_with_cycling_depths(self):
         model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), WeightDistribution.uniform(0.5, 1.5))
@@ -510,9 +517,47 @@ class TestMapTrees:
             model = TreeModel.regular(3, twopoint_half)
         else:
             model = TreeModel.galton_watson(((1, 0.5), (3, 0.5)), twopoint_half)
-        serial = map_trees(_nodes_and_resistance, model, [4, 2, 3], 9, 5, workers=1)
-        pooled = map_trees(_nodes_and_resistance, model, [4, 2, 3], 9, 5, workers=2)
-        assert pooled == serial
+        for record in (_nodes_and_resistance, _tree_arrays):
+            serial = map_trees(record, model, [4, 2, 3], 9, 5, workers=1)
+            pooled = map_trees(record, model, [4, 2, 3], 9, 5, workers=2)
+            assert pooled == serial
+
+    @pytest.mark.parametrize("shape", ["reg", "gw"])
+    def test_one_sampler_call_per_tree(self, shape, twopoint_half, monkeypatch):
+        # the benchmark counts branching-tree draws by rebinding this name
+        if shape == "reg":
+            model = TreeModel.regular(2, twopoint_half)
+        else:
+            model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), twopoint_half)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return sample_tree_explicit(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "sample_tree_explicit", counted)
+        records = map_trees(_nodes_and_resistance, model, [3, 5], 7, 2)
+        assert len(records) == 7 and calls == [3, 5, 3, 5, 3, 5, 3]
+
+    def test_no_layout_outlives_the_call(self):
+        import tracemalloc
+
+        model = TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5))
+        want = [resistance_of_tree(sample_tree_explicit(model, 14, RngStream(3, j)))
+                for j in range(4)]
+        map_trees(stats._resistance_record, model, [13], 4, 3)  # lazy set-up, another depth
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = map_trees(stats._resistance_record, model, [14], 4, 3)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        # the depth's layout (16383 nodes, several arrays of 128 KiB) was
+        # built, and it is gone once the call returns
+        assert peak - before > 2**19
+        assert after - before < 4096
 
     def test_offset_chunk_draws_from_the_lone_streams(self, twopoint_half):
         model = TreeModel.galton_watson(((1, 0.5), (2, 0.5)), twopoint_half)
