@@ -845,12 +845,14 @@ def shorted_resistance_of_tree(tree: SampledTree) -> float:
     into one vertex, so each level's edges are in parallel and the levels in
     series.  Merging vertices never raises resistance, so this lower-bounds
     resistance_of_tree for every weight assignment; at unit weights it is
-    the sum of lam**(l-1) / Z_l over the level sizes Z_l."""
-    scales = level_scales(tree.lam, tree.n_levels)
-    w = tree.weight[tree.order]
-    off = tree.offsets
+    the sum of lam**(l-1) / Z_l over the level sizes Z_l.  One reciprocal
+    pass covers every level, and np.add.reduce sums each level's slice
+    exactly as np.sum does (reduceat would change the sums' bits)."""
+    scales = level_scales(tree.lam, tree.n_levels).tolist()
+    inv = 1.0 / tree.weight[tree.order]
+    off = tree.offsets.tolist()
     return math.fsum(
-        scales[l] / float(np.sum(1.0 / w[off[l]:off[l + 1]]))
+        scales[l] / float(np.add.reduce(inv[off[l]:off[l + 1]]))
         for l in range(tree.n_levels)
     )
 

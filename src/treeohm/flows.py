@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -153,22 +154,28 @@ def flow_bound_report(flow: FlowSolution, dist: WeightDistribution) -> FlowBound
     The bound needs only the law's envelope [a, b]: the voltage drop across
     the subtree under an edge is at most the total resistance b*n, while that
     subtree's resistance is at least a*(n-d+1)*2**(d-1) for an edge at level d.
+    Both depend on the level alone, so they are computed once per level and
+    gathered per edge.
     """
     tree = flow.tree
     require_binary_doubling(tree)
     a, b = dist.a, dist.b
     n = tree.n_levels
-    d = tree.level.astype(np.float64)
-    bound = (b * n) / (a * (n - d + 1.0) * 2.0 ** (d - 1.0))
+    d = np.arange(1, n + 1, dtype=np.float64)
+    per_level = tree.level - 1
+    bound = ((b * n) / (a * (n - d + 1.0) * 2.0 ** (d - 1.0)))[per_level]
     margin = bound - flow.theta
     t4 = flow.theta**4
-    return FlowBoundReport(bound, margin, float(margin.min()), float(np.sum(4.0**d * t4)),
+    return FlowBoundReport(bound, margin, float(margin.min()),
+                           float(np.sum((4.0**d)[per_level] * t4)),
                            float(np.sum(t4)), flow_ceiling(dist, n))
 
 
+@cache
 def flow_bound_sum(n: int) -> float:
     """Sum over i=1..n of (n/(n+1-i))**4 * 2**(-i): the level-summed fourth
-    power of the per-edge flow bound, with the 2**(2d) depth scaling."""
+    power of the per-edge flow bound, with the 2**(2d) depth scaling.
+    Cached per depth, since every flow_bound_report at one depth needs it."""
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(np.sum((n / (n + 1.0 - i)) ** 4 * 2.0 ** (-i)))
 

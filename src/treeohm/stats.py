@@ -357,7 +357,10 @@ def fit_expectation(
     ses = np.asarray(ses, dtype=np.float64)
     if len(ns) < 6:
         raise ValidationError(f"fit needs at least 6 grid points, got {len(ns)}")
-    if len(np.unique(ns)) != len(ns):
+    # sorted, equal neighbours are repeats (0.0 and -0.0 too), and so are two
+    # NaNs, which sort last: np.unique's equal_nan rule without numpy.ma
+    grid = np.sort(ns)
+    if np.any((grid[1:] == grid[:-1]) | np.isnan(grid[:-1])):
         raise ValidationError("fit grid has repeated n values")
     if not np.all(np.isfinite(ns) & (ns >= 1.0) & (ns == np.round(ns))):
         raise ValidationError(f"fit depths must be integers >= 1, got {ns.tolist()}")
@@ -472,9 +475,11 @@ def gw_experiment(
     records = map_trees(partial(_gw_record, n), model, [n], trees, master_seed, workers)
     b1, res, shorted, w_hat = (np.array(col) for col in zip(*records))
     n_times_c = n / res
-    cond = {
-        int(v): float(np.mean(n_times_c[b1 == v])) for v in np.unique(b1)
-    }
+    cond = {v: float(np.mean(n_times_c[b1 == v])) for v in sorted(set(b1.tolist()))}
     corr = _pearson(res / n, 1.0 / w_hat)
-    median_prod = float(np.median((res / n) * w_hat))
+    # np.median's own arithmetic on NaN-free input (R and W are finite and
+    # positive), without the numpy.ma import its NaN check costs
+    prod = np.sort((res / n) * w_hat)
+    m = len(prod)
+    median_prod = float((prod[(m - 1) // 2] + prod[m // 2]) / 2.0)
     return GwReport(b1, res, shorted, w_hat, n_times_c, cond, corr, median_prod)

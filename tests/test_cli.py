@@ -1159,14 +1159,16 @@ class TestExitCodes:
             assert printed == exact
 
 
-def _loaded_by_import(module):
-    """Whether a fresh `import treeohm.cli` loads the named module."""
+def _loaded_by_import(module, argv=None):
+    """Whether a fresh `import treeohm.cli`, followed by a successful
+    `main(argv)` when argv is given, loads the named module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, treeohm.cli; print({module!r} in sys.modules)"
+    run = f"assert treeohm.cli.main({argv!r}) == 0; " if argv else ""
+    code = f"import sys, treeohm.cli; {run}print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    return done.stdout.strip() == "True"
+    return done.stdout.split()[-1] == "True"
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -1177,6 +1179,31 @@ def test_import_leaves_numpy_random_unloaded():
 def test_import_leaves_the_process_pool_unloaded():
     # only a pooled _chunked call imports the pool and multiprocessing
     assert not _loaded_by_import("multiprocessing")
+
+
+# a tiny run of each subcommand; fit reads a sweep table written first
+TINY_RUNS = {
+    "sample": ["sample", "--n", "4", "--reps", "20"],
+    "sweep": ["sweep", "--n", "2..7", "--reps", "20"],
+    "fit": ["fit"],
+    "flows": ["flows", "--n", "4", "--instances", "2"],
+    "oracle-check": ["oracle-check", "--n", "2..3", "--instances", "3"],
+    "rde": ["rde", "--pool-size", "100", "--levels", "2"],
+    "gw": ["gw", "--n", "4", "--trees", "10"],
+    "constants": ["constants", "--n", "1..3"],
+    "tails": ["tails", "--n", "4", "--reps", "100"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_no_subcommand_loads_numpy_ma(command, tmp_path):
+    # in numpy 2.4, np.unique without return_* and np.median import
+    # numpy.ma; no subcommand needs it
+    argv = [*TINY_RUNS[command], "--out", str(tmp_path)]
+    if command == "fit":
+        assert main([*TINY_RUNS["sweep"], "--out", str(tmp_path)]) == 0
+        argv += ["--sweep-csv", str(tmp_path / "sweep.csv")]
+    assert not _loaded_by_import("numpy.ma", argv)
 
 
 def _module_run(args, cwd=None):

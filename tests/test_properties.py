@@ -19,7 +19,10 @@ from treeohm import (
     WeightDistribution,
     build_dense_system,
     flow_bound_report,
+    gw_experiment,
+    level_scales,
     oracle_compare,
+    parse_distribution,
     resistance_fast,
     resistance_of_tree,
     resistance_streaming,
@@ -247,9 +250,65 @@ def test_flow_bound_report_holds(dist, n, seed):
     # the optimal flow under the per-edge bound, and the scaled fourth-power
     # sum under its ceiling; a constant law at n = 1 meets the bound exactly
     tree = sample_tree_explicit(TreeModel.regular(2, dist), n, RngStream(seed, 1))
-    report = flow_bound_report(solve_flow(tree), dist)
+    flow = solve_flow(tree)
+    report = flow_bound_report(flow, dist)
     assert report.min_margin >= -TOL * report.bound.max()
     assert report.s4_scaled <= report.b4 * (1 + TOL)
+    # taken per level and gathered, the bound and 4**d give the per-edge bytes
+    d = tree.level.astype(np.float64)
+    bound = (dist.b * n) / (dist.a * (n - d + 1.0) * 2.0 ** (d - 1.0))
+    margin = bound - flow.theta
+    t4 = flow.theta**4
+    assert report.bound.tobytes() == bound.tobytes()
+    assert report.margin.tobytes() == margin.tobytes()
+    assert report.min_margin == float(margin.min())
+    assert report.s4_scaled == float(np.sum(4.0**d * t4))
+    assert report.s4_plain == float(np.sum(t4))
+
+
+@st.composite
+def wide_trees(draw):
+    """Regular and branching trees with spread weights whose widest level
+    holds 8 or more nodes (every node branches, so level 4 holds 8), past
+    the 8-wide blocks of numpy's pairwise sum and, at the deepest, past its
+    128-element split."""
+    law, lam = draw(weight_laws().filter(lambda dist: dist.b > dist.a)), draw(_LAMS)
+    if draw(st.booleans()):
+        beta, n = draw(st.sampled_from([(2, 4), (2, 6), (2, 9), (3, 3), (3, 6)]))
+        model = TreeModel.regular(beta, law, lam=lam)
+    else:
+        counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True))
+        masses = draw(st.lists(st.integers(1, 4), min_size=len(counts), max_size=len(counts)))
+        offspring = [(k, m / sum(masses)) for k, m in zip(counts, masses)]
+        model = TreeModel.galton_watson(offspring, law, lam=lam)
+        n = draw(st.integers(4, 7))
+    return sample_tree_explicit(model, n, RngStream(draw(st.integers(0, 2**20)), 1))
+
+
+@PROPERTY
+@given(wide_trees())
+def test_shorted_resistance_is_the_per_level_sum(tree):
+    # one reciprocal pass, then each level summed: the bits of the per-level form
+    scales = level_scales(tree.lam, tree.n_levels)
+    w, off = tree.weight[tree.order], tree.offsets
+    assert max(np.diff(off)) >= 8
+    per_level = math.fsum(scales[l] / float(np.sum(1.0 / w[off[l]:off[l + 1]]))
+                          for l in range(tree.n_levels))
+    assert shorted_resistance_of_tree(tree) == per_level
+
+
+@PROPERTY
+@given(st.sampled_from(["const:1", "twopoint:0.5,1.5", "unif:0.5,1.5"]),
+       st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**20))
+def test_gw_summary_is_the_median_and_unique_form(law, n, trees, seed):
+    # odd and even tree counts; constant and two-point weights give ties
+    model = TreeModel.galton_watson([(1, 0.5), (2, 0.3), (3, 0.2)], parse_distribution(law))
+    report = gw_experiment(model, n, trees, seed)
+    cond = {int(v): float(np.mean(report.n_times_c[report.b1 == v]))
+            for v in np.unique(report.b1)}
+    assert list(report.cond_mean_nc.items()) == list(cond.items())
+    median = float(np.median((report.resistance / n) * report.w_hat))
+    assert report.median_scaled_product == median
 
 
 @PROPERTY

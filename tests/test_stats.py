@@ -430,6 +430,21 @@ class TestFits:
         with pytest.raises(ValidationError):
             fit_expectation(ns, ns, np.ones_like(ns), 1.0, 0.0)
 
+    @pytest.mark.parametrize("ns, message", [
+        ([math.nan, math.nan, 2.0, 3.0, 4.0, 5.0], "repeated n values"),
+        ([0.0, -0.0, 2.0, 3.0, 4.0, 5.0], "repeated n values"),
+        ([math.inf, 2.0, math.inf, 3.0, 4.0, 5.0], "repeated n values"),
+        ([math.nan, 2.0, 3.0, 4.0, 5.0, 6.0], "must be integers"),
+        ([6.0, 5.0, 4.0, 3.0, 2.0, 0.0], "must be integers"),
+    ])
+    def test_repeats_counted_as_np_unique_counts_them(self, ns, message):
+        # NaNs are equal to each other, and 0.0 to -0.0; the repeat check
+        # fires before the integer check
+        ns = np.array(ns)
+        assert (len(np.unique(ns)) != len(ns)) == (message == "repeated n values")
+        with pytest.raises(ValidationError, match=message):
+            fit_expectation(ns, np.ones_like(ns), np.ones_like(ns), 1.0, 0.0)
+
     def test_variance_slope_exact(self):
         ns = np.array([2.0, 4.0, 8.0, 16.0])
         slope, intercept = fit_variance_slope(ns, 7.0 / ns**4)
