@@ -38,11 +38,14 @@ subtree once per depth, and the kernel reads level n - h + 1 from it: the
 mask u < p, packed into bits along each tree, gives each subtree's E
 pre-order bits as its index (_table_codes).  Only the levels above are
 gathered, mapped and folded; the entries are the fold's own arithmetic on
-the same resistances, so the bits hold.  On this route a tree of more than
-_BLOCK_UNIFORMS edges is drawn in pieces of that many uniforms into one
-reused buffer (_draw_pieces), each piece packed into the tree's bits and
-its gathered uniforms put in their places, so a block's memory is bounded
-by the budget at any depth.
+the same resistances, so the bits hold.
+
+A tree of more than _BLOCK_UNIFORMS edges, on either route, is folded as
+the runs of its subtrees of H levels, the most that fit the budget (16 at
+beta 2): in pre-order each run is one stretch of the tree's stream.  The
+kernel folds each run as a tree of its own, and the few levels above are
+folded over blocks of trees with the run roots as their bottom level
+(_regular_trees), so no array outgrows the budget at any depth.
 """
 
 from __future__ import annotations
@@ -225,23 +228,6 @@ def _check_nodes(model: TreeModel, n: int) -> int:
     return nodes
 
 
-def _dfs_layout(beta: int, n_levels: int) -> np.ndarray:
-    """Pre-order levels of the full beta-ary tree with n_levels edge levels,
-    tiled in place from the bottom up: the last nodes in pre-order are the
-    last subtree of each height, and a subtree is its root followed by beta
-    copies of its child's subtree.  _level_major gives its layout; the
-    caller checks the size (_check_nodes)."""
-    n = (beta**n_levels - 1) // (beta - 1)
-    level = np.empty(n, dtype=np.int64)
-    size = 0  # node count of the subtree tiled so far, at the end of level
-    for l in range(n_levels, 0, -1):
-        start = n - 1 - beta * size
-        level[start] = l
-        level[start + 1:n - size].reshape(beta - 1, size)[:] = level[n - size:]
-        size = 1 + beta * size
-    return level
-
-
 def _fold(sub: np.ndarray, offsets: np.ndarray, kids, cond: np.ndarray,
           csum: np.ndarray) -> None:
     """Series-parallel fold of level-major edge resistances, bottom level
@@ -290,13 +276,13 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # draw budget of a block of regular replicates, in uniforms: a block holds
-# max(1, _BLOCK_UNIFORMS // edges) trees, and a table-route tree of more
-# edges draws in pieces of this many, so it bounds every table-route draw.
-# A multiple of 8, so that each piece packs into whole bytes.  It also sizes
-# the accumulator of narrow top levels (_acc_levels): a range of blocks of
-# fewer than _ACC_TREES trees folds only their wide levels, and the top
-# _acc_levels(beta) levels of _ACC_TREES trees are folded together, in a
-# quarter of the budget, with the spent draw buffer as the fold's scratch
+# _BLOCK_UNIFORMS // edges trees, and a tree of more edges is folded as the
+# runs of its largest subtrees that fit (_regular_trees), so it bounds every
+# draw.  It also sizes the accumulator of narrow top levels (_acc_levels):
+# a range of blocks of fewer than _ACC_TREES trees folds only their wide
+# levels, and the top _acc_levels(beta) levels of _ACC_TREES trees are
+# folded together, in a quarter of the budget, with the spent draw buffer
+# as the fold's scratch
 _BLOCK_UNIFORMS = 2**16
 _ACC_TREES = _BLOCK_UNIFORMS // 2**11
 
@@ -379,8 +365,8 @@ def _regular_order(beta: int, n: int, levels: int) -> tuple[np.ndarray, np.ndarr
     level: level l holds beta**(l-1) nodes, and the children of the
     pre-order node p at level l are p + 1 + i * size for i < beta, size
     being the node count of a subtree rooted at level l + 1.  These are
-    the arrays _level_major(_dfs_layout(beta, n), n) gives, cut after level
-    `levels`, with no sort and no array over the levels below."""
+    the arrays _level_major gives on the tree's pre-order levels, cut after
+    level `levels`, with no sort and no array over the levels below."""
     offsets = np.concatenate(([0], np.cumsum(beta ** np.arange(levels))))
     off = offsets.tolist()
     order = np.zeros(off[-1], dtype=np.int64)
@@ -393,17 +379,12 @@ def _regular_order(beta: int, n: int, levels: int) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class _Layout:
-    """A depth's block layout (_regular_layout).  `order` and `offsets` are
-    the level-major order and offsets of the levels the block gathers and
-    folds; with a table, the last of them, level n - h + 1, is read from
+    """A depth's block layout (_regular_layout), of a tree or a run of
+    `edges` edges whose levels take the scales `scales`.  `order` and
+    `offsets` are the level-major order and offsets of the levels the block
+    gathers and folds; with a table, the last of them is read from
     `table` at the subtrees whose pre-order roots r are given by their byte
-    r >> 3 and bit r & 7 in `byte` and `shift`, one entry per root.
-
-    A table-route tree of more than _BLOCK_UNIFORMS edges is drawn in
-    pieces of _BLOCK_UNIFORMS uniforms: piece i holds pre-order positions
-    i * _BLOCK_UNIFORMS on, and the gathered uniforms it holds are
-    piece[at[a:b]], to be put in level-major rows slot[a:b], where a, b =
-    split[i], split[i + 1] (the gathered positions in increasing order)."""
+    r >> 3 and bit r & 7 in `byte` and `shift`, one entry per root."""
 
     edges: int
     order: np.ndarray
@@ -412,42 +393,33 @@ class _Layout:
     table: np.ndarray | None = None
     byte: np.ndarray | None = None
     shift: np.ndarray | None = None
-    at: np.ndarray | None = None
-    slot: np.ndarray | None = None
-    split: list[int] | None = None
 
 
 def _regular_layout(model: TreeModel, n: int, table: bool = True) -> _Layout:
-    """The block layout of depth n, computed (_regular_order) after
-    model.scales checks the depth and _check_nodes the size.  With `table`,
-    a law with one or two atoms reads the bottom h = _table_height(beta)
-    levels from _atom_table when h >= 2 and n > h; then only the top n - h
-    levels and the table roots at level n - h + 1 are built, and a tree of
-    more than _BLOCK_UNIFORMS edges gets its piece split.  A lone tree
+    """The block layout of depth n's bottom d levels, computed
+    (_regular_order) after model.scales checks the depth and _check_nodes
+    the size: d = n for a tree that fits _BLOCK_UNIFORMS, else the most
+    levels that fit, the height of its runs (_regular_trees).  With
+    `table`, a law with one or two atoms reads the bottom h =
+    _table_height(beta) levels from _atom_table when h >= 2 and d > h; then
+    only the top d - h levels and the table roots are built.  A lone tree
     passes table=False: the table's build, about 0.8 ms at beta 2 and 3.8
-    ms at beta 14, costs more than one whole tree below n = 14 (0.1 to
-    0.35 ms), while the trees of a block range share it."""
+    ms at beta 14, costs more than one whole tree below n = 14 (0.1 to 0.35
+    ms), while the trees of a block range share it."""
     beta = int(model.beta)
     scales = model.scales(n)
-    edges = _check_nodes(model, n)
+    _check_nodes(model, n)
+    d = min(n, _levels_within(beta, _BLOCK_UNIFORMS))
+    edges, scales = (beta**d - 1) // (beta - 1), scales[n - d:]
     h = _table_height(beta)
-    if not (table and 1 <= len(model.weights.atoms) <= 2 and 2 <= h < n):
-        return _Layout(edges, *_regular_order(beta, n, n), scales)
-    top = n - h
-    order, offsets = _regular_order(beta, n, top + 1)
+    if not (table and 1 <= len(model.weights.atoms) <= 2 and 2 <= h < d):
+        return _Layout(edges, *_regular_order(beta, d, d), scales)
+    top = d - h
+    order, offsets = _regular_order(beta, d, top + 1)
     roots = order[offsets[top]:]
-    order = order[:offsets[top]].copy()
-    at = slot = split = None
-    if edges > _BLOCK_UNIFORMS:
-        # each level of `order` is increasing, so the stable sort merges runs
-        slot = np.argsort(order, kind="stable")
-        position = order[slot]
-        split = np.searchsorted(position, np.arange(0, edges + _BLOCK_UNIFORMS,
-                                                    _BLOCK_UNIFORMS)).tolist()
-        at = position % _BLOCK_UNIFORMS
-    return _Layout(edges, order, offsets, scales,
+    return _Layout(edges, order[:offsets[top]].copy(), offsets, scales,
                    _atom_table(model.weights, beta, scales[top:]), roots >> 3,
-                   (roots & 7).astype(np.uint8), at, slot, split)
+                   (roots & 7).astype(np.uint8))
 
 
 def _table_codes(layout: _Layout, bits: np.ndarray) -> np.ndarray:
@@ -479,34 +451,16 @@ def _scale_fold(g: np.ndarray, offsets: np.ndarray, scales: np.ndarray, beta: in
     _fold(g, offsets, beta, scratch, scratch)
 
 
-def _draw_pieces(model: TreeModel, layout: _Layout, rng: RngStream, u: np.ndarray,
-                 g: np.ndarray, bits: np.ndarray) -> None:
-    """Draw one table-route tree from rng in pieces of len(u) ==
-    _BLOCK_UNIFORMS uniforms, reusing u: each piece's mask u < p fills
-    whole bytes of `bits` (the piece size is a multiple of 8), and its
-    gathered uniforms go to their level-major places in g (the layout's
-    piece split).  A draw split anywhere gives the same uniforms, so bits
-    and g hold what the whole draw would give."""
-    p, edges, split = model.weights.atoms[0][1], layout.edges, layout.split
-    for i, s in enumerate(range(0, edges, len(u))):
-        k = min(len(u), edges - s)
-        piece = rng.uniforms(k, out=u[:k])
-        bits[s >> 3:(s + k + 7) >> 3] = np.packbits(np.less(piece, p), bitorder="little")
-        a, b = split[i], split[i + 1]
-        g[layout.slot[a:b]] = piece[layout.at[a:b]]
-
-
 def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
                       chunk: Iterator[RngStream] | None = None,
                       lockstep: Callable[[int, int], RngStream] | None = None) -> np.ndarray:
     """Root resistances of m regular trees of one layout, in blocks of
-    max(1, _BLOCK_UNIFORMS // edges) trees: the one regular kernel.  The
-    caller validates the model and depth and chooses the draw source:
-    `chunk`, one stream per tree, each drawn into a row of a (trees, edges)
-    block by its Generator (a table-route tree of more than _BLOCK_UNIFORMS
-    edges in pieces, _draw_pieces, as a block of its own), or `lockstep`,
-    which gives the stream_block of trees b..b+k-1 for (b, k), drawn as
-    (edges, trees).
+    _BLOCK_UNIFORMS // edges trees: the one regular kernel.  The caller
+    validates the model and depth and chooses the draw source: `chunk`,
+    one stream per tree, each drawn into a row of a (trees, edges) block by
+    its Generator (a run of a deeper tree, _regular_trees, is a tree of
+    its own here), or `lockstep`, which gives the stream_block of trees
+    b..b+k-1 for (b, k), drawn as (edges, trees).
 
     The gather alone reads the draw's axis.  A lockstep or one-tree block
     is gathered level-major along axis 0 straight into the row-minor
@@ -527,17 +481,15 @@ def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
     _ACC_TREES trees.  Folding a tree in two parts keeps its bits: _fold's
     columns are independent, each level's scale is its own multiply and
     _transform is elementwise.  No buffer holds more than the budget's
-    uniforms (or one tree's edges, or its rows, past it); the accumulator
-    takes a quarter of the budget.
+    uniforms; the accumulator takes a quarter of the budget.
     """
     beta, order, offsets, table = int(model.beta), layout.order, layout.offsets, layout.table
     edges, top, rows, off = layout.edges, len(order), int(offsets[-1]), offsets.tolist()
-    pieces = layout.split is not None
-    cols = 1 if pieces else max(1, min(_BLOCK_UNIFORMS // edges, m))
+    cols = min(_BLOCK_UNIFORMS // edges, m)
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
-    ubuf = np.empty(max(_BLOCK_UNIFORMS, rows) if pieces else edges * cols)
+    ubuf = np.empty(edges * cols)
     gbuf = np.empty(rows * cols)
     nbytes = (edges + 7) // 8
     bits = None if table is None else np.zeros((cols, nbytes + 3), dtype=np.uint8)
@@ -562,27 +514,23 @@ def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
             flush(b0)
             w = 0
         g, scratch = gbuf[:rows * k].reshape(rows, k), ubuf
-        if pieces:
-            _draw_pieces(model, layout, next(chunk), ubuf[:_BLOCK_UNIFORMS], g[:top, 0],
-                         bits[0])
+        if lockstep is None:
+            draws = ubuf[:k * edges].reshape(k, edges)
+            for rng, row in zip(islice(chunk, k), draws):
+                rng.uniforms(edges, out=row)
         else:
-            if lockstep is None:
-                draws = ubuf[:k * edges].reshape(k, edges)
-                for rng, row in zip(islice(chunk, k), draws):
-                    rng.uniforms(edges, out=row)
-            else:
-                draws = lockstep(b0, k).uniforms(edges, out=ubuf[:edges * k].reshape(edges, k)).T
-            if table is not None:
-                bits[:k, :nbytes] = np.packbits(np.less(draws, model.weights.atoms[0][1]),
-                                                axis=1, bitorder="little")
-            # every index is in range
-            if lockstep is not None or k == 1:
-                np.take(draws.T, order, axis=0, out=g[:top], mode="clip")
-            else:
-                gathered = gbuf[:k * top].reshape(k, top)
-                np.take(draws, order, axis=1, out=gathered, mode="clip")
-                g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
-                g[:top] = gathered.T
+            draws = lockstep(b0, k).uniforms(edges, out=ubuf[:edges * k].reshape(edges, k)).T
+        if table is not None:
+            bits[:k, :nbytes] = np.packbits(np.less(draws, model.weights.atoms[0][1]),
+                                            axis=1, bitorder="little")
+        # every index is in range
+        if lockstep is not None or k == 1:
+            np.take(draws.T, order, axis=0, out=g[:top], mode="clip")
+        else:
+            gathered = gbuf[:k * top].reshape(k, top)
+            np.take(draws, order, axis=1, out=gathered, mode="clip")
+            g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
+            g[:top] = gathered.T
         if table is not None:
             np.take(table, _table_codes(layout, bits[:k]).T, out=g[top:], mode="clip")
         _transform(model.weights, g[:top])
@@ -598,18 +546,61 @@ def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
     return out
 
 
+def _regular_trees(model: TreeModel, n: int, layout: _Layout, m: int,
+                   chunk: Iterator[RngStream]) -> np.ndarray:
+    """Root resistances of m depth-n regular trees of `layout`
+    (_regular_layout), tree i drawn from the i-th stream of chunk.  A layout
+    of fewer than n levels is a run, and the top n - len(layout.scales)
+    levels lie above the runs: per block of trees, a draw source draws the
+    top uniforms before each run into the tree's row of top-tree slots (one
+    per top node and per run, in pre-order) and yields the stream to the
+    kernel once per run.  The top levels are then gathered level-major,
+    mapped and folded (_scale_fold) with the run roots as their bottom
+    level: the fold's own arithmetic, so each tree keeps its bits."""
+    top = n - len(layout.scales)
+    if not top:
+        return _drawn_replicates(model, layout, m, chunk)
+    beta = int(model.beta)
+    order, offsets = _regular_order(beta, top + 1, top + 1)
+    slots, above = int(offsets[-1]), int(offsets[top])
+    runs = order[above:].tolist()  # each run's slot, increasing
+    gaps = list(zip([0] + [r + 1 for r in runs[:-1]], runs))
+    scales = model.scales(n)[:top]
+    cols = max(1, min(_BLOCK_UNIFORMS // slots, m))
+    tops, out = np.empty((cols, slots)), np.empty(m)
+
+    def draws(k: int) -> Iterator[RngStream]:
+        for row, rng in zip(tops[:k], islice(chunk, k)):
+            for s, r in gaps:
+                if s < r:
+                    rng.uniforms(r - s, out=row[s:r])
+                yield rng
+
+    for b0 in range(0, m, cols):
+        k = min(cols, m - b0)
+        roots = _drawn_replicates(model, layout, k * len(runs), draws(k))
+        g = np.empty((slots, k))
+        # every index is in range
+        np.take(tops[:k].T, order[:above], axis=0, out=g[:above], mode="clip")
+        g[above:] = roots.reshape(k, len(runs)).T
+        _transform(model.weights, g[:above])
+        _scale_fold(g, offsets, scales, beta, np.empty_like(g))
+        out[b0:b0 + k] = g[0]
+    return out
+
+
 def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1: int) -> np.ndarray:
     """Root resistances of regular replicates j0..j1-1 (replicate j on
     stream j), with one layout and one set of level scales for the whole
     range.  This chooses the kernel's draw source (_drawn_replicates): a
     block of trees of at most _LOCKSTEP_EDGES edges draws from one
-    stream_block, and deeper trees take their streams from one streams()
-    range."""
+    stream_block, and deeper trees, and trees folded in runs, take their
+    streams from one streams() range (_regular_trees)."""
     layout = _regular_layout(model, n)
-    if layout.edges > _LOCKSTEP_EDGES:
-        return _drawn_replicates(model, layout, j1 - j0, streams(master_seed, j0, j1))
-    return _drawn_replicates(model, layout, j1 - j0, lockstep=lambda b, k: stream_block(
-        master_seed, j0 + b, j0 + b + k))
+    if layout.edges <= _LOCKSTEP_EDGES and len(layout.scales) == n:
+        return _drawn_replicates(model, layout, j1 - j0, lockstep=lambda b, k: stream_block(
+            master_seed, j0 + b, j0 + b + k))
+    return _regular_trees(model, n, layout, j1 - j0, streams(master_seed, j0, j1))
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +639,14 @@ def resistance_streaming(model: TreeModel, n: int, rng: RngStream) -> Resistance
 def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSample:
     """Vectorized twin of resistance_streaming: one block draw in the same
     pre-order, reordered level-major, folded level by level.  Bit-identical
-    to the recursion on the same stream, at the cost of O(beta^n) memory.
-    This is the replicate kernel (_drawn_replicates) on a one-tree range
-    drawn from rng, on the float path (_regular_layout with table=False)."""
+    to the recursion on the same stream, in memory bounded by the block
+    budget at any depth.  This is the replicate kernel (_regular_trees) on
+    a one-tree range drawn from rng, on the float path (_regular_layout
+    with table=False)."""
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     layout = _regular_layout(model, n, table=False)
-    r_total = float(_drawn_replicates(model, layout, 1, iter((rng,)))[0])
+    r_total = float(_regular_trees(model, n, layout, 1, iter((rng,)))[0])
     return ResistanceSample(r_total, 1.0 / r_total)
 
 
@@ -762,8 +754,9 @@ def _explicit_layout(model: TreeModel, n: int) -> SampledTree | np.ndarray:
     if model.shape != "regular":
         return scales
     beta = int(model.beta)
-    level = _dfs_layout(beta, n)
     order, offsets = _regular_order(beta, n, n)
+    level = np.empty_like(order)
+    level[order] = np.repeat(np.arange(1, n + 1), np.diff(offsets))
     parent, slot = _parent_slots(level, np.diff(level) == 1, order, offsets)
     return SampledTree._built(level, np.ones(len(level)), model.lam, "regular", beta,
                               scales[level - 1], order, offsets, parent, slot)

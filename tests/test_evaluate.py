@@ -51,9 +51,9 @@ class TestRegularEvaluation:
 
     @pytest.mark.parametrize("beta, n", [(2, 1), (2, 2), (2, 9), (3, 5), (5, 4)])
     def test_regular_layout_is_the_level_sort(self, beta, n):
-        from treeohm.evaluate import _dfs_layout, _level_major
+        from treeohm.evaluate import _level_major
 
-        order, offsets = _level_major(_dfs_layout(beta, n), n)
+        order, offsets = _level_major(tiled_dfs_layout(beta, n)[0], n)
         # the reference: level l holds beta**(l-1) nodes, and the children of
         # the pre-order node p at level l are p + 1 + i * size for i < beta,
         # where size is the node count of a subtree rooted at level l + 1
@@ -71,47 +71,43 @@ class TestRegularEvaluation:
     def test_computed_layout_is_the_level_sort(self, beta, n, monkeypatch):
         from treeohm import evaluate
 
-        piece = 16
-        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", piece)
+        budget = 64
+        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", budget)
         h = evaluate._table_height(beta)
-        edges = (beta**n - 1) // (beta - 1)
-        order, offsets = evaluate._level_major(evaluate._dfs_layout(beta, n), n)
-        for dist, route in ((WeightDistribution.two_point(0.5, 1.5), n > h),
+        # a tree of more edges than the budget is laid out as its run, the
+        # subtree of its bottom d levels, the most that fit the budget
+        d = min(n, evaluate._levels_within(beta, budget))
+        edges = (beta**d - 1) // (beta - 1)
+        assert edges <= budget and (d < n) == ((beta**n - 1) // (beta - 1) > budget)
+        order, offsets = evaluate._level_major(tiled_dfs_layout(beta, d)[0], d)
+        for dist, route in ((WeightDistribution.two_point(0.5, 1.5), d > h),
                             (WeightDistribution.uniform(0.5, 1.5), False)):
-            layout = evaluate._regular_layout(TreeModel.regular(beta, dist), n)
+            model = TreeModel.regular(beta, dist)
+            layout = evaluate._regular_layout(model, n)
             assert layout.edges == edges and (layout.table is not None) == route
-            top = n - h if route else n
+            assert layout.scales.tobytes() == model.scales(n)[n - d:].tobytes()
+            top = d - h if route else d
             assert layout.offsets.dtype == offsets.dtype
             assert np.array_equal(layout.offsets, offsets[:top + 1 + route])
             assert layout.order.dtype == order.dtype
             assert np.array_equal(layout.order, order[:offsets[top]])
             if not route:
-                assert layout.byte is layout.split is None
+                assert layout.byte is layout.shift is None
                 continue
             roots = order[offsets[top]:offsets[top + 1]]
             assert np.array_equal(layout.byte, roots >> 3)
             assert layout.shift.dtype == np.uint8
             assert np.array_equal(layout.shift, roots & 7)
-            # the piece split: gathered positions in increasing order, cut
-            # at the multiples of the piece size
-            assert (layout.split is not None) == (edges > piece)
-            if layout.split is not None:
-                position = layout.order[layout.slot]
-                assert np.all(np.diff(position) > 0)
-                assert np.array_equal(layout.at, position % piece)
-                split = layout.split
-                assert len(split) == -(-edges // piece) + 1 and split[-1] == len(position)
-                for i in range(len(split) - 1):
-                    assert np.all(position[split[i]:split[i + 1]] // piece == i)
 
     @pytest.mark.parametrize("beta", [2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layout_levels_and_parents_are_the_tiled_ones(self, beta, n):
-        from treeohm.evaluate import _dfs_layout
+        from treeohm.evaluate import _explicit_layout
 
         model = TreeModel.regular(beta, WeightDistribution.uniform(0.5, 1.5))
+        level = _explicit_layout(model, n).level
         parent = sample_tree_explicit(model, n, RngStream(0)).parent
-        for got, want in zip((_dfs_layout(beta, n), parent), tiled_dfs_layout(beta, n)):
+        for got, want in zip((level, parent), tiled_dfs_layout(beta, n)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("beta", [2, 3])
@@ -160,7 +156,6 @@ class TestRegularEvaluation:
         def no_layout(*args):
             raise AssertionError("layout built before the depth check")
 
-        monkeypatch.setattr(treeohm.evaluate, "_dfs_layout", no_layout)
         monkeypatch.setattr(treeohm.evaluate, "_regular_order", no_layout)
         dist = WeightDistribution.uniform(0.5, 1.5)
         if branching:  # gw:2:1, whose depth n has n + 1 edge levels
@@ -184,6 +179,11 @@ class TestAtomTable:
         "const": WeightDistribution.constant(0.7),
         "disc": WeightDistribution.discrete([(0.4, 0.35), (2.5, 0.65)]),
     }
+    # laws on the float route
+    _FLOAT_LAWS = {
+        "unif": WeightDistribution.uniform(0.5, 1.5),
+        "disc3": WeightDistribution.discrete([(0.5, 0.2), (1.0, 0.5), (2.5, 0.3)]),
+    }
     # depths at and below the table height h, above it in lockstep and
     # above it from Generators
     _DEPTHS = {2: (3, 4, 5, 6, 7), 3: (2, 3, 4, 5), 4: (1, 2, 3, 4), 5: (1, 2, 3, 4)}
@@ -203,10 +203,10 @@ class TestAtomTable:
         (14, WeightDistribution.two_point(0.5, 1.5, 0.9), 1.3, 7),
     ], ids=["beta2", "beta3", "beta4", "beta5", "beta14"])
     def test_entries_are_the_resistance_of_their_tree(self, beta, dist, lam, stride):
-        from treeohm.evaluate import _atom_table, _dfs_layout, _table_height
+        from treeohm.evaluate import _atom_table, _table_height
 
         h = _table_height(beta)
-        level = _dfs_layout(beta, h)
+        level = tiled_dfs_layout(beta, h)[0]
         table = _atom_table(dist, beta, level_scales(lam, h))
         assert table.shape == (2 ** len(level),) and table.dtype == np.float64
         (lo, _), (hi, _) = dist.atoms[0], dist.atoms[-1]
@@ -238,42 +238,50 @@ class TestAtomTable:
                 assert evaluate._regular_replicates(model, n, 9, 5, 12).tolist() == want
                 assert resistance_fast(model, n, RngStream(9, 5)).resistance == want[0]
 
-    @pytest.mark.parametrize("law", sorted(_LAWS))
-    @pytest.mark.parametrize("beta, n, piece", [(2, 7, 40), (3, 5, 32), (4, 4, 24), (5, 4, 48)])
-    def test_pieces_match_streaming(self, beta, n, piece, law, monkeypatch):
+    @pytest.mark.parametrize("law", sorted(_LAWS) + sorted(_FLOAT_LAWS))
+    @pytest.mark.parametrize("beta, n, budget", [(2, 7, 40), (3, 5, 32), (4, 4, 24),
+                                                 (5, 4, 48)])
+    def test_pieces_match_streaming(self, beta, n, budget, law, monkeypatch):
+        """A tree of more edges than the budget is folded in pieces: the
+        runs of its largest subtrees that fit, on either route, below top
+        levels folded over blocks of trees."""
         from treeohm import evaluate
 
-        # a tree spans 3 or more pieces and ends in a partial one
-        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", piece)
-        edges = (beta**n - 1) // (beta - 1)
-        assert edges > 2 * piece and edges % piece
+        # runs of fewer than _LOCKSTEP_EDGES edges, still one stream per tree
+        monkeypatch.setattr(evaluate, "_BLOCK_UNIFORMS", budget)
+        m = 11
         for lam in (None, 0.8, 2.7):
-            model = TreeModel.regular(beta, self._LAWS[law], lam=lam)
-            assert evaluate._regular_layout(model, n).split is not None
+            model = TreeModel.regular(beta, {**self._LAWS, **self._FLOAT_LAWS}[law], lam=lam)
+            layout = evaluate._regular_layout(model, n)
+            top = n - len(layout.scales)
+            assert top >= 1 and layout.edges <= budget
+            # the range's top rows, a slot per top node and per run, fill
+            # more than one block of the budget
+            assert m > budget // ((beta ** (top + 1) - 1) // (beta - 1))
             want = [resistance_streaming(model, n, RngStream(9, j)).resistance
-                    for j in range(5, 9)]
-            assert evaluate._regular_replicates(model, n, 9, 5, 9).tolist() == want
-
-    def test_block_budget_fills_whole_bytes(self):
-        from treeohm.evaluate import _BLOCK_UNIFORMS
-
-        assert _BLOCK_UNIFORMS % 8 == 0
+                    for j in range(5, 5 + m)]
+            assert evaluate._regular_replicates(model, n, 9, 5, 5 + m).tolist() == want
+            assert resistance_fast(model, n, RngStream(9, 5)).resistance == want[0]
 
     def test_deep_tree_memory_is_bounded_by_the_block_budget(self):
         import tracemalloc
 
         from treeohm.evaluate import _regular_replicates
 
-        # reg:2 n = 18 has 262143 edges, 2 MiB of uniforms, drawn in pieces
-        model = TreeModel.regular(2, WeightDistribution.two_point(0.5, 1.5))
-        _regular_replicates(model, 18, 1, 0, 1)  # the first range loads numpy.random
-        tracemalloc.start()
-        try:
-            _regular_replicates(model, 18, 1, 0, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+        # reg:2 n = 18 has 262143 edges and n = 22 4194303, 2 and 32 MiB of
+        # uniforms, folded in runs of 65535 edges on the table and the
+        # float route
+        for dist, n, m in ((WeightDistribution.two_point(0.5, 1.5), 18, 3),
+                           (WeightDistribution.uniform(0.5, 1.5), 22, 2)):
+            model = TreeModel.regular(2, dist)
+            _regular_replicates(model, 14, 1, 0, 1)  # the first range loads numpy.random
+            tracemalloc.start()
+            try:
+                _regular_replicates(model, n, 1, 0, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20
 
     def test_generator_block_memory_is_bounded(self):
         import tracemalloc
@@ -303,9 +311,7 @@ class TestAtomTable:
     def test_route_runs_where_it_applies(self, beta, law, n, route, monkeypatch):
         from treeohm import evaluate
 
-        laws = {**self._LAWS, "unif": WeightDistribution.uniform(0.5, 1.5),
-                "disc3": WeightDistribution.discrete([(0.5, 0.2), (1.0, 0.5), (2.5, 0.3)])}
-        model = TreeModel.regular(beta, laws[law])
+        model = TreeModel.regular(beta, {**self._LAWS, **self._FLOAT_LAWS}[law])
         layout = evaluate._regular_layout(model, n)
         h = evaluate._table_height(beta)
         assert layout.edges == (beta**n - 1) // (beta - 1)
@@ -402,6 +408,20 @@ class TestDrawSource:
                 got.append(evaluate._regular_replicates(model, n, 5, 3, 3 + m).tobytes())
             assert got[0] == got[1]
 
+    @pytest.mark.parametrize("law", ["twopoint", "unif"])
+    def test_runs_of_lockstep_size_draw_from_generators(self, law):
+        from treeohm import evaluate
+
+        # at beta 2**16 a depth-2 tree of 65537 edges is folded in runs of
+        # one edge, fewer than _LOCKSTEP_EDGES, still one stream per tree
+        dist = {"twopoint": WeightDistribution.two_point(0.5, 1.5),
+                "unif": WeightDistribution.uniform(0.5, 1.5)}[law]
+        model = TreeModel.regular(2**16, dist)
+        layout = evaluate._regular_layout(model, 2)
+        assert layout.edges == 1 <= evaluate._LOCKSTEP_EDGES
+        want = [resistance_streaming(model, 2, RngStream(5, j)).resistance for j in (3, 4)]
+        assert evaluate._regular_replicates(model, 2, 5, 3, 5).tolist() == want
+
 
 class TestAccumulator:
     """In a range of more than one block of fewer than _ACC_TREES trees, a
@@ -415,19 +435,21 @@ class TestAccumulator:
 
     # (beta, law, n, budget, W, where): a small budget and accumulator put
     # the cut (_acc_levels) above, at or below the table level, on the
-    # float route or in a tree drawn in pieces; "within" trees have no
+    # float route, in a tree folded in runs or both; "within" trees have no
     # more levels than the cut and fold whole, in lockstep or in blocks of
     # W or more trees
     _CASES = [
         (2, "twopoint", 9, 512, 4, "above"), (2, "twopoint", 8, 512, 4, "at"),
         (2, "twopoint", 9, 2040, 4, "below"), (2, "unif", 9, 512, 4, "float"),
-        (2, "twopoint", 9, 128, 4, "above-pieces"), (2, "twopoint", 9, 504, 2, "at-pieces"),
+        (2, "twopoint", 9, 128, 4, "above-runs"), (2, "twopoint", 9, 496, 2, "at-runs"),
+        (2, "unif", 9, 128, 4, "float-runs"),
         (2, "unif", 7, 2040, 4, "within"), (2, "twopoint", 5, 512, 4, "within"),
         (3, "twopoint", 6, 400, 4, "above"), (3, "twopoint", 6, 640, 4, "at"),
-        (3, "unif", 5, 400, 4, "float"), (3, "twopoint", 6, 96, 4, "above-pieces"),
+        (3, "unif", 5, 400, 4, "float"), (3, "twopoint", 6, 160, 4, "above-runs"),
+        (3, "unif", 6, 160, 4, "float-runs"),
         (3, "twopoint", 3, 400, 4, "within"),
         (5, "twopoint", 4, 200, 4, "above"), (5, "twopoint", 4, 496, 4, "at"),
-        (5, "unif", 4, 200, 4, "float"), (5, "twopoint", 4, 64, 2, "above-pieces"),
+        (5, "unif", 4, 200, 4, "float"), (5, "twopoint", 5, 200, 2, "above-runs"),
         (5, "unif", 2, 200, 4, "within"),
     ]
 
@@ -449,8 +471,10 @@ class TestAccumulator:
             else:
                 assert layout.edges > evaluate._LOCKSTEP_EDGES
                 assert budget // layout.edges < trees and cut >= 2
-                assert (layout.split is not None) == where.endswith("-pieces")
-                assert (layout.table is None) == (where == "float")
+                # a run's layout, of d < n levels, fits the budget
+                assert (len(layout.scales) < n) == where.endswith("-runs")
+                assert layout.edges <= budget
+                assert (layout.table is None) == where.startswith("float")
                 relation = {"above": cut < levels, "at": cut == levels,
                             "below": cut > levels, "float": cut < levels}
                 assert relation[where.split("-")[0]]
