@@ -25,11 +25,8 @@ _LOCKSTEP_EDGES edges in lockstep, already as (edges, columns)
 into a row of a (trees, edges) block; resistance_fast draws its one tree
 from the caller's stream.  The gather puts the uniforms level-major into
 the fold array, one call maps them to weights, and each level is scaled
-and folded in place.  A range of more than one block of fewer than
-_ACC_TREES trees folds each block only up to a cut level and leaves the
-narrow levels above to one accumulator of _ACC_TREES trees, folded when it
-fills and when the range ends.  Each column takes the same arithmetic as a
-lone tree, so every draw source and every column give the same bits.
+and folded in place.  Each column takes the same arithmetic as a lone
+tree, so every draw source and every column give the same bits.
 
 A law with one or two atoms takes a table route on trees deeper than the
 table height h (_table_height: the largest height whose subtree of E edges
@@ -40,12 +37,16 @@ pre-order bits as its index (_table_codes).  Only the levels above are
 gathered, mapped and folded; the entries are the fold's own arithmetic on
 the same resistances, so the bits hold.
 
-A tree of more than _BLOCK_UNIFORMS edges, on either route, is folded as
-the runs of its subtrees of H levels, the most that fit the budget (16 at
-beta 2): in pre-order each run is one stretch of the tree's stream.  The
-kernel folds each run as a tree of its own, and the few levels above are
-folded over blocks of trees with the run roots as their bottom level
-(_regular_trees), so no array outgrows the budget at any depth.
+Every range but a lockstep one goes through one driver (_regular_trees),
+the only code that folds levels above a cut.  A tree of more than
+_BLOCK_UNIFORMS edges, on either route, is drawn as the runs of its
+subtrees of H levels, the most that fit the budget (16 at beta 2), each
+one stretch of the tree's stream in pre-order and folded by the kernel as
+a tree of its own; a smaller tree is its one run.  When the kernel's
+blocks hold fewer than _ACC_TREES runs, they are folded only up to a cut
+level, and the driver folds each tree's top, its own levels and its runs'
+rows above the cut, over blocks of trees: the narrow levels pay their
+per-level calls once per block, and no array outgrows the budget.
 """
 
 from __future__ import annotations
@@ -278,11 +279,10 @@ def _fold_tree(tree: SampledTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # draw budget of a block of regular replicates, in uniforms: a block holds
 # _BLOCK_UNIFORMS // edges trees, and a tree of more edges is folded as the
 # runs of its largest subtrees that fit (_regular_trees), so it bounds every
-# draw.  It also sizes the accumulator of narrow top levels (_acc_levels):
-# a range of blocks of fewer than _ACC_TREES trees folds only their wide
-# levels, and the top _acc_levels(beta) levels of _ACC_TREES trees are
-# folded together, in a quarter of the budget, with the spent draw buffer
-# as the fold's scratch
+# draw.  It also sizes the top fold (_acc_levels): a range of blocks of
+# fewer than _ACC_TREES trees or runs folds only their wide levels, and the
+# top _acc_levels(beta) levels of at least _ACC_TREES trees are folded
+# together, in a quarter of the budget
 _BLOCK_UNIFORMS = 2**16
 _ACC_TREES = _BLOCK_UNIFORMS // 2**11
 
@@ -318,10 +318,10 @@ def _table_height(beta: int) -> int:
 
 
 def _acc_levels(beta: int) -> int:
-    """c + 1, the levels a tree puts into the accumulator: the top c levels
-    and level c + 1's subtree resistances, at most
+    """c + 1, the most levels of a tree's top fold (_regular_trees): the top
+    c levels and level c + 1's subtree resistances, at most
     _BLOCK_UNIFORMS // (4 * _ACC_TREES) nodes, so that _ACC_TREES trees
-    fill a quarter of the block budget: 9 at beta 2, 6 at beta 3."""
+    fit a quarter of the block budget: 9 at beta 2, 6 at beta 3."""
     return _levels_within(beta, _BLOCK_UNIFORMS // (4 * _ACC_TREES))
 
 
@@ -451,16 +451,20 @@ def _scale_fold(g: np.ndarray, offsets: np.ndarray, scales: np.ndarray, beta: in
     _fold(g, offsets, beta, scratch, scratch)
 
 
-def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
+def _drawn_replicates(model: TreeModel, layout: _Layout, cut: int, m: int, group: int,
                       chunk: Iterator[RngStream] | None = None,
-                      lockstep: Callable[[int, int], RngStream] | None = None) -> np.ndarray:
-    """Root resistances of m regular trees of one layout, in blocks of
-    _BLOCK_UNIFORMS // edges trees: the one regular kernel.  The caller
-    validates the model and depth and chooses the draw source: `chunk`,
-    one stream per tree, each drawn into a row of a (trees, edges) block by
-    its Generator (a run of a deeper tree, _regular_trees, is a tree of
-    its own here), or `lockstep`, which gives the stream_block of trees
-    b..b+k-1 for (b, k), drawn as (edges, trees).
+                      lockstep: Callable[[int, int], RngStream] | None = None,
+                      spare: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows above level `cut` of m regular trees of one layout, folded
+    in blocks of _BLOCK_UNIFORMS // edges trees: the one regular kernel.
+    Per `group` trees it yields one reused (offsets[cut], trees) array, the
+    mapped, unscaled weights of levels 1..cut - 1 and level cut's subtree
+    resistances (the roots at cut 1), and the draw buffer, at least `spare`
+    floats and spent until the next group.  The caller validates the model
+    and depth and chooses the draw source: `chunk`, one stream per tree,
+    each drawn into a row of a (trees, edges) block by its Generator, or
+    `lockstep`, which gives the stream_block of trees b..b+k-1 for (b, k),
+    drawn as (edges, trees).
 
     The gather alone reads the draw's axis.  A lockstep or one-tree block
     is gathered level-major along axis 0 straight into the row-minor
@@ -470,121 +474,106 @@ def _drawn_replicates(model: TreeModel, layout: _Layout, m: int,
     fold array.  On the table route each tree's mask u < p is packed along
     it and the table level is read from the window codes (_table_codes).
     One _transform call maps the gathered uniforms to weights, and
-    _scale_fold scales and folds in place.
-
-    In a range of more than one block of fewer than _ACC_TREES trees, each
-    block is folded from its bottom up to the cut level, the lower of
-    _acc_levels(beta) and its last level; the cut level's subtree
-    resistances and the weights above go into one accumulator of
-    _ACC_TREES trees, scaled and folded when the next block does not fit
-    and when the range ends, so the top levels' calls are paid once per
-    _ACC_TREES trees.  Folding a tree in two parts keeps its bits: _fold's
-    columns are independent, each level's scale is its own multiply and
-    _transform is elementwise.  No buffer holds more than the budget's
-    uniforms; the accumulator takes a quarter of the budget.
+    _scale_fold scales and folds the levels from the cut down in place.
     """
     beta, order, offsets, table = int(model.beta), layout.order, layout.offsets, layout.table
     edges, top, rows, off = layout.edges, len(order), int(offsets[-1]), offsets.tolist()
-    cols = min(_BLOCK_UNIFORMS // edges, m)
+    cols = min(_BLOCK_UNIFORMS // edges, group)
     # two arrays rather than one of twice the size: the allocator can then
     # reuse the previous depth's freed blocks, which kept the peak RSS of a
     # sweep over n = 14..18 3 MiB lower
-    ubuf = np.empty(edges * cols)
+    ubuf = np.empty(max(edges * cols, spare))
     gbuf = np.empty(rows * cols)
     nbytes = (edges + 7) // 8
     bits = None if table is None else np.zeros((cols, nbytes + 3), dtype=np.uint8)
-    cut = min(_acc_levels(beta), len(off) - 1) if cols < min(_ACC_TREES, m) else 1
-    acc = np.empty((off[cut], min(_ACC_TREES, m))) if cut > 1 else None
     below = offsets[cut - 1:] - off[cut - 1]
     scales = layout.scales[cut - 1:len(off) - 1 - (table is not None)]
-    out = np.empty(m, dtype=np.float64)
-    w = 0  # trees in the accumulator
-
-    def flush(end: int) -> None:
-        # the w trees before tree `end`; between blocks the draw buffer is
-        # spent, and it holds at least the accumulator's values
-        a = acc[:, :w]
-        _scale_fold(a, offsets[:cut + 1], layout.scales[:cut - 1], beta,
-                    ubuf[:a.size].reshape(a.shape))
-        out[end - w:end] = a[0]
-
-    for b0 in range(0, m, cols):
-        k = min(cols, m - b0)
-        if acc is not None and w + k > acc.shape[1]:
-            flush(b0)
-            w = 0
-        g, scratch = gbuf[:rows * k].reshape(rows, k), ubuf
-        if lockstep is None:
-            draws = ubuf[:k * edges].reshape(k, edges)
-            for rng, row in zip(islice(chunk, k), draws):
-                rng.uniforms(edges, out=row)
-        else:
-            draws = lockstep(b0, k).uniforms(edges, out=ubuf[:edges * k].reshape(edges, k)).T
-        if table is not None:
-            bits[:k, :nbytes] = np.packbits(np.less(draws, model.weights.atoms[0][1]),
-                                            axis=1, bitorder="little")
-        # every index is in range
-        if lockstep is not None or k == 1:
-            np.take(draws.T, order, axis=0, out=g[:top], mode="clip")
-        else:
-            gathered = gbuf[:k * top].reshape(k, top)
-            np.take(draws, order, axis=1, out=gathered, mode="clip")
-            g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
-            g[:top] = gathered.T
-        if table is not None:
-            np.take(table, _table_codes(layout, bits[:k]).T, out=g[top:], mode="clip")
-        _transform(model.weights, g[:top])
-        sub = g[off[cut - 1]:]
-        _scale_fold(sub, below, scales, beta, scratch[:sub.size].reshape(sub.shape))
-        if acc is None:
-            out[b0:b0 + k] = g[0]
-        else:
-            acc[:, w:w + k] = g[:off[cut]]
-            w += k
-    if acc is not None:
-        flush(m)
-    return out
+    out = np.empty((off[cut], group))
+    for g0 in range(0, m, group):
+        size = min(group, m - g0)
+        for c0 in range(0, size, cols):
+            k = min(cols, size - c0)
+            g, scratch = gbuf[:rows * k].reshape(rows, k), ubuf
+            if lockstep is None:
+                draws = ubuf[:k * edges].reshape(k, edges)
+                for rng, row in zip(islice(chunk, k), draws):
+                    rng.uniforms(edges, out=row)
+            else:
+                draws = lockstep(g0 + c0, k).uniforms(
+                    edges, out=ubuf[:edges * k].reshape(edges, k)).T
+            if table is not None:
+                bits[:k, :nbytes] = np.packbits(np.less(draws, model.weights.atoms[0][1]),
+                                                axis=1, bitorder="little")
+            # every index is in range
+            if lockstep is not None or k == 1:
+                np.take(draws.T, order, axis=0, out=g[:top], mode="clip")
+            else:
+                gathered = gbuf[:k * top].reshape(k, top)
+                np.take(draws, order, axis=1, out=gathered, mode="clip")
+                g, scratch = ubuf[:rows * k].reshape(rows, k), gbuf
+                g[:top] = gathered.T
+            if table is not None:
+                np.take(table, _table_codes(layout, bits[:k]).T, out=g[top:], mode="clip")
+            _transform(model.weights, g[:top])
+            sub = g[off[cut - 1]:]
+            _scale_fold(sub, below, scales, beta, scratch[:sub.size].reshape(sub.shape))
+            out[:, c0:c0 + k] = g[:off[cut]]
+        yield out[:, :size], ubuf
 
 
 def _regular_trees(model: TreeModel, n: int, layout: _Layout, m: int,
                    chunk: Iterator[RngStream]) -> np.ndarray:
     """Root resistances of m depth-n regular trees of `layout`
-    (_regular_layout), tree i drawn from the i-th stream of chunk.  A layout
-    of fewer than n levels is a run, and the top n - len(layout.scales)
-    levels lie above the runs: per block of trees, a draw source draws the
-    top uniforms before each run into the tree's row of top-tree slots (one
-    per top node and per run, in pre-order) and yields the stream to the
-    kernel once per run.  The top levels are then gathered level-major,
-    mapped and folded (_scale_fold) with the run roots as their bottom
-    level: the fold's own arithmetic, so each tree keeps its bits."""
+    (_regular_layout), tree i drawn from the i-th stream of chunk: the one
+    fold above a cut.  The tree's own top n - len(layout.scales) levels lie
+    above its runs, none above a tree of one run.  A draw source draws the
+    top uniforms before each run into the tree's row of top slots (one per
+    top node and per run, in pre-order) and yields the stream to the kernel
+    once per run.  Per block of (_BLOCK_UNIFORMS // 4) // slots trees,
+    slots a tree's top rows, the top is laid out level-major, the runs'
+    rows by one transposing copy per level, its own weights are mapped,
+    and the whole top is scaled and folded (_scale_fold).  Folding a tree
+    in parts keeps its bits: _fold's columns are independent, each level's
+    scale is its own multiply and _transform is elementwise."""
+    beta, off = int(model.beta), layout.offsets.tolist()
     top = n - len(layout.scales)
-    if not top:
-        return _drawn_replicates(model, layout, m, chunk)
-    beta = int(model.beta)
     order, offsets = _regular_order(beta, top + 1, top + 1)
-    slots, above = int(offsets[-1]), int(offsets[top])
+    above = int(offsets[top])
     runs = order[above:].tolist()  # each run's slot, increasing
     gaps = list(zip([0] + [r + 1 for r in runs[:-1]], runs))
-    scales = model.scales(n)[:top]
-    cols = max(1, min(_BLOCK_UNIFORMS // slots, m))
-    tops, out = np.empty((cols, slots)), np.empty(m)
+    # a cut below the roots, when the kernel's blocks hold fewer than
+    # _ACC_TREES runs, leaves a top of at most _acc_levels(beta) levels
+    cut = (max(1, min(_acc_levels(beta) - top, len(off) - 1))
+           if _BLOCK_UNIFORMS // layout.edges < min(_ACC_TREES, m * len(runs)) else 1)
+    top_off = np.concatenate((offsets[:top], above + len(runs) * layout.offsets[:cut + 1]))
+    slots, scales = int(top_off[-1]), model.scales(n)[:top + cut - 1]
+    cols = max(1, min((_BLOCK_UNIFORMS // 4) // slots, m))
+    tops, out = np.empty((cols, int(offsets[-1]))), np.empty(m)
 
-    def draws(k: int) -> Iterator[RngStream]:
-        for row, rng in zip(tops[:k], islice(chunk, k)):
+    def draws() -> Iterator[RngStream]:
+        # a block's rows are read before the kernel draws the next block's
+        for i, rng in enumerate(chunk):
+            row = tops[i % cols]
             for s, r in gaps:
                 if s < r:
                     rng.uniforms(r - s, out=row[s:r])
                 yield rng
 
-    for b0 in range(0, m, cols):
+    # the top and its fold's scratch take the kernel's spent draw buffer;
+    # below a cut under the roots, the kernel's blocks fill at least half
+    # the budget and the two at most half, so the buffer holds them already
+    kernel = _drawn_replicates(model, layout, cut, m * len(runs), cols * len(runs), draws(),
+                               spare=2 * slots * cols)
+    for b0, (kept, spent) in zip(range(0, m, cols), kernel):
         k = min(cols, m - b0)
-        roots = _drawn_replicates(model, layout, k * len(runs), draws(k))
-        g = np.empty((slots, k))
+        g, scratch = spent[:2 * slots * k].reshape(2, slots, k)
         # every index is in range
         np.take(tops[:k].T, order[:above], axis=0, out=g[:above], mode="clip")
-        g[above:] = roots.reshape(k, len(runs)).T
+        for j in range(cut):
+            level = g[top_off[top + j]:top_off[top + j + 1]].reshape(len(runs), -1, k)
+            level[:] = kept[off[j]:off[j + 1]].reshape(-1, k, len(runs)).transpose(2, 0, 1)
         _transform(model.weights, g[:above])
-        _scale_fold(g, offsets, scales, beta, np.empty_like(g))
+        _scale_fold(g, top_off, scales, beta, scratch)
         out[b0:b0 + k] = g[0]
     return out
 
@@ -598,8 +587,10 @@ def _regular_replicates(model: TreeModel, n: int, master_seed: int, j0: int, j1:
     streams from one streams() range (_regular_trees)."""
     layout = _regular_layout(model, n)
     if layout.edges <= _LOCKSTEP_EDGES and len(layout.scales) == n:
-        return _drawn_replicates(model, layout, j1 - j0, lockstep=lambda b, k: stream_block(
-            master_seed, j0 + b, j0 + b + k))
+        roots, _ = next(_drawn_replicates(
+            model, layout, 1, j1 - j0, j1 - j0,
+            lockstep=lambda b, k: stream_block(master_seed, j0 + b, j0 + b + k)))
+        return roots[0]
     return _regular_trees(model, n, layout, j1 - j0, streams(master_seed, j0, j1))
 
 
@@ -640,9 +631,9 @@ def resistance_fast(model: TreeModel, n: int, rng: RngStream) -> ResistanceSampl
     """Vectorized twin of resistance_streaming: one block draw in the same
     pre-order, reordered level-major, folded level by level.  Bit-identical
     to the recursion on the same stream, in memory bounded by the block
-    budget at any depth.  This is the replicate kernel (_regular_trees) on
-    a one-tree range drawn from rng, on the float path (_regular_layout
-    with table=False)."""
+    budget at any depth.  This is the range driver (_regular_trees) on a
+    one-tree range drawn from rng, on the float path (_regular_layout with
+    table=False)."""
     if model.shape != "regular":
         raise ValidationError("fast evaluation requires the regular shape")
     layout = _regular_layout(model, n, table=False)

@@ -459,10 +459,11 @@ class GwReport:
 
 
 def _gw_record(n: int, j: int, tree) -> tuple[int, float, float, float]:
-    """(root offspring count, R, level-shorted R, Z_n / lam**n) of one tree."""
-    z_n = int(tree.level_counts()[-1])
-    return (int(np.sum(tree.parent == 0)), resistance_of_tree(tree),
-            shorted_resistance_of_tree(tree), gw_w_estimate(z_n, tree.lam, n))
+    """(root offspring count, R, level-shorted R, Z_n / lam**n) of one tree:
+    the root's children are the level-2 nodes."""
+    counts = tree.level_counts().tolist()
+    return (counts[1], resistance_of_tree(tree), shorted_resistance_of_tree(tree),
+            gw_w_estimate(counts[-1], tree.lam, n))
 
 
 def gw_experiment(

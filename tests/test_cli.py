@@ -313,6 +313,21 @@ class TestSampleCommand:
         main(args + ["--workers", "2", "--out", str(tmp_path / "w2")])
         assert read(tmp_path / "w1" / name) == read(tmp_path / "w2" / name)
 
+    @pytest.mark.parametrize("n, reps, law", [
+        ("13", "70", "unif:0.5,1.5"), ("13", "70", "twopoint:0.5,1.5"),
+        ("17", "9", "unif:0.5,1.5"), ("17", "9", "twopoint:0.5,1.5"),
+    ], ids=["n13-unif", "n13-twopoint", "n17-unif", "n17-twopoint"])
+    def test_workers_byte_identical_where_the_top_fold_runs(self, tmp_path, n, reps, law):
+        # at one worker, n = 13 folds its top 9 levels over blocks of 32
+        # trees and n = 17 its top and its runs' top 8 levels in one block;
+        # the three-worker chunks, of 6 trees at n = 13 and of one at n = 17,
+        # start inside those blocks
+        args = ["sample", "--model", "reg:2", "--n", n, "--dist", law, "--reps", reps,
+                "--seed", "5"]
+        main(args + ["--workers", "1", "--out", str(tmp_path / "w1")])
+        main(args + ["--workers", "3", "--out", str(tmp_path / "w3")])
+        assert read(tmp_path / "w1" / "samples.csv") == read(tmp_path / "w3" / "samples.csv")
+
     def test_csv_rows_written_from_one_pass(self, tmp_path):
         # the columns come as a one-pass iterator, as a transposed row list does
         cfg = {"format": "csv", "seed": 1, "out": None}

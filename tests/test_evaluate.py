@@ -289,8 +289,9 @@ class TestAtomTable:
         from treeohm.evaluate import _regular_replicates
 
         # reg:2 n = 15 draws blocks of 2 trees of 32767 edges: 512 KiB of
-        # uniforms, the 256 KiB atom table and the 128 KiB accumulator of
-        # narrow top levels.  Building the table in one piece took 1.80 MiB
+        # uniforms, the 256 KiB atom table and the 128 KiB of narrow top
+        # levels the kernel hands back to be folded in its spent draw
+        # buffer.  Building the table in one piece took 1.80 MiB
         model = TreeModel.regular(2, WeightDistribution.two_point(0.5, 1.5))
         _regular_replicates(model, 15, 1, 0, 1)  # the first range loads numpy.random
         tracemalloc.start()
@@ -341,21 +342,22 @@ class TestAtomTable:
         assert bool(reads) == route and set(reads) <= {1}
         assert got[0] == fast == resistance_streaming(model, n, RngStream(3)).resistance
 
-    @pytest.mark.parametrize("dist, n, m, route, acc_trees, flushes", [
+    @pytest.mark.parametrize("dist, n, m, route, acc_trees, top_blocks", [
         (WeightDistribution.two_point(0.5, 1.5), 14, 8, True, None, 1),
-        (WeightDistribution.uniform(0.5, 1.5), 7, 600, False, None, 0),
+        (WeightDistribution.uniform(0.5, 1.5), 7, 600, False, None, 1),
         (WeightDistribution.two_point(0.5, 1.5), 15, 20, True, 8, 3),
-        (WeightDistribution.two_point(0.5, 1.5), 14, 3, True, None, 0),
+        (WeightDistribution.two_point(0.5, 1.5), 14, 3, True, None, 1),
     ], ids=["table-route", "float-route", "table-route-flushes", "table-route-one-block"])
-    def test_block_maps_its_rows_in_one_call(self, dist, n, m, route, acc_trees, flushes,
+    def test_block_maps_its_rows_in_one_call(self, dist, n, m, route, acc_trees, top_blocks,
                                              monkeypatch):
         from treeohm import evaluate
 
-        # blocks of 4 trees at n = 14, which one accumulator flush folds
+        # blocks of 4 trees at n = 14, whose top levels one top block folds
         # together, and of 516 at n = 7, too wide for one: two blocks each;
-        # at n = 15, ten blocks of 2 trees, which fill an accumulator of 8
-        # trees twice and end in a partial flush of 4; 3 trees at n = 14 are
-        # one block, which needs no accumulator
+        # at n = 15, ten blocks of 2 trees, which fill top blocks of 8 trees
+        # twice and end in a partial one of 4; 3 trees at n = 14 are one
+        # block, cut at its roots; the top fold of a range cut at the roots
+        # folds one level, a call that does nothing
         if acc_trees is not None:
             monkeypatch.setattr(evaluate, "_ACC_TREES", acc_trees)
         model = TreeModel.regular(2, dist)
@@ -377,11 +379,13 @@ class TestAtomTable:
         monkeypatch.setattr(evaluate, "_transform", spy)
         monkeypatch.setattr(evaluate, "_scale_fold", fold_spy)
         got = evaluate._regular_replicates(model, n, 3, 0, m)
-        # one call per block, over every row the block gathers, and none
-        # for an accumulator flush, whose rows are mapped already
-        assert [rows for rows, _ in shapes] == [len(layout.order)] * blocks
-        assert sum(cols for _, cols in shapes) == m
-        assert len(folds) == blocks + flushes
+        # one call per block, over every row the block gathers, and one per
+        # top block over the trees' own top rows, none at these depths: the
+        # top fold maps no row of the kernel's again
+        kernel = [shape for shape in shapes if shape[0]]
+        assert [rows for rows, _ in kernel] == [len(layout.order)] * blocks
+        assert sum(cols for _, cols in kernel) == m
+        assert len(shapes) == len(folds) == blocks + top_blocks
         for j in (0, m - 1):
             assert got[j] == resistance_streaming(model, n, RngStream(3, j)).resistance
 
@@ -424,20 +428,22 @@ class TestDrawSource:
 
 
 class TestAccumulator:
-    """In a range of more than one block of fewer than _ACC_TREES trees, a
-    block folds its levels up to the cut and leaves the top levels of _ACC_TREES trees to one
-    accumulator, flushed when the next block does not fit and when the
-    range ends.  Ranges that miss, fill and overflow it keep the scalar
-    recursion's bits, wherever the cut falls."""
+    """In a range whose blocks hold fewer than _ACC_TREES trees or runs, the
+    kernel folds each block only up to a cut level, and the range driver
+    folds the levels above, a tree's own and its runs', over top blocks of
+    at least _ACC_TREES trees.  Ranges around _ACC_TREES trees, in one top
+    block or more, keep the scalar recursion's bits, wherever the cut
+    falls."""
 
     _LAWS = {"twopoint": WeightDistribution.two_point(0.5, 1.5),
              "unif": WeightDistribution.uniform(0.5, 1.5)}
 
-    # (beta, law, n, budget, W, where): a small budget and accumulator put
-    # the cut (_acc_levels) above, at or below the table level, on the
-    # float route, in a tree folded in runs or both; "within" trees have no
-    # more levels than the cut and fold whole, in lockstep or in blocks of
-    # W or more trees
+    # (beta, law, n, budget, W, where): a small budget and _ACC_TREES put
+    # the top's last level (_acc_levels) above, at or below the table
+    # level, on the float route, in a tree folded in runs or both (a run is
+    # cut the tree's own top levels higher, at its roots for most); "within"
+    # trees have no more levels than the top and fold whole, in lockstep or
+    # in blocks of W or more trees
     _CASES = [
         (2, "twopoint", 9, 512, 4, "above"), (2, "twopoint", 8, 512, 4, "at"),
         (2, "twopoint", 9, 2040, 4, "below"), (2, "unif", 9, 512, 4, "float"),
@@ -483,7 +489,30 @@ class TestAccumulator:
             for m in (trees - 1, trees, trees + 1, 2 * trees + 3):
                 assert evaluate._regular_replicates(model, n, 9, 7, 7 + m).tolist() == want[:m]
 
+    @pytest.mark.parametrize("n, m, cut", [(4, 40, 1), (11, 40, 1), (12, 40, 9), (14, 3, 1),
+                                           (14, 40, 9), (16, 40, 9), (17, 40, 8), (18, 40, 7),
+                                           (18, 1, 7)])
+    def test_cut_leaves_a_top_of_acc_levels(self, n, m, cut, monkeypatch):
+        # blocks of fewer than 32 trees or runs, and fewer than the range
+        # has, are cut so that a tree's top has 9 levels at beta 2: its own
+        # levels above the runs count, and a lockstep range is cut at 1
+        from treeohm import evaluate
+
+        cuts, kernel = [], evaluate._drawn_replicates
+
+        def spy(model, layout, cut, *args, **kwargs):
+            cuts.append(cut)
+            return kernel(model, layout, cut, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "_drawn_replicates", spy)
+        model = TreeModel.regular(2, WeightDistribution.two_point(0.5, 1.5))
+        evaluate._regular_replicates(model, n, 1, 0, m)
+        assert cuts == [cut]
+
     def test_accumulator_fits_a_quarter_of_the_budget(self):
+        # the top fold's array, a block of (_BLOCK_UNIFORMS // 4) // slots
+        # trees of at most _acc_levels(beta) levels, holds _ACC_TREES trees
+        # or more in a quarter of the budget
         from treeohm.evaluate import _ACC_TREES, _BLOCK_UNIFORMS, _acc_levels
 
         assert [_acc_levels(beta) for beta in (2, 3, 4, 14)] == [9, 6, 5, 3]

@@ -9,7 +9,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeohm import (
     ORACLE_GUARD,
@@ -233,6 +233,45 @@ def test_atom_table_route_bit_identical(case):
     edges = (model.beta**n - 1) // (model.beta - 1)
     with mock.patch.object(evaluate, "_BLOCK_UNIFORMS", cols * edges):
         assert evaluate._regular_replicates(model, n, seed, 2, 9).tolist() == want
+
+
+_RANGE_LAWS = {"twopoint": WeightDistribution.two_point(0.5, 1.5),
+               "unif": WeightDistribution.uniform(0.5, 1.5),
+               "disc3": WeightDistribution.discrete([(0.5, 0.2), (1.0, 0.5), (2.5, 0.3)])}
+
+
+@st.composite
+def range_cases(draw):
+    """A replicate range of a regular model under a small _ACC_TREES and a
+    small budget that fits d levels of the tree and not d + 1: the tree
+    whole (no level above d) or in runs under one or two top levels, cut
+    at the roots or lower, in one top block or several."""
+    beta = draw(st.sampled_from([2, 3, 5]))
+    top = draw(st.sampled_from([1, 2, 0]))
+    deepest = {2: 9, 3: 6, 5: 4}[beta] - top
+    d = deepest - draw(st.integers(0, deepest - 1))
+    budget = draw(st.integers((beta**d - 1) // (beta - 1), (beta ** (d + 1) - 1) // (beta - 1) - 1))
+    law = _RANGE_LAWS[draw(st.sampled_from(sorted(_RANGE_LAWS)))]
+    model = TreeModel.regular(beta, law, lam=draw(_LAMS))
+    acc_trees = draw(st.sampled_from([4, 3, 2, 1]))
+    return (model, d + top, budget, acc_trees, draw(st.integers(0, 2**20)),
+            draw(st.integers(0, 20)), draw(st.integers(1, 12)))
+
+
+@PROPERTY
+@given(range_cases())
+# reg:2 n = 7 in runs of 6 levels under one top level, cut at run level 2:
+# top blocks of 2 trees, the last of 5 trees partial
+@example((TreeModel.regular(2, _RANGE_LAWS["twopoint"]), 7, 64, 2, 3, 4, 5))
+def test_regular_ranges_match_streaming(case):
+    from treeohm import evaluate
+
+    model, n, budget, acc_trees, seed, j0, m = case
+    want = [resistance_streaming(model, n, RngStream(seed, j)).resistance
+            for j in range(j0, j0 + m)]
+    with mock.patch.object(evaluate, "_BLOCK_UNIFORMS", budget), \
+            mock.patch.object(evaluate, "_ACC_TREES", acc_trees):
+        assert evaluate._regular_replicates(model, n, seed, j0, j0 + m).tolist() == want
 
 
 @PROPERTY
