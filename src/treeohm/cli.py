@@ -347,6 +347,23 @@ def read_sweep_csv(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return {name: data[:, i] for i, name in enumerate(header)}, stamp
 
 
+def _fit_target(text: str, dist: WeightDistribution) -> tuple[float, float]:
+    """The law's mean and variance, the fit's target, by its closed forms;
+    refused when either leaves the float range, as (b - a)**2 does for a
+    uniform law wider than about 1.3e154 and an atom's square for an atom
+    past that."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = dist.moments()
+        mu, sigma2 = moments.mean, moments.variance
+    except OverflowError:
+        mu = sigma2 = math.nan
+    if not (math.isfinite(mu) and math.isfinite(sigma2)):
+        raise GuardError(f"dist: {text}: the closed-form mean and variance of the law "
+                         "leave the float range")
+    return mu, sigma2
+
+
 def cmd_fit(cfg: dict, workers: int) -> list[str]:
     if cfg["sweep_csv"] is None:
         raise ValidationError("sweep_csv: fit needs --sweep-csv pointing at a sweep table")
@@ -355,8 +372,7 @@ def cmd_fit(cfg: dict, workers: int) -> list[str]:
     if "dist" in stamp and parse_distribution(str(stamp["dist"])) != dist:
         raise ValidationError(f"dist: {cfg['dist']} is not the law {stamp['dist']} "
                               f"that {cfg['sweep_csv']} was sampled under")
-    moments = dist.moments()
-    mu, sigma2 = moments.mean, moments.variance
+    mu, sigma2 = _fit_target(cfg["dist"], dist)
     try:
         report = fit_expectation(table["n"], table["mean_R"], table["se_R"], mu, sigma2)
     except ValidationError as exc:

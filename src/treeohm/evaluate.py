@@ -12,9 +12,12 @@ sorted by level, so each level is one contiguous left-to-right block.  An
 explicit tree built from outside input sorts its levels; the sampler hands
 its trees the layout it already knows (SampledTree._built).  A full
 regular tree's order is computed level by level (_regular_order), with no
-sort, once per depth for every tree of that depth (_explicit_layout); a
-branching tree's offsets come from its chain starts and its order from a
-radix sort of its levels.
+sort, once per depth for every tree of that depth (_explicit_layout).
+Branching trees are built a forest at a time (sample_tree_explicit): each
+tree's walk (_branching_walk) gives its chain starts, and the trees of a
+forest, up to a node budget (stats._tree_chunk), take their offsets from
+the concatenated starts, their order from one radix sort of their levels
+and their records from one fold; a lone tree is a forest of one.
 
 Regular trees are evaluated by one kernel (_drawn_replicates) in row-minor
 blocks: one (rows, columns) fold array per block, with tree i in column i,
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -95,13 +98,15 @@ def _level_major(level: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarr
 def _parent_slots(level: np.ndarray, first: np.ndarray, order: np.ndarray,
                   offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`parent` per pre-order node and `slot` per level-major slot (see
-    SampledTree) of a tree's levels and layout; first[i] says node i + 1 is
-    the first child of node i."""
-    kid = order[1:]
+    SampledTree) of a tree's or a forest's levels and layout; first[i] says
+    node i + 1 is the first child of node i."""
+    roots = int(offsets[1])
+    kid = order[roots:]
     up = np.cumsum(first[kid - 1]) - 1  # each child's parent, as a level-major slot
+    none = np.full(roots, -1)
     parent = np.empty_like(order)
-    parent[order] = np.concatenate(([-1], order[up]))
-    slot = np.concatenate(([-1], up - offsets[level[kid] - 2]))
+    parent[order] = np.concatenate((none, order[up]))
+    slot = np.concatenate((none, up - offsets[level[kid] - 2]))
     return parent, slot
 
 
@@ -137,6 +142,14 @@ class SampledTree:
     levels are valid by construction and model.scales bounds every edge
     resistance.  Both routes give the same arrays, bit for bit, all
     read-only; trees of one regular depth share their layout arrays.
+
+    The builder route also lays out a forest: branching trees of one depth,
+    their pre-order levels concatenated, so that each level holds the
+    trees' nodes tree by tree and `trees` (the level-1 count) roots have
+    parent and slot -1.  Each tree's parents, slots and fold are then those
+    it has alone, shifted to its place (_fold sums children by slot, in
+    input order).  The per-tree functions (resistance_of_tree, solve_flow,
+    ...) take a tree, a forest of one.
     """
 
     level: np.ndarray
@@ -205,6 +218,10 @@ class SampledTree:
     @property
     def n_nodes(self) -> int:
         return int(self.level.shape[0])
+
+    @property
+    def trees(self) -> int:
+        return int(self.offsets[1])
 
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.level == self.n_levels)
@@ -753,17 +770,24 @@ def _explicit_layout(model: TreeModel, n: int) -> SampledTree | np.ndarray:
                               scales[level - 1], order, offsets, parent, slot)
 
 
-def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream, *,
-                         layout: SampledTree | np.ndarray | None = None) -> SampledTree:
-    """Materialize a depth-n tree, drawing weights in pre-order.
+def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream | list[RngStream], *,
+                         layout: SampledTree | np.ndarray | None = None,
+                         walks: list[tuple[list[int], int]] | None = None) -> SampledTree:
+    """Materialize a depth-n tree, drawing weights in pre-order, or a
+    forest of branching trees.
 
     Regular shape consumes one uniform per edge; the branching shape
     additionally draws one offspring count per internal node, right after
     that node's weight: nodes + internal nodes uniforms in all.  The
-    branching walk (_branching_walk) only peeks at the stream; the chain
-    starts it returns give the pre-order levels, the level-major layout and
-    each node's weight position by array ops, and one draw of the tree's
-    uniforms consumes them.
+    branching walk (_branching_walk) only peeks at the stream.  With
+    `walks`, rng is a list of streams and walks[i] the walk of rng[i],
+    taken by the caller, and their trees are built as one forest (see
+    SampledTree); a lone call walks its stream and builds a forest of one,
+    the tree.  The chain starts, concatenated, give the forest's pre-order
+    levels, its level-major layout and each node's weight position by
+    array ops: a tree's first chain starts at level 1 and its draws follow
+    the tree before.  One draw per tree consumes its uniforms, into one
+    array that one _transform maps.
 
     `layout` is the depth's _explicit_layout, which a caller drawing many
     trees builds once per depth; without it, it is built here, so the depth
@@ -782,8 +806,9 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream, *,
     # branching shape: depth parameter n means n+1 edge levels (the root edge
     # sits above the depth-0 node, leaves are the depth-n nodes)
     n_levels = n + 1
-    starts, draws = _branching_walk(model, n, rng)
-    start = np.array(starts, dtype=np.int64)
+    if walks is None:
+        rng, walks = [rng], [_branching_walk(model, n, rng)]
+    start = np.fromiter(chain.from_iterable(starts for starts, _ in walks), np.int64)
     length = n_levels + 1 - start  # each chain's nodes
     first = np.cumsum(length) - length  # each chain's first node
     # a chain steps one level down per node; the next restarts at its level
@@ -799,11 +824,16 @@ def sample_tree_explicit(model: TreeModel, n: int, rng: RngStream, *,
     parent, slot = _parent_slots(level, kid, order, offsets)
     # a node's weight uniform is two after its parent's (the parent's
     # offspring count between them), and a chain's first is one after the
-    # leaf that ends the chain before
+    # leaf that ends the chain before, in its tree or the tree before
     step.fill(2)
     step[first] = 1
     wpos = np.cumsum(step) - 1
-    weight = _transform(model.weights, rng.uniforms(draws)[wpos])
+    u = np.empty(sum(draws for _, draws in walks))
+    pos = 0
+    for stream, (_, draws) in zip(rng, walks):
+        stream.uniforms(draws, out=u[pos:pos + draws])
+        pos += draws
+    weight = _transform(model.weights, u[wpos])
     return SampledTree._built(level, weight, model.lam, "gw", None, layout[level - 1], order,
                               offsets, parent, slot)
 
@@ -819,9 +849,36 @@ def resistance_of_tree(tree: SampledTree) -> float:
     return float(_fold_tree(tree)[0][0])
 
 
+def _forest_resistances(forest: SampledTree) -> np.ndarray:
+    """resistance_of_tree of each tree of a forest, in tree order, from one
+    fold: the roots' slots of level 1."""
+    return _fold_tree(forest)[0][:forest.trees]
+
+
+def _forest_level_counts(forest: SampledTree) -> np.ndarray:
+    """The (trees, n_levels) node counts of a forest's trees per level; a
+    pre-order node belongs to the tree of the last root at or before it."""
+    n_levels = forest.n_levels
+    tree = np.cumsum(forest.level == 1) - 1
+    return np.bincount(tree * n_levels + forest.level - 1,
+                       minlength=forest.trees * n_levels).reshape(-1, n_levels)
+
+
 # ---------------------------------------------------------------------------
 # level-shorted resistance and the normalized population
 # ---------------------------------------------------------------------------
+
+
+def _forest_shorted(forest: SampledTree, counts: np.ndarray) -> np.ndarray:
+    """shorted_resistance_of_tree of each tree of a forest whose per-tree
+    level counts are `counts` (_forest_level_counts).  Level-major, a tree's
+    level is one slice, which np.add.reduce sums as the tree alone sums it."""
+    scales = level_scales(forest.lam, forest.n_levels)
+    inv = 1.0 / forest.weight[forest.order]
+    ends = np.cumsum(counts.T).tolist()  # level by level, tree by tree
+    sums = np.array([np.add.reduce(inv[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+    terms = scales[:, None] / sums.reshape(forest.n_levels, -1)
+    return np.array([math.fsum(t) for t in terms.T.tolist()])
 
 
 def shorted_resistance_of_tree(tree: SampledTree) -> float:
@@ -832,18 +889,13 @@ def shorted_resistance_of_tree(tree: SampledTree) -> float:
     the sum of lam**(l-1) / Z_l over the level sizes Z_l.  One reciprocal
     pass covers every level, and np.add.reduce sums each level's slice
     exactly as np.sum does (reduceat would change the sums' bits)."""
-    scales = level_scales(tree.lam, tree.n_levels).tolist()
-    inv = 1.0 / tree.weight[tree.order]
-    off = tree.offsets.tolist()
-    return math.fsum(
-        scales[l] / float(np.add.reduce(inv[off[l]:off[l + 1]]))
-        for l in range(tree.n_levels)
-    )
+    return float(_forest_shorted(tree, tree.level_counts()[None])[0])
 
 
-def gw_w_estimate(z_n: int, lam: float, n: int) -> float:
+def gw_w_estimate(z_n: int | np.ndarray, lam: float, n: int) -> float | np.ndarray:
     """Normalized generation size Z_n / lam**n, the finite-depth stand-in for
-    the martingale limit of the branching process."""
+    the martingale limit of the branching process; z_n is a count or an
+    array of them."""
     if n < 1:
         raise ValidationError(f"depth n={n} must be >= 1")
-    return float(z_n) / lam**n
+    return z_n / lam**n

@@ -174,9 +174,26 @@ class WeightDistribution:
         return np.cumsum([p for _, p in self.atoms]), np.array([v for v, _ in self.atoms])
 
 
+# a law of more atoms than this maps uniforms by np.searchsorted, a law of
+# at most this many by counting the thresholds each uniform reaches (at
+# most 255, the uint8 count's range).  Per call, counting beat
+# searchsorted at every atom count measured up to 64 on 8192 and 65536
+# uniforms, 2.7-3.3x at 16 atoms; on the walk's first peeks, 1434 and 2286
+# uniforms, it ties at about 5-8 atoms and is 2-3x slower at 16
+_COUNT_ATOMS = 16
+
+
 def _inverse_cdf(cum: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """vals[i] for the first cum[i] > u; the clamp guards u ~ 1 under rounding."""
-    return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
+    """vals[i] for the first cum[i] > u, and the last value where none is
+    (u ~ 1 under rounding): vals indexed by min(searchsorted(cum, u,
+    "right"), K - 1), which for a sorted cum is the count of the first
+    K - 1 thresholds that u reaches."""
+    if len(vals) > _COUNT_ATOMS:
+        return vals[np.minimum(np.searchsorted(cum, u, side="right"), len(vals) - 1)]
+    idx = np.zeros(u.shape, dtype=np.uint8)
+    for c in cum[:-1].tolist():
+        idx += u >= c
+    return np.take(vals, idx)
 
 
 def _transform(dist: WeightDistribution, u: np.ndarray) -> np.ndarray:

@@ -17,12 +17,15 @@ from functools import partial
 import numpy as np
 
 from .evaluate import (
+    _BLOCK_UNIFORMS,
+    _branching_walk,
     _explicit_layout,
+    _forest_level_counts,
+    _forest_resistances,
+    _forest_shorted,
     _regular_replicates,
     gw_w_estimate,
-    resistance_of_tree,
     sample_tree_explicit,
-    shorted_resistance_of_tree,
 )
 from .model import (
     MEMORY_GUARD,
@@ -95,36 +98,67 @@ def _check_reps(m: int) -> None:
         raise GuardError(f"reps: {m} replicates exceed the {MEMORY_GUARD}-replicate guard")
 
 
-def _tree_chunk(record, model: TreeModel, ns: list[int], master_seed: int,
-                j0: int, j1: int) -> list:
-    """[record(j, tree j) for j in range(j0, j1)], each tree from
-    sample_tree_explicit on the layout of its depth, built once here for
-    every depth of the chunk before any tree is drawn, and dropped with
-    the chunk."""
+# the nodes at which walked branching trees are built as one forest
+# (_tree_chunk).  Per 100 gw:1:0.5,2:0.5 const:1 trees at n = 14, forests
+# of 2**12, 2**13 and 2**14 nodes took 37.7, 36.0 and 35.8 ms, at a traced
+# peak of 0.55, 0.94 and 1.72 MiB (BENCH_31.json)
+_FOREST_NODES = _BLOCK_UNIFORMS // 8
+
+
+def _tree_chunk(record, model: TreeModel, ns: list[int], master_seed: int, j0: int, j1: int,
+                forests: bool = False) -> list:
+    """The records of trees j0..j1-1, tree j of depth ns[j % len(ns)] from
+    stream j, built by sample_tree_explicit on the layout of its depth,
+    which is built once here for every depth of the chunk before any tree
+    is drawn, and dropped with the chunk.
+
+    Without `forests`, record(j, tree j) is tree j's record.  With it,
+    record(j, forest) is the list of the records of a forest's trees, j the
+    first of them.  Branching trees are walked one by one (_branching_walk),
+    and the consecutive trees of one depth are built as one forest once
+    they reach _FOREST_NODES nodes; a regular tree is a forest of one."""
     depth = [ns[j % len(ns)] for j in range(j0, j1)]
     layouts = {n: _explicit_layout(model, n) for n in dict.fromkeys(depth)}
-    return [
-        record(j, sample_tree_explicit(model, n, rng, layout=layouts[n]))
-        for j, n, rng in zip(range(j0, j1), depth, streams(master_seed, j0, j1))
-    ]
+    trees = zip(range(j0, j1), depth, streams(master_seed, j0, j1))
+    if not forests:
+        return [record(j, sample_tree_explicit(model, n, rng, layout=layouts[n]))
+                for j, n, rng in trees]
+    if model.shape == "regular":
+        return [rec for j, n, rng in trees
+                for rec in record(j, sample_tree_explicit(model, n, rng, layout=layouts[n]))]
+    records, rngs, walks, nodes = [], [], [], 0
+    for j, n, rng in trees:
+        rngs.append(rng)
+        walks.append(_branching_walk(model, n, rng))
+        starts, draws = walks[-1]
+        # a draw per node and per internal node, and a chain per leaf
+        nodes += (draws + len(starts)) // 2
+        if nodes >= _FOREST_NODES or j + 1 == j1 or depth[j + 1 - j0] != n:
+            # the forest is dropped before the next one is built
+            records += record(j + 1 - len(rngs),
+                              sample_tree_explicit(model, n, rngs, layout=layouts[n], walks=walks))
+            rngs, walks, nodes = [], [], 0
+    return records
 
 
 def map_trees(record, model: TreeModel, ns: list[int], count: int, master_seed: int,
-              workers: int = 1) -> list:
+              workers: int = 1, forests: bool = False) -> list:
     """[record(j, tree j) for j in range(count)]: tree j has depth
-    ns[j % len(ns)] and is drawn from stream j.  With workers > 1, record
-    must pickle (a module-level function or a partial of one).  Every
-    depth's resistance range, and the stream count, are checked before any
-    tree is drawn."""
+    ns[j % len(ns)] and is drawn from stream j; with `forests`, record
+    takes a forest and gives its trees' records (_tree_chunk).  With
+    workers > 1, record must pickle (a module-level function or a partial
+    of one).  Every depth's resistance range, and the stream count, are
+    checked before any tree is drawn."""
     _check_streams("trees", count)
     for n in ns:
         model.scales(n)
-    chunks = _chunked(_tree_chunk, (record, model, ns, master_seed), count, workers)
+    chunks = _chunked(partial(_tree_chunk, forests=forests), (record, model, ns, master_seed),
+                      count, workers)
     return [rec for chunk in chunks for rec in chunk]
 
 
-def _resistance_record(j: int, tree) -> float:
-    return resistance_of_tree(tree)
+def _resistance_records(j: int, forest) -> list[float]:
+    return _forest_resistances(forest).tolist()
 
 
 def run_replicates(
@@ -139,7 +173,8 @@ def run_replicates(
         parts = _chunked(_regular_replicates, (model, n, master_seed), m, workers)
         resistance = np.concatenate(parts)
     else:
-        resistance = np.array(map_trees(_resistance_record, model, [n], m, master_seed, workers))
+        resistance = np.array(map_trees(_resistance_records, model, [n], m, master_seed, workers,
+                                        forests=True))
     _check_envelope(model, n, resistance)
     return ReplicateSet(n, m, master_seed, resistance, 1.0 / resistance)
 
@@ -458,12 +493,13 @@ class GwReport:
     median_scaled_product: float
 
 
-def _gw_record(n: int, j: int, tree) -> tuple[int, float, float, float]:
-    """(root offspring count, R, level-shorted R, Z_n / lam**n) of one tree:
-    the root's children are the level-2 nodes."""
-    counts = tree.level_counts().tolist()
-    return (counts[1], resistance_of_tree(tree), shorted_resistance_of_tree(tree),
-            gw_w_estimate(counts[-1], tree.lam, n))
+def _gw_records(n: int, j: int, forest) -> list[tuple[int, float, float, float]]:
+    """(root offspring count, R, level-shorted R, Z_n / lam**n) of each tree
+    of a forest: the root's children are the level-2 nodes."""
+    counts = _forest_level_counts(forest)
+    return list(zip(counts[:, 1].tolist(), _forest_resistances(forest).tolist(),
+                    _forest_shorted(forest, counts).tolist(),
+                    gw_w_estimate(counts[:, -1], forest.lam, n).tolist()))
 
 
 def gw_experiment(
@@ -473,7 +509,8 @@ def gw_experiment(
     level-shorted resistance (a lower bound on it), the normalized depth-n
     population, the root offspring count, and n*C_n; then condition n*C_n on
     the root count."""
-    records = map_trees(partial(_gw_record, n), model, [n], trees, master_seed, workers)
+    records = map_trees(partial(_gw_records, n), model, [n], trees, master_seed, workers,
+                        forests=True)
     b1, res, shorted, w_hat = (np.array(col) for col in zip(*records))
     n_times_c = n / res
     cond = {v: float(np.mean(n_times_c[b1 == v])) for v in sorted(set(b1.tolist()))}

@@ -573,6 +573,29 @@ class TestSweepAndFit:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert (fit["mu"], fit["sigma2"]) == (2.0, 1.0 / 3.0)
 
+    def test_fit_refuses_a_law_whose_moments_overflow(self, tmp_path, capsys):
+        # (b - a)**2 of unif:1,1e200 overflowed in a traceback (exit 1); the
+        # sweep itself still overflows in its jackknife, a separate finding
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", "--model", "reg:2", "--n", "2..8", "--dist", "unif:1,1e200",
+                         "--reps", "3", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "fit"
+        assert main(["fit", "--sweep-csv", str(tmp_path / "sweep.csv"), "--dist",
+                     "unif:1,1e200", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("guard: dist: unif:1,1e200: ")
+        assert not out.exists()
+
+    def test_fit_refuses_an_atom_whose_square_overflows(self, tmp_path, capsys):
+        # const:1e300 has variance 0, but its closed form E[X^2] - E[X]^2 is
+        # inf - inf: fit.json was written with NaN tokens, and exit 0
+        path = tmp_path / "sweep.csv"
+        path.write_text("n,mean_R,se_R\n" + "".join(f"{n},{n}.5,0.1\n" for n in range(2, 9)))
+        out = tmp_path / "out"
+        assert main(["fit", "--sweep-csv", str(path), "--dist", "const:1e300",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("guard: dist: const:1e300: ")
+        assert not out.exists()
+
     def test_fit_refuses_a_malformed_stamp(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         path.write_text("# provenance: [1, 2]\nn,mean_R,se_R\n"
@@ -673,6 +696,28 @@ class TestOtherCommands:
         main(argv + ["--workers", "2", "--out", str(tmp_path / "w2")])
         for name in names:
             assert read(tmp_path / "w1" / name) == read(tmp_path / "w2" / name)
+
+    # branching trees built as forests (stats._tree_chunk): several forests
+    # in one chunk at one worker, one per chunk at two; the sha256 of each
+    # artifact as the per-tree builder wrote it
+    @pytest.mark.parametrize("argv, digests", [
+        (["gw", "--model", "gw:1:0.5,2:0.5", "--dist", "unif:0.5,1.5", "--n", "10",
+          "--trees", "60"],
+         {"gw_records.csv": "6064d132ebccd100b789e294df70a9834c5f5b7df4a1e5819edaab88848a035e",
+          "gw_summary.json": "ee4d06709fabebdef0fab64ee77ab0062ab8fecb8aa62a0635227d2dc0cc6e26"}),
+        (["gw", "--model", "gw:1:0.4,2:0.3,3:0.3", "--dist", "disc:0.5:0.3,1:0.3,1.5:0.4",
+          "--n", "7", "--trees", "50"],
+         {"gw_records.csv": "30e9ea5e9c5b1e3b0fac0ae2b2f4ab7fbce28b755f75af797c12918e58230626",
+          "gw_summary.json": "de0a3371ad8bc2b5d1848978bee6168e85820d8abab4deffa44e29c4c1b32dfc"}),
+        (["sample", "--model", "gw:1:0.5,2:0.5", "--dist", "unif:0.5,1.5", "--n", "10",
+          "--reps", "60"],
+         {"samples.csv": "e68857ca11acaf478e45194dd7465c14c884ea361e06ec441b734f3918ea7588"}),
+    ], ids=["gw", "gw-three-atoms", "sample-gw"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_branching_forests_keep_their_bytes(self, tmp_path, argv, digests, workers):
+        assert main(argv + ["--seed", "4", "--workers", workers, "--out", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256(read(tmp_path / name)).hexdigest() == digest, name
 
     def test_gw_command(self, tmp_path):
         code = main([

@@ -15,11 +15,13 @@ from treeohm import (
     ORACLE_GUARD,
     GuardError,
     RngStream,
+    SampledTree,
     TreeModel,
     WeightDistribution,
     build_dense_system,
     flow_bound_report,
     gw_experiment,
+    gw_w_estimate,
     level_scales,
     oracle_compare,
     parse_distribution,
@@ -39,6 +41,7 @@ from treeohm.model import (
     stream_block,
     streams,
 )
+from treeohm import model as model_module, stats
 from treeohm.oracle import _gauss_solve
 from tests.conftest import assert_node_law, dense_gauss_solve, reweighted, scalar_gw_tree
 
@@ -154,6 +157,71 @@ def test_branching_walk_matches_per_node_reference(case, j, budget):
     for name in ("level", "weight", "resistance"):
         assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), name
     assert rng.uniforms(1)[0] == ref_rng.uniforms(1)[0]
+
+
+@st.composite
+def forest_cases(draw):
+    """A branching model at a depth of 1..14 where the mean tree stays under
+    about a thousand leaves, a tree count and a seed."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    masses = draw(st.lists(st.integers(1, 4), min_size=len(counts), max_size=len(counts)))
+    offspring = [(k, m / sum(masses)) for k, m in zip(counts, masses)]
+    model = TreeModel.galton_watson(offspring, draw(weight_laws()), lam=draw(_LAMS))
+    mean = model.offspring_mean()
+    deepest = 14 if mean < 1.6 else min(14, int(math.log(1000) / math.log(mean)))
+    return model, draw(st.integers(1, deepest)), draw(st.integers(1, 12)), draw(
+        st.integers(0, 2**20))
+
+
+@PROPERTY
+@given(forest_cases(), st.sampled_from(["one node", "chosen", "whole chunk"]))
+@example((TreeModel.galton_watson([(1, 0.5), (2, 0.5)], WeightDistribution.uniform(0.5, 1.5)),
+          14, 12, 3), "chosen")
+@example((TreeModel.galton_watson([(1, 0.4), (2, 0.3), (3, 0.3)],
+                                  parse_distribution("disc:0.5:0.3,1:0.3,1.5:0.4")),
+          9, 12, 8), "chosen")
+def test_forest_records_are_the_checked_trees(case, budget):
+    # forests of one tree each, of the chosen size (the examples build
+    # several), and of the whole chunk
+    model, n, count, seed = case
+    nodes = {"one node": 1, "chosen": stats._FOREST_NODES, "whole chunk": 2**62}[budget]
+    drawn = list(streams(seed, 0, count))
+    with mock.patch.object(stats, "_FOREST_NODES", nodes):
+        with mock.patch.object(stats, "streams", lambda s, j0, j1: iter(drawn[j0:j1])):
+            report = gw_experiment(model, n, count, seed)
+        resistance = run_replicates(model, n, count, seed).resistance
+    want = []
+    for j, rng in enumerate(drawn):
+        lone = sample_tree_explicit(model, n, RngStream(seed, j))
+        tree = SampledTree(lone.level.copy(), lone.weight.copy(), model.lam, "gw")
+        counts = tree.level_counts().tolist()
+        want.append((counts[1], resistance_of_tree(tree), shorted_resistance_of_tree(tree),
+                     gw_w_estimate(counts[-1], model.lam, n)))
+        # each stream consumed nodes + internal nodes uniforms
+        k = tree.n_nodes + int(np.sum(tree.level < tree.n_levels))
+        assert rng.uniforms(1)[0] == RngStream(seed, j).uniforms(k + 1)[k]
+    b1, r, shorted, w = (np.array(col) for col in zip(*want))
+    assert report.b1.tolist() == b1.tolist()
+    for got, col in ((report.resistance, r), (resistance, r), (report.shorted, shorted),
+                     (report.w_hat, w)):
+        assert got.tobytes() == col.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 255), st.integers(0, 2**20), st.sampled_from([0, 255]))
+def test_threshold_cutoff_never_moves_bits(atoms, seed, cutoff):
+    # counting thresholds and searchsorted pick the same value, the
+    # cumulative probabilities and the floats just below them included
+    masses = RngStream(seed).integers(1, 6, atoms)
+    cum = np.cumsum(masses / masses.sum())
+    u = np.concatenate(([0.0], cum[:-1], np.nextafter(cum[:-1], 0.0),
+                        RngStream(seed, 1).uniforms(300)))
+    vals = np.arange(atoms, dtype=np.int64) + 1
+    law = WeightDistribution.discrete(zip(0.5 + vals / atoms, masses / masses.sum()))
+    want = _inverse_cdf(cum, vals, u), _transform(law, u.copy())
+    with mock.patch.object(model_module, "_COUNT_ATOMS", cutoff):
+        got = _inverse_cdf(cum, vals, u), _transform(law, u.copy())
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @PROPERTY

@@ -560,11 +560,12 @@ class TestMapTrees:
         model = TreeModel.regular(2, WeightDistribution.uniform(0.5, 1.5))
         want = [resistance_of_tree(sample_tree_explicit(model, 14, RngStream(3, j)))
                 for j in range(4)]
-        map_trees(stats._resistance_record, model, [13], 4, 3)  # lazy set-up, another depth
+        # lazy set-up, another depth
+        map_trees(stats._resistance_records, model, [13], 4, 3, forests=True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            got = map_trees(stats._resistance_record, model, [14], 4, 3)
+            got = map_trees(stats._resistance_records, model, [14], 4, 3, forests=True)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
